@@ -12,15 +12,19 @@ level r-1.  For each representative f with stabilizer generators L:
 
 Forms of degree r are ints over the C(m,r) monomial coefficients, monomial
 masks ascending.  The boundary action of one generator is applied through
-byte-sliced XOR lookup tables, so the orbit sweep is a few array operations
-per generator and frontier block.
+byte-sliced XOR lookup tables.  Phase 1 is one sweep over a 1-byte label per
+form: a batched multi-seed BFS that expands up to 253 seeds' waves together,
+a few array operations per generator and BFS level, and joins waves that
+meet in a union-find over the batch.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from math import comb
+from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +48,6 @@ class OrbitConfig:
     """Resource policy for orbit enumeration."""
 
     mem_limit_bytes: int = 2 << 30
-    dense_threshold: int = 32  # flat arrays up to this form-space dimension
 
 
 @dataclass
@@ -113,10 +116,13 @@ class BoundaryAction:
             self.keep_mask |= 1 << mask
         self.n_chunks = max(1, (self.dim + 7) // 8)
         self.gens = list(gens)
+        inverses = [g.inverse() for g in self.gens]
+        self.inv_tables = [g.table for g in inverses]
         self._fwd = [self._tables_for(g) for g in self.gens]
-        self._inv = [self._tables_for(g.inverse()) for g in self.gens]
+        self._inv = [self._tables_for(g) for g in inverses]
+        # the shift is folded into the first byte's table
         self._np_fwd = [
-            ([np.array(t, dtype=np.int64) for t in tabs], np.int64(delta))
+            [np.array(t, dtype=np.int64) ^ (delta if c == 0 else 0) for c, t in enumerate(tabs)]
             for tabs, delta in self._fwd
         ]
 
@@ -197,11 +203,12 @@ class BoundaryAction:
         return acc
 
     def apply_block(self, arr: np.ndarray, gi: int) -> np.ndarray:
-        tables, delta = self._np_fwd[gi]
-        acc = tables[0][arr & 255]
+        tables = self._np_fwd[gi]
+        by_byte = np.ascontiguousarray(arr, dtype="<i8").view(np.uint8).reshape(-1, 8)
+        acc = tables[0].take(by_byte[:, 0])
         for c in range(1, len(tables)):
-            acc ^= tables[c][(arr >> (8 * c)) & 255]
-        return acc ^ delta
+            acc ^= tables[c].take(by_byte[:, c])
+        return acc
 
 
 def boundary_act(u: int, g: AffineMap, ctx: BoundaryAction) -> int:
@@ -220,193 +227,145 @@ def boundary_act(u: int, g: AffineMap, ctx: BoundaryAction) -> int:
 
 # -- orbit enumeration ------------------------------------------------------
 
-
-class SpaceOrbits:
-    """Partition of the full form space with a per-element transversal.
-
-    Each visited form stores only the index of the generator that reached it;
-    the predecessor is recovered by applying that generator's inverse, so a
-    path walk to the seed rebuilds the transversal element on demand.
-    """
-
-    def __init__(self, ctx: BoundaryAction, dense: bool):
-        self.ctx = ctx
-        self.space = 1 << ctx.dim
-        self.dense = dense
-        if dense:
-            self.genidx = np.full(self.space, _UNSEEN, dtype=np.uint8)
-        else:
-            self.genidx: Dict[int, int] = {}
-        self.orbits: List[Tuple[int, int]] = []
-
-    def tag(self, x: int) -> int:
-        if self.dense:
-            return int(self.genidx[x])
-        return self.genidx.get(x, _UNSEEN)
-
-    def is_visited(self, x: int) -> bool:
-        return self.tag(x) != _UNSEEN
-
-    def path_gens(self, x: int) -> List[int]:
-        """Generator indices applied to the seed to reach x, in order."""
-        rev = []
-        while True:
-            t = self.tag(x)
-            if t == _SEED:
-                break
-            if t == _UNSEEN:
-                raise InvalidInputError(f"form {x} was never visited")
-            rev.append(t)
-            x = self.ctx.apply_inv(x, t)
-        rev.reverse()
-        return rev
-
-    def root_of(self, x: int) -> int:
-        while True:
-            t = self.tag(x)
-            if t == _SEED:
-                return x
-            if t == _UNSEEN:
-                raise InvalidInputError(f"form {x} was never visited")
-            x = self.ctx.apply_inv(x, t)
-
-    def element_to(self, x: int) -> AffineMap:
-        """A group element carrying the seed of x's orbit to x."""
-        elem = AffineMap.identity(self.ctx.m)
-        for gi in self.path_gens(x):
-            elem = elem.compose(self.ctx.gens[gi])
-        return elem
-
-    def orbit_members(self, seed: int) -> List[int]:
-        """Recompute the member list of one orbit (small spaces only)."""
-        ctx = self.ctx
-        seen = {seed}
-        queue = deque([seed])
-        while queue:
-            x = queue.popleft()
-            for gi in range(len(ctx.gens)):
-                y = ctx.apply(x, gi)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return sorted(seen)
+_MAX_BATCH = 253  # labels 0..252 name one batch's seeds; 254 and 255 are reserved
+_SMALL_ORBIT = 4096  # batches keep doubling while no orbit found is larger
 
 
-@dataclass
+@dataclass(slots=True)
 class OrbitSet:
-    """One orbit: seed (the numerically smallest member), size, and a view
-    onto the shared transversal storage."""
+    """One orbit: seed (the numerically smallest member) and size."""
 
     seed: int
     size: int
-    store: SpaceOrbits
 
 
-def estimate_orbit_bytes(dim: int, dense: bool) -> int:
-    space = 1 << dim
-    if dense:
-        return space + 3 * _BLOCK * 8 + (64 << 20)
-    return 90 * space + (64 << 20)
+def estimate_orbit_bytes(dim: int) -> int:
+    """Peak memory of orbit_enumerate over 2^dim forms.
+
+    1 B/form of labels.  One BFS level holds the int64 frontier with its
+    uint8 labels, the next level's int64 parts and their concatenation; the
+    two levels are disjoint sets of forms, so together at most 16 B/form.
+    Per-block temporaries of apply_block and the label gathers stay under
+    48 B per block element, plus a fixed base for the interpreter and numpy.
+    """
+    return 17 * (1 << dim) + 48 * _BLOCK + (64 << 20)
 
 
 def orbit_enumerate(
     ctx: BoundaryAction,
-    gens: Optional[Sequence[AffineMap]] = None,
     config: Optional[OrbitConfig] = None,
 ) -> List[OrbitSet]:
     """Partition the form space into orbits under the boundary action.
 
-    Seeds come out as the numerically smallest member of each orbit because
-    the space is scanned in increasing order and every orbit is fully closed
-    before the scan moves on.
+    One batched multi-seed BFS over a uint8 label array (255 = unseen).
+    Each batch labels the next k unseen forms, in increasing order, with
+    0..k-1 and expands all their waves together, one apply_block call per
+    generator and level.  A wave that reaches a form another wave labelled
+    joins the two seeds in a union-find over the batch, and each class is
+    one orbit.  Every member of an orbit is unseen until its batch, so the
+    orbit minimum is one of the batch's seeds: seeds come out as the
+    numerically smallest member of each orbit, in increasing order.
+
+    k doubles up to 253 while a batch finds no orbit larger than 4096 forms
+    and falls back to 1 after one that is, so spaces of many tiny orbits run
+    in wide batches and spaces of a few huge ones as single-seed BFS.
     """
-    if gens is not None and list(gens) != ctx.gens:
-        raise InvalidInputError("generator list does not match the action context")
     config = config or OrbitConfig()
-    dense = ctx.dim <= config.dense_threshold
-    need = estimate_orbit_bytes(ctx.dim, dense)
+    need = estimate_orbit_bytes(ctx.dim)
     if need > config.mem_limit_bytes:
         raise ResourceRefusedError(
-            f"orbit enumeration over 2^{ctx.dim} forms needs about {need} bytes "
-            f"({'dense' if dense else 'sparse'} backend); limit is "
-            f"{config.mem_limit_bytes} (raise --mem-limit to allow)"
+            f"orbit enumeration over 2^{ctx.dim} forms needs about {need} bytes; "
+            f"limit is {config.mem_limit_bytes} (raise --mem-limit to allow)"
         )
-    store = SpaceOrbits(ctx, dense)
-    if dense:
-        _enumerate_dense(ctx, store)
-    else:
-        _enumerate_sparse(ctx, store)
-    total = sum(size for _, size in store.orbits)
-    if total != store.space:
-        raise InternalConsistencyError(
-            f"orbit sizes sum to {total}, expected {store.space}"
-        )
-    return [OrbitSet(seed, size, store) for seed, size in store.orbits]
-
-
-def _next_unseen_dense(genidx: np.ndarray, start: int) -> int:
-    n = genidx.shape[0]
-    pos = start
-    chunk = 1 << 16
-    while pos < n:
-        hits = np.nonzero(genidx[pos : pos + chunk] == _UNSEEN)[0]
-        if hits.size:
-            return pos + int(hits[0])
-        pos += chunk
-    return -1
-
-
-def _enumerate_dense(ctx: BoundaryAction, store: SpaceOrbits) -> None:
-    genidx = store.genidx
-    ngens = len(ctx.gens)
-    scan = 0
-    while True:
-        seed = _next_unseen_dense(genidx, scan)
-        if seed < 0:
+    space = 1 << ctx.dim
+    labels = np.full(space, _UNSEEN, dtype=np.uint8)
+    orbits: List[OrbitSet] = []
+    scan, k, total = 0, 1, 0
+    while total < space:
+        seeds = _next_unseen(labels, scan, k)
+        if not seeds.size:
             break
-        scan = seed
-        genidx[seed] = _SEED
-        size = 1
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            new_parts = []
-            for gi in range(ngens):
-                for lo in range(0, frontier.size, _BLOCK):
-                    imgs = ctx.apply_block(frontier[lo : lo + _BLOCK], gi)
-                    fresh = imgs[genidx[imgs] == _UNSEEN]
-                    genidx[fresh] = gi
-                    if fresh.size:
-                        new_parts.append(fresh)
-            if new_parts:
-                frontier = np.concatenate(new_parts)
-                size += int(frontier.size)
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-        store.orbits.append((seed, size))
+        scan = int(seeds[-1]) + 1
+        found = _sweep_batch(ctx, labels, seeds)
+        orbits.extend(found)
+        sizes = [o.size for o in found]
+        total += sum(sizes)
+        k = min(2 * k, _MAX_BATCH) if max(sizes) <= _SMALL_ORBIT else 1
+    if total != space:
+        raise InternalConsistencyError(f"orbit sizes sum to {total}, expected {space}")
+    return orbits
 
 
-def _enumerate_sparse(ctx: BoundaryAction, store: SpaceOrbits) -> None:
-    genidx = store.genidx
-    ngens = len(ctx.gens)
-    space = store.space
-    seed = 0
-    while seed < space:
-        if seed in genidx:
-            seed += 1
-            continue
-        genidx[seed] = _SEED
-        size = 1
-        queue = deque([seed])
-        while queue:
-            x = queue.popleft()
-            for gi in range(ngens):
-                y = ctx.apply(x, gi)
-                if y not in genidx:
-                    genidx[y] = gi
-                    size += 1
-                    queue.append(y)
-        store.orbits.append((seed, size))
-        seed += 1
+def _next_unseen(labels: np.ndarray, start: int, k: int) -> np.ndarray:
+    """The k smallest unseen forms from start on (fewer at the end).  The
+    scan window grows from 4 Ki to 64 Ki forms, so that finding a few seeds
+    among many unseen forms does not index a whole 64 Ki window."""
+    parts = []
+    pos, window = start, 1 << 12
+    while k and pos < labels.shape[0]:
+        hits = (labels[pos : pos + window] == _UNSEEN).nonzero()[0][:k] + pos
+        parts.append(hits)
+        k -= hits.size
+        pos += window
+        window = min(2 * window, 1 << 16)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _sweep_batch(ctx: BoundaryAction, labels: np.ndarray, seeds: np.ndarray) -> List[OrbitSet]:
+    """Close the orbits of one batch of seeds; returns them by seed."""
+    k = seeds.size
+    # union-find over the batch, kept fully compressed: rep[i] is the
+    # smallest seed index joined to i so far
+    rep = np.arange(k, dtype=np.uint8)
+    labels[seeds] = rep
+    counts = np.zeros(k, dtype=np.int64)
+    frontier = seeds
+    while frontier.size:
+        if k > 1:
+            src = labels[frontier]
+            counts += np.bincount(src, minlength=k)
+        else:  # a lone wave is all label 0 and needs no per-form labels
+            counts[0] += frontier.size
+        parts = []
+        for gi in range(len(ctx.gens)):
+            for lo in range(0, frontier.size, _BLOCK):
+                imgs = ctx.apply_block(frontier[lo : lo + _BLOCK], gi)
+                got = labels[imgs]
+                fresh = got == _UNSEEN
+                new = imgs.compress(fresh)
+                if k > 1:
+                    mine = src[lo : lo + _BLOCK]
+                    meet = (got != mine) & ~fresh
+                    if meet.any():
+                        rep = _join(rep, rep[mine.compress(meet)], rep[got.compress(meet)])
+                    labels[new] = mine.compress(fresh)
+                else:
+                    labels[new] = 0
+                parts.append(new)
+        frontier = np.concatenate(parts) if parts else seeds[:0]
+    roots = rep.tolist()
+    sizes = [0] * k
+    for r, c in zip(roots, counts.tolist()):
+        sizes[r] += c
+    return [OrbitSet(s, sizes[i]) for i, s in enumerate(seeds.tolist()) if roots[i] == i]
+
+
+def _join(rep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the classes of the roots a[i] and b[i]: hook each larger root
+    onto the smaller one, then pointer-jump until every entry is a root."""
+    while True:
+        keep = a != b
+        if not keep.any():
+            return rep
+        a, b = a[keep], b[keep]
+        # of several hooks onto one root one wins; the rest retry next round
+        rep[np.maximum(a, b)] = np.minimum(a, b)
+        while True:
+            hop = rep[rep]
+            if np.array_equal(hop, rep):
+                break
+            rep = hop
+        a, b = rep[a], rep[b]
 
 
 # -- stabilizer orders and generators ---------------------------------------
@@ -444,12 +403,13 @@ def generator_set(
     harvested: List[AffineMap] = []
     visited: Dict[int, int] = {u: _SEED}
     queue = deque([u])
-    elem_cache: Dict[int, bytes] = {u: AffineMap.identity(m).table}
+    ident = AffineMap.identity(m).table
+    elem_cache: Dict[int, Tuple[bytes, bytes]] = {u: (ident, ident)}
 
-    def elem_of(x: int) -> bytes:
-        # R[x] as a padded permutation table; R[child] = R[parent] * lam, and
-        # compose(a, b).pmap = b.pmap.translate(a.table), so appending a
-        # generator is gens[gi].table.translate(accumulated).
+    def elem_of(x: int) -> Tuple[bytes, bytes]:
+        # R[x] and R[x]^-1 as padded permutation tables; R[child] = R[parent]
+        # * lam and R[child]^-1 = lam^-1 * R[parent]^-1, where compose(a, b)
+        # is b.table.translate(a.table).
         got = elem_cache.get(x)
         if got is None:
             rev = []
@@ -463,10 +423,11 @@ def generator_set(
                     break
             else:
                 cached = elem_cache[u]
-            got = cached
+            fwd, inv = cached
             for gi in reversed(rev):
-                got = ctx.gens[gi].table.translate(got)
-            elem_cache[x] = got
+                fwd = ctx.gens[gi].table.translate(fwd)
+                inv = inv.translate(ctx.inv_tables[gi])
+            got = elem_cache[x] = (fwd, inv)
         return got
 
     while oracle.order() < s_u:
@@ -483,13 +444,9 @@ def generator_set(
                 queue.append(y)
             else:
                 if rx is None:
-                    rx = elem_of(x)
+                    rx = elem_of(x)[0]
                 t = lam.table.translate(rx)  # R[x] * lam
-                ry = elem_of(y)
-                ry_inv = bytearray(256)
-                for i, v in enumerate(ry):
-                    ry_inv[v] = i
-                cand = bytes(ry_inv).translate(t)  # (R[x] * lam) * R[y]^-1
+                cand = elem_of(y)[1].translate(t)  # (R[x] * lam) * R[y]^-1
                 if not oracle.contains_perm(cand):
                     oracle._add_perm(cand)
                     harvested.append(AffineMap(m, cand[: 1 << m]))
@@ -631,16 +588,21 @@ def stab_histogram(records: Sequence[ClassRecord]) -> Dict[int, int]:
 
 
 def write_level_file(path, records: Sequence[ClassRecord]) -> None:
-    """One record per line; header carries m and level, trailer the count."""
+    """One record per line; header carries m and level, trailer the count.
+    Written to a temporary file beside the target and renamed over it, so a
+    crash never leaves a partial level file."""
     if not records:
         raise InvalidInputError("refusing to write an empty level file")
     m = records[0].m
     level = records[0].level
-    with open(path, "w") as fh:
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
         fh.write(f"# rmclass m={m} level={level}\n")
         for rec in records:
             fh.write(rec.to_line() + "\n")
         fh.write(f"# complete {len(records)}\n")
+    os.replace(tmp, path)
 
 
 def read_level_file(path) -> List[ClassRecord]:

@@ -33,6 +33,7 @@ from .classify import (
     OrbitConfig,
     classify_space,
     descend_iter,
+    estimate_orbit_bytes,
     read_level_file,
     stab_histogram,
     top_record,
@@ -89,7 +90,12 @@ class _Checkpoint:
         self.path = path
 
     def load(self):
-        """Returns (level, parents_done, records) from complete parent blocks."""
+        """Returns (level, parents_done, records) from complete parent blocks.
+
+        Cuts the file back to its last complete block, so that appends go on
+        from there: records after it, and an unterminated last line left by
+        a crash mid-append, are dropped.
+        """
         if not self.path.exists():
             return None
         level = None
@@ -97,23 +103,32 @@ class _Checkpoint:
         done = 0
         records: List[ClassRecord] = []
         pending: List[ClassRecord] = []
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("# checkpoint"):
-                    fields = dict(kv.split("=") for kv in line.split()[2:])
-                    level = int(fields["level"])
-                    m = int(fields["m"])
-                elif line.startswith("# parent-done"):
-                    done = int(line.split()[2]) + 1
-                    records.extend(pending)
-                    pending = []
-                else:
-                    pending.append(ClassRecord.from_line(m, line))
+        data = self.path.read_bytes()
+        keep = pos = 0
+        for raw in data.splitlines(keepends=True):
+            pos += len(raw)
+            if not raw.endswith(b"\n"):
+                break
+            line = raw.decode().strip()
+            if not line:
+                continue
+            if line.startswith("# checkpoint"):
+                fields = dict(kv.split("=") for kv in line.split()[2:])
+                level = int(fields["level"])
+                m = int(fields["m"])
+                keep = pos
+            elif line.startswith("# parent-done"):
+                done = int(line.split()[2]) + 1
+                records.extend(pending)
+                pending = []
+                keep = pos
+            else:
+                pending.append(ClassRecord.from_line(m, line))
         if level is None:
             return None
+        if keep < len(data):
+            with open(self.path, "r+b") as fh:
+                fh.truncate(keep)
         return level, done, records
 
     def start(self, m: int, level: int) -> None:
@@ -131,10 +146,6 @@ class _Checkpoint:
             self.path.unlink()
 
 
-def _estimate_level_bytes(m: int, r: int) -> int:
-    return (1 << comb(m, r)) + (64 << 20)
-
-
 def cmd_classify(args) -> int:
     m, s, t = args.m, args.s, args.t
     if not (0 <= s <= t <= m):
@@ -149,7 +160,7 @@ def cmd_classify(args) -> int:
 
     # pre-flight: every boundary space this run will touch
     for r in range(t, target, -1):
-        need = _estimate_level_bytes(m, r)
+        need = estimate_orbit_bytes(comb(m, r))
         if need > config.mem_limit_bytes:
             raise ResourceRefusedError(
                 f"level {r} needs a 2^{comb(m, r)}-element form space "

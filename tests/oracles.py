@@ -122,3 +122,26 @@ def fixed_function_count_bruteforce(s: int, t: int, m: int, sigma: AffineMap) ->
         if reduce_anf(diff, m, s - 1) == 0:
             count += 1
     return count
+
+
+def orbit_partition_by_action(ctx):
+    """Orbits of a boundary action as (minimum, size) pairs in increasing
+    order: scan the forms in increasing order and close the orbit of each
+    unseen one by a scalar search over ctx.apply, one orbit at a time."""
+    seen = set()
+    orbits = []
+    for seed in range(1 << ctx.dim):
+        if seed in seen:
+            continue
+        orbit = {seed}
+        stack = [seed]
+        while stack:
+            x = stack.pop()
+            for gi in range(len(ctx.gens)):
+                y = ctx.apply(x, gi)
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        seen |= orbit
+        orbits.append((seed, len(orbit)))
+    return orbits

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from rmclass.classify import (
     boundary_act,
     classify_space,
     descend,
+    estimate_orbit_bytes,
     generator_set,
     orbit_enumerate,
     read_level_file,
@@ -31,7 +36,11 @@ from rmclass.group import (
 )
 from rmclass.rng import stream
 
-from oracles import orbit_partition_bruteforce, stabilizer_order_bruteforce
+from oracles import (
+    orbit_partition_by_action,
+    orbit_partition_bruteforce,
+    stabilizer_order_bruteforce,
+)
 
 X = lambda *vars_: sum(1 << (v - 1) for v in vars_)
 
@@ -113,33 +122,85 @@ def test_orbit_enumerate_quadratic_forms_m5():
     assert orbits[0].size == 1
 
 
-def test_orbit_seeds_are_minima():
-    ctx = BoundaryAction(BooleanFunction.zero(4), 2, generators_stu(4))
-    for orbit in orbit_enumerate(ctx):
-        members = orbit.store.orbit_members(orbit.seed)
-        assert len(members) == orbit.size
-        assert min(members) == orbit.seed
+@pytest.fixture(scope="module")
+def sweep_spaces():
+    """Boundary spaces of every shape the sweep meets: dimension 1 and 6;
+    the m=6, r=2 top level (four orbits, the largest of 18228 forms); and the
+    two B(3,4,6) level-2 parents with the smallest stabilizers, whose
+    2^15-form spaces split into 562 and 252 small orbits."""
+    ctxs = [
+        BoundaryAction(BooleanFunction.zero(3), 3, generators_stu(3)),
+        BoundaryAction(BooleanFunction.zero(4), 2, generators_stu(4)),
+        BoundaryAction(BooleanFunction.zero(6), 2, generators_stu(6)),
+    ]
+    parents = sorted(classify_space(3, 4, 6), key=lambda rec: rec.stab_order)[:2]
+    ctxs += [BoundaryAction(rec.rep, rec.level, rec.stab_gens) for rec in parents]
+    return ctxs
 
 
-def test_orbit_transversal_defining_equation():
-    ctx = BoundaryAction(BooleanFunction.zero(4), 2, generators_stu(4))
-    orbits = orbit_enumerate(ctx)
-    rng = stream(34)
-    store = orbits[0].store
-    for orbit in orbits:
-        members = store.orbit_members(orbit.seed)
-        sample = [members[int(i)] for i in rng.integers(0, len(members), size=5)]
-        for x in sample:
-            assert store.root_of(x) == orbit.seed
-            elem = store.element_to(x)
-            assert boundary_act(orbit.seed, elem, ctx) == x
+def test_orbit_seeds_are_minima(sweep_spaces):
+    # exact (seed, size) lists against the one-orbit-at-a-time reference,
+    # whose seeds are the orbit minima by construction
+    assert [ctx.dim for ctx in sweep_spaces] == [1, 6, 15, 15, 15]
+    for ctx in sweep_spaces:
+        got = [(o.seed, o.size) for o in orbit_enumerate(ctx)]
+        assert got == orbit_partition_by_action(ctx)
 
 
-def test_sparse_backend_matches_dense():
-    ctx = BoundaryAction(BooleanFunction.zero(4), 2, generators_stu(4))
-    dense = orbit_enumerate(ctx, config=OrbitConfig(dense_threshold=32))
-    sparse = orbit_enumerate(ctx, config=OrbitConfig(dense_threshold=0))
-    assert [(o.seed, o.size) for o in dense] == [(o.seed, o.size) for o in sparse]
+def test_orbit_sweep_batches(sweep_spaces, monkeypatch):
+    # the spaces above drive the batched sweep through full 253-seed batches,
+    # batches whose seeds merge into fewer orbits, and the fall back to one
+    # seed after a batch that found an orbit of more than 4096 forms
+    from rmclass import classify
+
+    batches = []
+    real = classify._sweep_batch
+
+    def spy(ctx, labels, seeds):
+        found = real(ctx, labels, seeds)
+        batches.append((seeds.size, len(found), max(o.size for o in found)))
+        return found
+
+    monkeypatch.setattr(classify, "_sweep_batch", spy)
+    for ctx in sweep_spaces:
+        orbit_enumerate(ctx)
+    assert any(k == 253 for k, _, _ in batches)
+    assert any(n < k for k, n, _ in batches)
+    after_big = [b[0] for a, b in zip(batches, batches[1:]) if a[2] > 4096]
+    assert after_big and all(k == 1 for k in after_big)
+
+
+def test_orbit_sweep_memory_under_estimate():
+    # a dimension-21 sweep (quadratic forms, m=7) in a fresh process: its
+    # peak RSS stays under the estimate, and the growth during the sweep
+    # under the estimate less the fixed interpreter base.  The peak is the
+    # process's own VmHWM: Linux carries ru_maxrss over from the forking
+    # parent (here pytest) across exec, so ru_maxrss would read pytest's peak.
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status for the process's own peak RSS")
+    script = (
+        "import re\n"
+        "from rmclass.bfcore import BooleanFunction\n"
+        "from rmclass.classify import BoundaryAction, orbit_enumerate\n"
+        "from rmclass.group import generators_stu\n"
+        "def peak_kib():\n"
+        "    text = open('/proc/self/status').read()\n"
+        "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', text).group(1))\n"
+        "ctx = BoundaryAction(BooleanFunction.zero(7), 2, generators_stu(7))\n"
+        "before = peak_kib()\n"
+        "orbits = orbit_enumerate(ctx)\n"
+        "after = peak_kib()\n"
+        "print(ctx.dim, len(orbits), before, after)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    dim, n_orbits, before, after = (int(v) for v in out)
+    assert (dim, n_orbits) == (21, 4)
+    need = estimate_orbit_bytes(dim)
+    assert after * 1024 <= need
+    assert (after - before) * 1024 <= need - estimate_orbit_bytes(0)
 
 
 def test_orbit_memory_refusal():

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 
@@ -156,3 +157,50 @@ def test_env_var_output_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("classify", "--m", 3, "--s", 2, "--t", 2) == 0
     assert (tmp_path / "envout" / "manifest.txt").exists()
+
+
+def test_classify_resume_from_torn_checkpoint(tmp_path, monkeypatch):
+    # crash at every byte of the last parent block of checkpoint.txt: the
+    # resumed run writes the same level file as an uninterrupted one
+    fresh = tmp_path / "fresh"
+    assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", fresh) == 0
+    expect = (fresh / "level_0.txt").read_bytes()
+
+    crashed = tmp_path / "crashed"
+    real_write = cli.write_level_file
+
+    def crash_before_level_0(path, records):
+        if records[0].level == 0:
+            raise KeyboardInterrupt
+        real_write(path, records)
+
+    monkeypatch.setattr(cli, "write_level_file", crash_before_level_0)
+    with pytest.raises(KeyboardInterrupt):
+        run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", crashed)
+    monkeypatch.setattr(cli, "write_level_file", real_write)
+    data = (crashed / "checkpoint.txt").read_bytes()
+    lines = data.splitlines(keepends=True)
+    # the last block: the records after the previous marker line, and its own marker
+    block_start = len(data) - len(lines[-1])
+    for ln in reversed(lines[:-1]):
+        if ln.startswith(b"# "):
+            break
+        block_start -= len(ln)
+    assert lines[-1].startswith(b"# parent-done")
+    assert block_start < len(data) - len(lines[-1])
+
+    for cut in range(block_start, len(data)):
+        trial = tmp_path / f"cut{cut}"
+        shutil.copytree(crashed, trial)
+        (trial / "checkpoint.txt").write_bytes(data[:cut])
+        assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", trial, "--resume") == 0
+        assert (trial / "level_0.txt").read_bytes() == expect
+        assert not (trial / "checkpoint.txt").exists()
+        shutil.rmtree(trial)
+
+    # the torn tail is cut off, so later appends start on a fresh line
+    path = crashed / "checkpoint.txt"
+    path.write_bytes(data[:-1])
+    level, done, _records = cli._Checkpoint(path).load()
+    assert path.read_bytes() == data[:block_start]
+    assert level == 0 and done == int(lines[-1].split()[2])

@@ -26,7 +26,7 @@ pytestmark = pytest.mark.skipif(
     not STRETCH, reason="stretch reproduction; set RMCLASS_STRETCH=1 to run"
 )
 
-BIG = OrbitConfig(mem_limit_bytes=64 << 30, dense_threshold=35)
+BIG = OrbitConfig(mem_limit_bytes=64 << 30)
 
 
 def _records(name, builder):
