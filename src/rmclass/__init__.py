@@ -41,7 +41,6 @@ from .classify import (
     ClassRecord,
     OrbitConfig,
     OrbitSet,
-    boundary_act,
     classify_space,
     descend,
     generator_set,

@@ -11,20 +11,19 @@ Gaussian elimination), so the 322560 elements of AGL(4,2) take seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bits import masks_in_range, masks_of_degree, space_dimension
-from .bfcore import BooleanFunction, is_near_bent, mobius, mobius_np, monomial_truth_table
+from .bfcore import BooleanFunction, mobius, mobius_np, monomial_truth_table
 from .classify import ClassRecord, classify_space
 from .errors import (
     DependencyMissingError,
     InternalConsistencyError,
     InvalidInputError,
 )
-from .group import AffineMap, act, enumerate_agl, group_order
+from .group import AffineMap, enumerate_agl, group_order
 
 
 # -- fixed points of one substitution ----------------------------------------
@@ -240,18 +239,6 @@ def table_render(table: ClassCountTable, pow_threshold: int = 10 ** 6) -> str:
                 cells.append(f"{v:>{width}}")
         lines.append(f"{s:>3} |" + "".join(cells))
     return "\n".join(lines)
-
-
-def table_from_classification(
-    m: int,
-    cells: Iterable[Tuple[int, int]],
-    config=None,
-) -> ClassCountTable:
-    """Fill a table by running the descending classification on each cell."""
-    table = ClassCountTable(m)
-    for s, t in cells:
-        table.set(s, t, len(classify_space(s, t, m, config)))
-    return table
 
 
 # -- near-bent census ----------------------------------------------------------

@@ -12,10 +12,11 @@ level r-1.  For each representative f with stabilizer generators L:
 
 Forms of degree r are ints over the C(m,r) monomial coefficients, monomial
 masks ascending.  The boundary action of one generator is applied through
-byte-sliced XOR lookup tables.  Phase 1 is one sweep over a 1-byte label per
-form: a batched multi-seed BFS that expands up to 253 seeds' waves together,
-a few array operations per generator and BFS level, and joins waves that
-meet in a union-find over the batch.
+byte-sliced XOR lookup tables, forward only: the Schreier transversal walks
+stored parent pointers instead of inverting the action.  Phase 1 is one
+sweep over a 1-byte label per form: a batched multi-seed BFS that expands up
+to 253 seeds' waves together, a few array operations per generator and BFS
+level, and joins waves that meet in a union-find over the batch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -36,10 +37,9 @@ from .errors import (
     InvalidInputError,
     ResourceRefusedError,
 )
-from .group import AffineMap, SubgroupOracle, act, generators_stu, group_order
+from .group import AffineMap, SubgroupOracle, generators_stu, group_order, substitute
 
 _UNSEEN = 255
-_SEED = 254
 _BLOCK = 1 << 18
 
 
@@ -96,8 +96,9 @@ class BoundaryAction:
     """The affine action of a level-r stabilizer on degree-r forms.
 
     For each generator g the linear part u |-> hom_r(u o g) is precomputed
-    columnwise on the monomial basis and folded into 256-entry XOR tables per
-    byte of the form index; the shift hom_r(f o g + f) is one constant.
+    columnwise on the monomial basis and folded into one XOR table per byte
+    of the form index, 2^min(8, dim - 8c) entries for byte c; the shift
+    hom_r(f o g + f) is one constant, folded into the first byte's table.
     """
 
     def __init__(self, f: BooleanFunction, r: int, gens: Sequence[AffineMap]):
@@ -111,20 +112,11 @@ class BoundaryAction:
         self.monomials = masks_of_degree(f.m, r)
         self.dim = len(self.monomials)
         self.index = {mask: i for i, mask in enumerate(self.monomials)}
-        self.keep_mask = 0
-        for mask in self.monomials:
-            self.keep_mask |= 1 << mask
-        self.n_chunks = max(1, (self.dim + 7) // 8)
+        self.keep_mask = _degree_mask(self.m, r, r)
         self.gens = list(gens)
-        inverses = [g.inverse() for g in self.gens]
-        self.inv_tables = [g.table for g in inverses]
+        self.inv_tables = [g.inverse().table for g in self.gens]
         self._fwd = [self._tables_for(g) for g in self.gens]
-        self._inv = [self._tables_for(g) for g in inverses]
-        # the shift is folded into the first byte's table
-        self._np_fwd = [
-            [np.array(t, dtype=np.int64) ^ (delta if c == 0 else 0) for c, t in enumerate(tabs)]
-            for tabs, delta in self._fwd
-        ]
+        self._np_fwd = [[np.array(t, dtype=np.int64) for t in tabs] for tabs in self._fwd]
 
     # -- representation changes ------------------------------------------
 
@@ -148,57 +140,35 @@ class BoundaryAction:
     # -- action tables ----------------------------------------------------
 
     def _image_anf(self, tt: int, pmap: bytes) -> int:
-        gathered = 0
-        for x in range(1 << self.m):
-            gathered |= ((tt >> pmap[x]) & 1) << x
-        return mobius(gathered, 1 << self.m)
+        return mobius(substitute(tt, pmap), 1 << self.m)
 
-    def _tables_for(self, g: AffineMap):
+    def _tables_for(self, g: AffineMap) -> List[List[int]]:
         if g.m != self.m:
             raise InvalidInputError("generator has wrong m")
         pmap = g.pmap
-        cols = []
-        for mask in self.monomials:
-            img = self._image_anf(monomial_truth_table(mask, self.m), pmap)
-            cols.append(self.anf_to_form(img))
+        cols = [
+            self.anf_to_form(self._image_anf(monomial_truth_table(mask, self.m), pmap))
+            for mask in self.monomials
+        ]
         shifted = self._image_anf(self.f.truth_table, pmap) ^ self.f.anf
-        low_only = (1 << (1 << self.m)) - 1
-        if shifted & ~(self.keep_mask | self._low_mask()) & low_only:
+        if shifted & _high_mask(self.m, self.r):
             raise InvalidInputError(
                 "map is not in the level-%d stabilizer of the representative" % self.r
             )
         delta = self.anf_to_form(shifted)
         tables = []
-        for c in range(self.n_chunks):
-            tab = [0] * 256
-            base = 8 * c
-            for b in range(1, 256):
-                low = b & -b
-                j = base + low.bit_length() - 1
-                tab[b] = tab[b ^ low] ^ (cols[j] if j < self.dim else 0)
+        for base in range(0, self.dim, 8):
+            tab = [delta if base == 0 else 0]
+            for col in cols[base : base + 8]:
+                tab += [v ^ col for v in tab]
             tables.append(tab)
-        return tables, delta
-
-    def _low_mask(self) -> int:
-        low = 0
-        for mask in range(1 << self.m):
-            if mask.bit_count() < self.r:
-                low |= 1 << mask
-        return low
+        return tables
 
     # -- applying the action ---------------------------------------------
 
     def apply(self, u: int, gi: int) -> int:
-        tables, delta = self._fwd[gi]
-        acc = delta
-        for c, tab in enumerate(tables):
-            acc ^= tab[(u >> (8 * c)) & 255]
-        return acc
-
-    def apply_inv(self, u: int, gi: int) -> int:
-        tables, delta = self._inv[gi]
-        acc = delta
-        for c, tab in enumerate(tables):
+        acc = 0
+        for c, tab in enumerate(self._fwd[gi]):
             acc ^= tab[(u >> (8 * c)) & 255]
         return acc
 
@@ -211,23 +181,24 @@ class BoundaryAction:
         return acc
 
 
-def boundary_act(u: int, g: AffineMap, ctx: BoundaryAction) -> int:
-    """Image of a form under one stabilizer element, computed directly from
-    the function action (reference route; the tables are the fast route)."""
-    fu = BooleanFunction(ctx.m, anf=ctx.form_to_anf(u) ^ ctx.f.anf)
-    image = act(fu, g).anf ^ ctx.f.anf
-    high = image & ~ctx.keep_mask
-    while high:
-        low = high & -high
-        if (low.bit_length() - 1).bit_count() > ctx.r:
-            raise InvalidInputError("map is not in the stabilizer at this level")
-        high ^= low
-    return ctx.anf_to_form(image)
+@lru_cache(maxsize=None)
+def _degree_mask(m: int, lo: int, hi: int) -> int:
+    """The 2^m-bit mask of the monomials of degree lo..hi."""
+    mask = 0
+    for s in range(1 << m):
+        if lo <= s.bit_count() <= hi:
+            mask |= 1 << s
+    return mask
+
+
+def _high_mask(m: int, level: int) -> int:
+    """The monomials of degree above level."""
+    return _degree_mask(m, level + 1, m)
 
 
 # -- orbit enumeration ------------------------------------------------------
 
-_MAX_BATCH = 253  # labels 0..252 name one batch's seeds; 254 and 255 are reserved
+_MAX_BATCH = 253  # labels 0..252 name one batch's seeds; 255 marks unseen
 _SMALL_ORBIT = 4096  # batches keep doubling while no orbit found is larger
 
 
@@ -389,10 +360,11 @@ def generator_set(
     """Generators of the stabilizer of a form u under the group spanned by L,
     given the stabilizer order.
 
-    Breadth-first sweep of the orbit of u carrying a transversal R.  Every
-    already-seen edge (x, lam) yields the candidate R[x] * lam * R[x o lam]^-1,
-    which fixes u; candidates not already inside the harvested subgroup are
-    kept, and the sweep stops as soon as the subgroup order matches s_u.
+    Breadth-first sweep of the orbit of u carrying a transversal R, stored
+    as (generator index, parent form) per visited form.  Every already-seen
+    edge (x, lam) yields the candidate R[x] * lam * R[x o lam]^-1, which
+    fixes u; candidates not already inside the harvested subgroup are kept,
+    and the sweep stops as soon as the subgroup order matches s_u.
     """
     if list(L) != ctx.gens:
         raise InvalidInputError("generator list does not match the action context")
@@ -401,7 +373,7 @@ def generator_set(
     m = ctx.m
     oracle = SubgroupOracle(m)
     harvested: List[AffineMap] = []
-    visited: Dict[int, int] = {u: _SEED}
+    visited: Dict[int, Tuple[int, int]] = {u: (-1, u)}  # the walk stops at u
     queue = deque([u])
     ident = AffineMap.identity(m).table
     elem_cache: Dict[int, Tuple[bytes, bytes]] = {u: (ident, ident)}
@@ -415,9 +387,8 @@ def generator_set(
             rev = []
             y = x
             while y != u:
-                gi = visited[y]
+                gi, y = visited[y]
                 rev.append(gi)
-                y = ctx.apply_inv(y, gi)
                 cached = elem_cache.get(y)
                 if cached is not None:
                     break
@@ -440,7 +411,7 @@ def generator_set(
         for gi, lam in enumerate(ctx.gens):
             y = ctx.apply(x, gi)
             if y not in visited:
-                visited[y] = gi
+                visited[y] = (gi, x)
                 queue.append(y)
             else:
                 if rx is None:
@@ -460,11 +431,6 @@ def generator_set(
 # -- the descent -------------------------------------------------------------
 
 
-def _level_space_dim(m: int, lo: int, k: int) -> int:
-    """Dimension of B(lo, k, m), the space a level-(lo-1) classification covers."""
-    return space_dimension(m, lo, k)
-
-
 def verify_level_mass(records: Sequence[ClassRecord], k: int) -> None:
     """Orbit masses must partition the acted-on space exactly."""
     if not records:
@@ -479,11 +445,9 @@ def verify_level_mass(records: Sequence[ClassRecord], k: int) -> None:
         if order % rec.stab_order:
             raise InternalConsistencyError("stabilizer order does not divide the group order")
         total += order // rec.stab_order
-    expect = 1 << _level_space_dim(m, level + 1, k)
-    if total != expect:
-        raise InternalConsistencyError(
-            f"mass check failed at level {level}: {total} != 2^{_level_space_dim(m, level + 1, k)}"
-        )
+    dim = space_dimension(m, level + 1, k)
+    if total != 1 << dim:
+        raise InternalConsistencyError(f"mass check failed at level {level}: {total} != 2^{dim}")
 
 
 def descend_iter(
@@ -491,49 +455,44 @@ def descend_iter(
     k: int,
     config: Optional[OrbitConfig] = None,
 ) -> Iterator[Tuple[int, ClassRecord, List[ClassRecord]]]:
-    """Yield (parent index, parent record, children) for one descent step."""
+    """Yield (parent index, parent record, children) for one descent step.
+
+    An InternalConsistencyError from the sweep, the class formula, the
+    harvest or the fix check is re-raised naming the level and the parent.
+    """
     if not records:
         raise InvalidInputError("cannot descend from an empty classification")
     r = records[0].level
     if r < 0:
         raise InvalidInputError("already at level -1; nothing to descend")
     config = config or OrbitConfig()
-    space = 1 << comb(records[0].m, r)
     for idx, rec in enumerate(records):
         if rec.level != r:
             raise InvalidInputError("records from mixed levels")
         ctx = BoundaryAction(rec.rep, r, rec.stab_gens)
-        orbits = orbit_enumerate(ctx, config=config)
-        if sum(o.size for o in orbits) != space:
-            raise InternalConsistencyError("orbit partition does not cover the form space")
-        children = []
-        for orb in orbits:
-            child_order = stab_order_from_class_formula(rec.stab_order, orb.size)
-            gens = generator_set(orb.seed, rec.stab_gens, child_order, ctx)
-            child_rep = BooleanFunction(
-                rec.m, anf=rec.rep.anf ^ ctx.form_to_anf(orb.seed)
-            )
-            _check_record_fix(child_rep, r - 1, gens)
-            children.append(ClassRecord(r - 1, child_rep, child_order, gens))
+        try:
+            children = []
+            for orb in orbit_enumerate(ctx, config=config):
+                child_order = stab_order_from_class_formula(rec.stab_order, orb.size)
+                gens = generator_set(orb.seed, rec.stab_gens, child_order, ctx)
+                child_rep = BooleanFunction(rec.m, anf=rec.rep.anf ^ ctx.form_to_anf(orb.seed))
+                _check_record_fix(child_rep, r - 1, gens)
+                children.append(ClassRecord(r - 1, child_rep, child_order, gens))
+        except InternalConsistencyError as err:
+            parent = hex_of_bits(rec.rep.anf, 1 << rec.m)
+            raise InternalConsistencyError(f"level {r} parent {parent}: {err}") from err
         yield idx, rec, children
 
 
 def _check_record_fix(rep: BooleanFunction, level: int, gens: Sequence[AffineMap]) -> None:
     """Every stabilizer generator must fix the representative at its level."""
-    keep = _high_mask(rep.m, level)
+    high = _high_mask(rep.m, level)
+    tt, anf, n = rep.truth_table, rep.anf, 1 << rep.m
     for g in gens:
-        if (act(rep, g).anf ^ rep.anf) & keep:
+        if (mobius(substitute(tt, g.pmap), n) ^ anf) & high:
             raise InternalConsistencyError(
                 "harvested generator does not fix the representative at its level"
             )
-
-
-def _high_mask(m: int, level: int) -> int:
-    mask = 0
-    for s in range(1 << m):
-        if s.bit_count() > level:
-            mask |= 1 << s
-    return mask
 
 
 def descend(

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .bits import space_dimension
 from .bfcore import BooleanFunction
 from .census import (
     ClassCountTable,
@@ -40,15 +39,13 @@ from .classify import (
     verify_level_mass,
     write_level_file,
 )
-from .covrad import covering_radius_bound, rm_generator_matrix, distance as coset_distance
+from .covrad import covering_radius_bound
 from .errors import (
-    DependencyMissingError,
     InternalConsistencyError,
     InvalidInputError,
     ResourceRefusedError,
     RmclassError,
 )
-from .group import group_order
 
 
 def _out_dir(args) -> Path:
@@ -173,7 +170,6 @@ def cmd_classify(args) -> int:
         "command": "classify",
         "m": m, "s": s, "t": t, "to_level": target,
         "mem_limit_mib": args.mem_limit,
-        "threads": args.threads,
     }
     records = [top_record(m, t)]
     level = t
@@ -408,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, seed_required=False):
         sp.add_argument("--out", help="output directory (default $RMCLASS_OUT or ./rmclass-runs)")
         sp.add_argument("--mem-limit", type=int, default=2048, help="memory budget in MiB")
-        sp.add_argument("--threads", type=int, default=1, help="worker count (reserved)")
         sp.add_argument("--verbose", action="store_true")
         if seed_required:
             sp.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")

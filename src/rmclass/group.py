@@ -22,8 +22,8 @@ from typing import Iterable, List, Sequence
 import numpy as np
 
 from .bits import hex_of_bits, is_invertible_gf2, rank_gf2
-from .errors import InvalidInputError, InternalConsistencyError
-from .bfcore import MAX_M, BooleanFunction
+from .errors import InvalidInputError
+from .bfcore import BooleanFunction
 
 _PAD = bytes(range(256))
 
@@ -33,11 +33,21 @@ def _pad256(pmap: bytes) -> bytes:
     return pmap + _PAD[len(pmap):]
 
 
-def _invert_perm(pmap: bytes) -> bytes:
-    inv = bytearray(len(pmap))
-    for i, v in enumerate(pmap):
-        inv[v] = i
-    return bytes(inv)
+def _invert_perm(perm: bytes) -> bytes:
+    """Inverse of a permutation of 0..len-1, as a 256-byte table (identity
+    on the tail)."""
+    return bytes.maketrans(perm, _PAD[: len(perm)])
+
+
+def substitute(tt: int, pmap: bytes) -> int:
+    """Truth table of f o s from that of f: bit x is bit pmap[x] of tt.
+
+    The bits go through ASCII '0'/'1' strings, so the gather is one C-level
+    bytes.translate and the conversions are format and int.
+    """
+    n = len(pmap)
+    points = format(tt, f"0{n}b").encode()[::-1].ljust(256, b"0")  # char p = bit p
+    return int(pmap.translate(points)[::-1], 2)
 
 
 class AffineMap:
@@ -100,7 +110,7 @@ class AffineMap:
     __mul__ = compose
 
     def inverse(self) -> "AffineMap":
-        return AffineMap(self.m, _invert_perm(self.pmap))
+        return AffineMap(self.m, _invert_perm(self.pmap)[: 1 << self.m])
 
     def apply_point(self, x: int) -> int:
         return self.pmap[x]
@@ -180,12 +190,7 @@ def act(f: BooleanFunction, s: AffineMap) -> BooleanFunction:
     """f composed with the substitution: truth_table'[x] = truth_table[s(x)]."""
     if f.m != s.m:
         raise InvalidInputError("function and map live on different m")
-    tt = f.truth_table
-    pmap = s.pmap
-    out = 0
-    for x in range(1 << f.m):
-        out |= ((tt >> pmap[x]) & 1) << x
-    return BooleanFunction(f.m, truth_table=out)
+    return BooleanFunction(f.m, truth_table=substitute(f.truth_table, s.pmap))
 
 
 class SubgroupOracle:
@@ -209,11 +214,12 @@ class SubgroupOracle:
     def order(self) -> int:
         return self._order
 
-    def _strip(self, perm: bytes):
-        """Sift through the chain; returns (residue, deepest level reached)."""
-        for i, lv in enumerate(self._levels):
-            x = perm[lv["base"]]
-            u_inv = lv["inv"].get(x)
+    def _strip(self, perm: bytes, start: int = 0):
+        """Sift through the chain from level start on (perm must fix the
+        earlier base points); returns (residue, deepest level reached)."""
+        for i in range(start, len(self._levels)):
+            lv = self._levels[i]
+            u_inv = lv["inv"].get(perm[lv["base"]])
             if u_inv is None:
                 return perm, i
             # residue = u^-1 * perm still maps earlier bases to themselves
@@ -235,9 +241,11 @@ class SubgroupOracle:
 
     def _add_perm(self, perm: bytes) -> bool:
         grew = False
-        queue = [perm]
+        # (perm, first level to sift from): a Schreier residue formed at
+        # level i fixes base points 0..i, where sifting would be the identity
+        queue = [(perm, 0)]
         while queue:
-            residue, lvl = self._strip(queue.pop())
+            residue, lvl = self._strip(*queue.pop())
             if residue == self._id:
                 continue
             grew = True
@@ -249,7 +257,7 @@ class SubgroupOracle:
             self._levels[lvl]["gens"].append(residue)
             # the new generator is visible at its own level and all shallower ones
             for i in range(lvl, -1, -1):
-                queue.extend(self._close_incremental(i, residue))
+                queue.extend((res, i + 1) for res in self._close_incremental(i, residue))
         if grew:
             self._order = 1
             for lv in self._levels:
@@ -278,7 +286,7 @@ class SubgroupOracle:
                 # transversal for y is g * u_x (maps base -> y)
                 uy = ux.translate(g)
                 orbit[y] = uy
-                inv[y] = _pad256(_invert_perm(uy))
+                inv[y] = _invert_perm(uy)
                 new_pts.append(y)
             else:
                 schreier = ux.translate(g).translate(uy_inv)
@@ -313,13 +321,6 @@ def subgroup_order(maps: Iterable[AffineMap]) -> int:
     return oracle.order()
 
 
-def oracle_for(maps: Iterable[AffineMap], m: int) -> SubgroupOracle:
-    oracle = SubgroupOracle(m)
-    for s in maps:
-        oracle.add(s)
-    return oracle
-
-
 @lru_cache(maxsize=8)
 def _agl_matrices(m: int) -> tuple:
     """All invertible m x m matrices over GF(2) as row tuples (m <= 4 sized)."""
@@ -347,9 +348,3 @@ def enumerate_agl(m: int):
     for rows in _agl_matrices(m):
         for b in range(1 << m):
             yield AffineMap.from_matrix(m, rows, b)
-
-
-def verify_generates_full_group(m: int) -> None:
-    """Sanity hook: S, T, U generate the whole group."""
-    if subgroup_order(generators_stu(m)) != group_order(m):
-        raise InternalConsistencyError(f"S,T,U do not span AGL({m},2)")

@@ -124,6 +124,17 @@ def fixed_function_count_bruteforce(s: int, t: int, m: int, sigma: AffineMap) ->
     return count
 
 
+def boundary_act(u: int, g: AffineMap, ctx) -> int:
+    """Image of a form under one stabilizer element of a boundary action
+    context, straight from the function action: act on f + u pointwise, take
+    the difference to f and check that it has no part above degree ctx.r."""
+    fu = BooleanFunction(ctx.m, anf=ctx.form_to_anf(u) ^ ctx.f.anf)
+    image = act_by_definition(fu, g).anf ^ ctx.f.anf
+    if reduce_anf(image, ctx.m, ctx.r):
+        raise ValueError("map is not in the stabilizer at this level")
+    return ctx.anf_to_form(image)
+
+
 def orbit_partition_by_action(ctx):
     """Orbits of a boundary action as (minimum, size) pairs in increasing
     order: scan the forms in increasing order and close the orbit of each

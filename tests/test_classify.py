@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 from rmclass.bfcore import BooleanFunction, reduce_mod_rm
+from rmclass.bits import hex_of_bits
 from rmclass.classify import (
     BoundaryAction,
     ClassRecord,
     OrbitConfig,
-    boundary_act,
     classify_space,
     descend,
+    descend_iter,
     estimate_orbit_bytes,
     generator_set,
     orbit_enumerate,
@@ -37,6 +39,7 @@ from rmclass.group import (
 from rmclass.rng import stream
 
 from oracles import (
+    boundary_act,
     orbit_partition_by_action,
     orbit_partition_bruteforce,
     stabilizer_order_bruteforce,
@@ -67,7 +70,9 @@ def test_boundary_tables_match_direct_route():
             for _ in range(30):
                 u = int(rng.integers(0, 1 << ctx.dim))
                 assert ctx.apply(u, gi) == boundary_act(u, g, ctx)
-                assert ctx.apply_inv(ctx.apply(u, gi), gi) == u
+            # each generator permutes the whole form space
+            images = sorted(ctx.apply(u, gi) for u in range(1 << ctx.dim))
+            assert images == list(range(1 << ctx.dim))
         block = rng.integers(0, 1 << ctx.dim, size=257).astype(np.int64)
         for gi in range(3):
             fast = ctx.apply_block(block, gi)
@@ -248,6 +253,21 @@ def test_generator_set_termination_error():
         generator_set(0, gens, group_order(m) * 2, ctx)  # impossible order
 
 
+def test_descent_error_names_level_and_parent():
+    # a parent whose stabilizer order is doubled: the harvest cannot reach
+    # the children's orders, and the error must say which parent it was
+    records = classify_space(3, 4, 5)
+    good, bad = records[0], records[-1]
+    doubled = ClassRecord(bad.level, bad.rep, 2 * bad.stab_order, bad.stab_gens)
+    steps = descend_iter([good, doubled], 4)
+    assert next(steps)[0] == 0
+    with pytest.raises(InternalConsistencyError) as err:
+        next(steps)
+    message = str(err.value)
+    assert f"level {bad.level} parent {hex_of_bits(bad.rep.anf, 1 << 5)}:" in message
+    assert "Schreier sweep exhausted" in message
+
+
 def test_generator_set_full_descent_m5():
     records = classify_space(2, 4, 5)
     for rec in records:
@@ -324,6 +344,19 @@ def test_rerun_with_different_work_order_matches():
     assert len(records) == len(base)
     assert sorted(r.rep.anf for r in records) == sorted(r.rep.anf for r in base)
     assert Counter(r.stab_order for r in records) == Counter(r.stab_order for r in base)
+
+
+def test_classify_records_golden_bytes():
+    # records, generator sets included, pinned to the bytes the descent has
+    # always produced: any change to traversal or candidate order shows here
+    golden = {
+        (1, 4, 5): (118, "b8d0fc2be5fa2e18bebb345c82d358445231863b754ab74f913f5e656b06f224"),
+        (3, 4, 6): (34, "9d54f3b3f31accd164e5df5366e2f8d5ab1d9770d6bcd55c8d1088c862c8b399"),
+    }
+    for (s, t, m), (count, digest) in golden.items():
+        records = classify_space(s, t, m)
+        text = "".join(rec.to_line() + "\n" for rec in records)
+        assert (len(records), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 def test_stab_histogram():

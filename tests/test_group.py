@@ -33,25 +33,28 @@ def test_group_order_values():
 
 def test_identity_and_compose_inverse():
     rng = stream(20)
-    for _ in range(100):
-        s = random_affine(7, rng)
-        assert compose(s, identity(7)) == s
-        assert compose(identity(7), s) == s
-        assert compose(s, inverse(s)) == identity(7)
-        assert compose(inverse(s), s) == identity(7)
+    for m in range(1, 9):
+        for _ in range(100):
+            s = random_affine(m, rng)
+            assert compose(s, identity(m)) == s
+            assert compose(identity(m), s) == s
+            assert compose(s, inverse(s)) == identity(m)
+            assert compose(inverse(s), s) == identity(m)
 
 
 def test_right_action_law_bruteforce():
+    # every m, so the substitution is checked with and without table padding
     rng = stream(21)
-    m = 5
-    for _ in range(100):
-        f = BooleanFunction(m, truth_table=int(rng.integers(0, 1 << 32)))
-        s = random_affine(m, rng)
-        t = random_affine(m, rng)
-        via_compose = act(f, compose(s, t))
-        stepwise = act(act(f, s), t)
-        assert via_compose == stepwise
-        assert act_by_definition(f, s) == act(f, s)
+    for m in range(1, 9):
+        for _ in range(30):
+            tt = int.from_bytes(rng.bytes(32), "little") & ((1 << (1 << m)) - 1)
+            f = BooleanFunction(m, truth_table=tt)
+            s = random_affine(m, rng)
+            t = random_affine(m, rng)
+            via_compose = act(f, compose(s, t))
+            stepwise = act(act(f, s), t)
+            assert via_compose == stepwise
+            assert act_by_definition(f, s) == act(f, s)
 
 
 def test_act_examples():
