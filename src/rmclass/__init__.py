@@ -41,6 +41,7 @@ from .classify import (
     ClassRecord,
     OrbitConfig,
     OrbitSet,
+    classify_levels,
     classify_space,
     descend,
     generator_set,
@@ -52,7 +53,6 @@ from .census import (
     ClassCountTable,
     burnside_count,
     duality_check,
-    fix_count,
     near_bent_census,
     table_render,
 )

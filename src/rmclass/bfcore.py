@@ -99,14 +99,6 @@ class BooleanFunction:
         self._anf = anf
 
     @classmethod
-    def from_anf(cls, m: int, anf: int) -> "BooleanFunction":
-        return cls(m, anf=anf)
-
-    @classmethod
-    def from_truth_table(cls, m: int, tt: int) -> "BooleanFunction":
-        return cls(m, truth_table=tt)
-
-    @classmethod
     def zero(cls, m: int) -> "BooleanFunction":
         return cls(m, truth_table=0, anf=0)
 
@@ -173,9 +165,6 @@ class BooleanFunction:
 
     def anf_hex(self) -> str:
         return hex_of_bits(self.anf, 1 << self.m)
-
-    def truth_table_hex(self) -> str:
-        return hex_of_bits(self.truth_table, 1 << self.m)
 
     def __repr__(self) -> str:
         return f"BooleanFunction(m={self.m}, anf={self.anf_str()!r})"

@@ -31,27 +31,6 @@ def is_invertible_gf2(rows: Sequence[int], n: int) -> bool:
     return len(rows) == n and rank_gf2(rows) == n
 
 
-def invert_gf2(rows: Sequence[int], n: int) -> List[int]:
-    """Inverse of an invertible n x n GF(2) matrix (row ints, bit j = col j)."""
-    work = list(rows)
-    inv = [1 << i for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if (work[r] >> col) & 1:
-                piv = r
-                break
-        if piv is None:
-            raise InvalidInputError("matrix is singular over GF(2)")
-        work[col], work[piv] = work[piv], work[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        for r in range(n):
-            if r != col and ((work[r] >> col) & 1):
-                work[r] ^= work[col]
-                inv[r] ^= inv[col]
-    return inv
-
-
 @lru_cache(maxsize=None)
 def masks_of_degree(m: int, r: int) -> tuple:
     """All m-bit masks with popcount r, ascending (the degree-r monomials)."""

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bits import masks_in_range, masks_of_degree, space_dimension
-from .bfcore import BooleanFunction, mobius, mobius_np, monomial_truth_table
+from .bfcore import BooleanFunction, mobius_np, monomial_truth_table
 from .classify import ClassRecord, classify_space
 from .errors import (
     DependencyMissingError,
@@ -24,48 +24,6 @@ from .errors import (
     InvalidInputError,
 )
 from .group import AffineMap, enumerate_agl, group_order
-
-
-# -- fixed points of one substitution ----------------------------------------
-
-
-def _fix_matrix_rows(s: int, t: int, m: int, sigma: AffineMap) -> List[int]:
-    """Rows of f |-> reduce(f o sigma + f, s-1) on the monomial basis of B(s,t,m)."""
-    basis = masks_in_range(m, s, t)
-    index = {mask: i for i, mask in enumerate(basis)}
-    pmap = sigma.pmap
-    n = 1 << m
-    rows = []
-    for mask in basis:
-        tt = monomial_truth_table(mask, m)
-        gathered = 0
-        for x in range(n):
-            gathered |= ((tt >> pmap[x]) & 1) << x
-        image = mobius(gathered, n) ^ (1 << mask)
-        row = 0
-        for other, j in index.items():
-            if (image >> other) & 1:
-                row |= 1 << j
-        rows.append(row)
-    return rows
-
-
-def fix_count(s: int, t: int, m: int, sigma: AffineMap) -> int:
-    """Number of f in B(s,t,m) with f o sigma = f modulo RM(s-1,m)."""
-    if not (0 <= s <= t <= m):
-        raise InvalidInputError(f"need 0 <= s <= t <= m, got s={s} t={t} m={m}")
-    rows = _fix_matrix_rows(s, t, m, sigma)
-    dim = len(rows)
-    rank = 0
-    basis: List[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-            rank += 1
-    return 1 << (dim - rank)
 
 
 # -- batched Burnside ---------------------------------------------------------

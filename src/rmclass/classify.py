@@ -8,7 +8,9 @@ level r-1.  For each representative f with stabilizer generators L:
            the orbit/stabilizer formula gives each child stabilizer order;
   phase 2: for every orbit seed u, harvest Schreier generators over a fresh
            breadth-first transversal until the known order is reached, which
-           yields generators of the stabilizer of f+u at level r-1.
+           yields generators of the stabilizer of f+u at level r-1.  An
+           orbit of size 1 is fixed by all of <L>, so its child inherits L
+           once L is certified (see descend_iter).
 
 Forms of degree r are ints over the C(m,r) monomial coefficients, monomial
 masks ascending.  The boundary action of one generator is applied through
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,12 +55,20 @@ class OrbitConfig:
 @dataclass
 class ClassRecord:
     """One orbit at a given level: representative, stabilizer order and a
-    generator set of the stabilizer."""
+    generator set of the stabilizer.
+
+    certified is True only on records that descend_iter yields: this run has
+    proved with a stabilizer chain that stab_gens generate a group of order
+    stab_order.  It is not serialized, not compared, and not a constructor
+    argument, so a record read from a file, built by hand or copied with
+    dataclasses.replace is not certified.
+    """
 
     level: int
     rep: BooleanFunction
     stab_order: int
     stab_gens: List[AffineMap]
+    certified: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -457,6 +467,14 @@ def descend_iter(
 ) -> Iterator[Tuple[int, ClassRecord, List[ClassRecord]]]:
     """Yield (parent index, parent record, children) for one descent step.
 
+    An orbit of size 1 is fixed by the whole parent stabilizer <L>, so its
+    child has <L> itself as stabilizer, and the harvest from it tries exactly
+    the candidates L, in order: its result depends on (L, order) alone.  A
+    certified L comes back from it unchanged and is inherited without a
+    harvest; any other L is proved by the first such harvest, whose result
+    the parent's later orbits of size 1 reuse.  The fix check runs on every
+    child.
+
     An InternalConsistencyError from the sweep, the class formula, the
     harvest or the fix check is re-raised naming the level and the parent.
     """
@@ -470,14 +488,22 @@ def descend_iter(
         if rec.level != r:
             raise InvalidInputError("records from mixed levels")
         ctx = BoundaryAction(rec.rep, r, rec.stab_gens)
+        fixed_gens = list(rec.stab_gens) if rec.certified else None
         try:
             children = []
             for orb in orbit_enumerate(ctx, config=config):
                 child_order = stab_order_from_class_formula(rec.stab_order, orb.size)
-                gens = generator_set(orb.seed, rec.stab_gens, child_order, ctx)
+                if orb.size == 1 and fixed_gens is not None:
+                    gens = list(fixed_gens)
+                else:
+                    gens = generator_set(orb.seed, rec.stab_gens, child_order, ctx)
+                    if orb.size == 1:
+                        fixed_gens = gens
                 child_rep = BooleanFunction(rec.m, anf=rec.rep.anf ^ ctx.form_to_anf(orb.seed))
                 _check_record_fix(child_rep, r - 1, gens)
-                children.append(ClassRecord(r - 1, child_rep, child_order, gens))
+                child = ClassRecord(r - 1, child_rep, child_order, gens)
+                child.certified = True
+                children.append(child)
         except InternalConsistencyError as err:
             parent = hex_of_bits(rec.rep.anf, 1 << rec.m)
             raise InternalConsistencyError(f"level {r} parent {parent}: {err}") from err
@@ -499,15 +525,11 @@ def descend(
     records: Sequence[ClassRecord],
     k: int,
     config: Optional[OrbitConfig] = None,
-    progress: Optional[Callable[[int, int, int], None]] = None,
 ) -> List[ClassRecord]:
     """One full descent step with the mass check replayed on the output."""
     out: List[ClassRecord] = []
-    total = len(records)
-    for idx, _parent, children in descend_iter(records, k, config):
+    for _idx, _parent, children in descend_iter(records, k, config):
         out.extend(children)
-        if progress is not None:
-            progress(idx + 1, total, len(out))
     verify_level_mass(out, k)
     return out
 
@@ -517,24 +539,35 @@ def top_record(m: int, t: int) -> ClassRecord:
     return ClassRecord(t, BooleanFunction.zero(m), group_order(m), generators_stu(m))
 
 
-def classify_space(
+def classify_levels(
     s: int,
     t: int,
     m: int,
     config: Optional[OrbitConfig] = None,
-    progress: Optional[Callable[[int, int, int, int], None]] = None,
-) -> List[ClassRecord]:
-    """Complete classification of B(s,t,m) at level s-1, in t-s+1 descents."""
+) -> Iterator[Tuple[int, List[ClassRecord]]]:
+    """Yield (s', classification of B(s',t,m) at level s'-1) for s' = t+1,
+    t, ..., s, all from one descent: each item is the last one descended by
+    one level."""
     if not (0 <= s <= m and t <= m):
         raise InvalidInputError(f"need 0 <= s <= m and t <= m, got s={s} t={t} m={m}")
     if s > t + 1:
         raise InvalidInputError(f"B({s},{t},{m}) with s > t+1 has no canonical start")
     records = [top_record(m, t)]
+    yield t + 1, records
     for r in range(t, s - 1, -1):
-        hook = None
-        if progress is not None:
-            hook = lambda done, total, n, _r=r: progress(_r, done, total, n)
-        records = descend(records, t, config, hook)
+        records = descend(records, t, config)
+        yield r, records
+
+
+def classify_space(
+    s: int,
+    t: int,
+    m: int,
+    config: Optional[OrbitConfig] = None,
+) -> List[ClassRecord]:
+    """Complete classification of B(s,t,m) at level s-1, in t-s+1 descents."""
+    for _s, records in classify_levels(s, t, m, config):
+        pass
     return records
 
 

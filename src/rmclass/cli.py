@@ -1,11 +1,11 @@
 """Command-line front end: classify, count, dual-check, nearbent, distance,
 stab-hist.
 
-Every run writes a flat key=value manifest next to its result files.  Result
-files contain no timestamps, so re-running with the same manifest settings
-(including the seed for randomized subcommands) reproduces them byte for
-byte.  Long classifications checkpoint after every parent representative and
-can be resumed with --resume.
+classify writes its level files and a flat key=value manifest into --out;
+the other subcommands print their results.  Result files contain no
+timestamps, so re-running with the same manifest settings reproduces them
+byte for byte.  Long classifications checkpoint after every parent
+representative and can be resumed with --resume.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import time
 from math import comb
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .bfcore import BooleanFunction
@@ -30,6 +30,7 @@ from .census import (
 from .classify import (
     ClassRecord,
     OrbitConfig,
+    classify_levels,
     classify_space,
     descend_iter,
     estimate_orbit_bytes,
@@ -87,7 +88,8 @@ class _Checkpoint:
         self.path = path
 
     def load(self):
-        """Returns (level, parents_done, records) from complete parent blocks.
+        """Returns (level, parents_done, children of each parent done) from
+        complete parent blocks.
 
         Cuts the file back to its last complete block, so that appends go on
         from there: records after it, and an unterminated last line left by
@@ -98,7 +100,7 @@ class _Checkpoint:
         level = None
         m = None
         done = 0
-        records: List[ClassRecord] = []
+        blocks: List[List[ClassRecord]] = []
         pending: List[ClassRecord] = []
         data = self.path.read_bytes()
         keep = pos = 0
@@ -116,7 +118,7 @@ class _Checkpoint:
                 keep = pos
             elif line.startswith("# parent-done"):
                 done = int(line.split()[2]) + 1
-                records.extend(pending)
+                blocks.append(pending)
                 pending = []
                 keep = pos
             else:
@@ -126,7 +128,7 @@ class _Checkpoint:
         if keep < len(data):
             with open(self.path, "r+b") as fh:
                 fh.truncate(keep)
-        return level, done, records
+        return level, done, blocks
 
     def start(self, m: int, level: int) -> None:
         with open(self.path, "w") as fh:
@@ -174,6 +176,7 @@ def cmd_classify(args) -> int:
     records = [top_record(m, t)]
     level = t
     done_levels = {}
+    manifest = dict(settings)
     if args.resume and manifest_path.exists():
         old = _read_manifest(manifest_path)
         for key in ("command", "m", "s", "t", "to_level"):
@@ -193,9 +196,11 @@ def cmd_classify(args) -> int:
                 done_levels[r] = len(loaded)
             else:
                 break
+        # the counts of the levels loaded back come from the run that made them
+        loaded_keys = tuple(f"level_{r}_" for r in done_levels)
+        manifest.update((k, v) for k, v in old.items() if k.startswith(loaded_keys))
         _log(args, f"resuming at level {level} with {len(records)} records")
 
-    manifest = dict(settings)
     manifest["started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest["status"] = "running"
     _write_manifest(manifest_path, manifest)
@@ -203,16 +208,20 @@ def cmd_classify(args) -> int:
     while level > target:
         parents = records
         resumed = ckpt.load() if args.resume else None
-        start_at, out_records = 0, []
+        start_at, out_records, inherited = 0, [], 0
         if resumed and resumed[0] == level - 1:
-            start_at, out_records = resumed[1], list(resumed[2])
+            start_at, blocks = resumed[1], resumed[2]
+            for parent, children in zip(parents, blocks):
+                out_records.extend(children)
+                inherited += _count_inherited(parent, children)
             _log(args, f"checkpoint: level {level - 1} resumes at parent {start_at}")
         else:
             ckpt.start(m, level - 1)
         t0 = time.time()
-        for idx, _parent, children in descend_iter(parents[start_at:], t, config):
+        for idx, parent, children in descend_iter(parents[start_at:], t, config):
             real_idx = start_at + idx
             out_records.extend(children)
+            inherited += _count_inherited(parent, children)
             ckpt.parent_done(real_idx, children)
             _log(
                 args,
@@ -225,7 +234,9 @@ def cmd_classify(args) -> int:
         write_level_file(out / f"level_{level}.txt", records)
         ckpt.clear()
         done_levels[level] = len(records)
+        manifest[f"level_{level}_parents"] = len(parents)
         manifest[f"level_{level}_count"] = len(records)
+        manifest[f"level_{level}_inherited"] = inherited
         _write_manifest(manifest_path, manifest)
 
     manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -238,11 +249,27 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _count_inherited(parent: ClassRecord, children: Sequence[ClassRecord]) -> int:
+    """Children whose stabilizer is the parent's: its orbits of size 1."""
+    return sum(child.stab_order == parent.stab_order for child in children)
+
+
 # -- count / dual-check --------------------------------------------------------
 
 
-def _classify_count(s, t, m, config) -> int:
-    return len(classify_space(s, t, m, config))
+def _class_counts(cells, m: int, config) -> Dict[Tuple[int, int], int]:
+    """n(s,t,m) of every cell by classification: one descent per t, down to
+    the lowest s asked for at that t."""
+    lowest: Dict[int, int] = {}
+    for s, t in cells:
+        if s > t + 1:
+            raise InvalidInputError(f"B({s},{t},{m}) with s > t+1 has no canonical start")
+        lowest[t] = min(s, lowest.get(t, s))
+    counts = {}
+    for t, s_low in lowest.items():
+        for s, records in classify_levels(s_low, t, m, config):
+            counts[s, t] = len(records)
+    return counts
 
 
 def cmd_count(args) -> int:
@@ -252,11 +279,14 @@ def cmd_count(args) -> int:
     ]
     if not args.all_cells and (args.s is None or args.t is None):
         raise InvalidInputError("count needs --s and --t (or --all-cells)")
+    classified = None
+    if args.method in ("classify", "both"):
+        classified = _class_counts(cells, args.m, config)
     rows = []
     for s, t in cells:
         by = {}
-        if args.method in ("classify", "both"):
-            by["classify"] = _classify_count(s, t, args.m, config)
+        if classified is not None:
+            by["classify"] = classified[s, t]
         if args.method in ("burnside", "both"):
             by["burnside"] = burnside_count(s, t, args.m, allow_long=args.allow_long)
         if args.method == "both" and by["classify"] != by["burnside"]:
@@ -300,9 +330,10 @@ def cmd_dual_check(args) -> int:
             cells.append((int(s), int(t)))
     else:
         cells = dual_default_cells(args.m)
+    classified = _class_counts(cells, args.m, config)
     table = ClassCountTable(args.m)
     for s, t in cells:
-        table.set(s, t, _classify_count(s, t, args.m, config))
+        table.set(s, t, classified[s, t])
         print(f"count {s} {t} {args.m} {table.get(s, t)} classify")
     report = duality_check(table)
     print(table_render(table))

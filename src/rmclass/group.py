@@ -99,9 +99,6 @@ class AffineMap:
         b = self.pmap[0]
         return [self.pmap[1 << i] ^ b for i in range(self.m)]
 
-    def is_identity(self) -> bool:
-        return self.pmap == bytes(range(1 << self.m))
-
     def compose(self, other: "AffineMap") -> "AffineMap":
         if self.m != other.m:
             raise InvalidInputError("cannot compose maps on different m")
@@ -111,9 +108,6 @@ class AffineMap:
 
     def inverse(self) -> "AffineMap":
         return AffineMap(self.m, _invert_perm(self.pmap)[: 1 << self.m])
-
-    def apply_point(self, x: int) -> int:
-        return self.pmap[x]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AffineMap) and self.m == other.m and self.pmap == other.pmap

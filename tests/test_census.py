@@ -3,10 +3,11 @@ import pytest
 from rmclass.bfcore import BooleanFunction, is_near_bent
 from rmclass.census import (
     ClassCountTable,
+    _fix_log_batch,
+    _pmap_batch,
     burnside_count,
     count_near_bent_completions,
     duality_check,
-    fix_count,
     near_bent_census,
     table_render,
 )
@@ -20,7 +21,13 @@ from rmclass.rng import stream
 from oracles import fixed_function_count_bruteforce
 
 
-# -- fix_count ------------------------------------------------------------------
+# -- fixed-space sizes of the batched Burnside kernel ------------------------------
+
+
+def fix_count(s, t, m, sigma):
+    """Number of f in B(s,t,m) with f o sigma = f modulo RM(s-1,m), through
+    the kernel burnside_count runs on its batches."""
+    return 1 << int(_fix_log_batch(s, t, m, _pmap_batch([sigma], m))[0])
 
 
 def test_fix_count_identity():

@@ -14,6 +14,7 @@ from rmclass.classify import (
     BoundaryAction,
     ClassRecord,
     OrbitConfig,
+    classify_levels,
     classify_space,
     descend,
     descend_iter,
@@ -255,17 +256,91 @@ def test_generator_set_termination_error():
 
 def test_descent_error_names_level_and_parent():
     # a parent whose stabilizer order is doubled: the harvest cannot reach
-    # the children's orders, and the error must say which parent it was
+    # the children's orders, and the error must say which parent it was.
+    # records[0] (the zero class) has an orbit of size 1 first: a record
+    # built by hand is not certified, so that orbit is still harvested, and
+    # the harvest stops at the order L really generates.
     records = classify_space(3, 4, 5)
-    good, bad = records[0], records[-1]
-    doubled = ClassRecord(bad.level, bad.rep, 2 * bad.stab_order, bad.stab_gens)
-    steps = descend_iter([good, doubled], 4)
-    assert next(steps)[0] == 0
-    with pytest.raises(InternalConsistencyError) as err:
-        next(steps)
-    message = str(err.value)
-    assert f"level {bad.level} parent {hex_of_bits(bad.rep.anf, 1 << 5)}:" in message
-    assert "Schreier sweep exhausted" in message
+    first, last = records[0], records[-1]
+    for good, bad, detail in [
+        (first, last, "Schreier sweep exhausted"),
+        (last, first, f"Schreier sweep exhausted at order {first.stab_order} <"),
+    ]:
+        doubled = ClassRecord(bad.level, bad.rep, 2 * bad.stab_order, bad.stab_gens)
+        steps = descend_iter([good, doubled], 4)
+        assert next(steps)[0] == 0
+        with pytest.raises(InternalConsistencyError) as err:
+            next(steps)
+        message = str(err.value)
+        assert f"level {bad.level} parent {hex_of_bits(bad.rep.anf, 1 << 5)}:" in message
+        assert detail in message
+
+
+def _fixes_all(ctx, u):
+    return all(ctx.apply(u, gi) == u for gi in range(len(ctx.gens)))
+
+
+def test_fixed_orbits_inherit_certified_generators(monkeypatch):
+    # the level-0 classes of B(1,4,5), descended to level -1: 176 of the
+    # 206 children are orbits of size 1.  Certified parents (from the
+    # descent) hand them their generator list without a harvest; the same
+    # parents read back from text are harvested once each, at their first
+    # orbit of size 1, and give the same children.
+    import rmclass.classify as classify
+
+    calls = {"fixed": 0}
+    real = classify.generator_set
+
+    def counting(u, L, s_u, ctx):
+        calls["fixed"] += _fixes_all(ctx, u)
+        return real(u, L, s_u, ctx)
+
+    monkeypatch.setattr(classify, "generator_set", counting)
+    parents = classify_space(1, 4, 5)
+    assert all(rec.certified for rec in parents)
+    calls["fixed"] = 0
+    inherited = 0
+    certified_children = []
+    for _idx, parent, children in descend_iter(parents, 4):
+        for child in children:
+            assert child.certified
+            if child.stab_order == parent.stab_order:
+                assert child.stab_gens == parent.stab_gens
+                inherited += 1
+        certified_children.extend(children)
+    assert (calls["fixed"], inherited) == (0, 176)
+
+    from_text = [ClassRecord.from_line(5, rec.to_line()) for rec in parents]
+    assert not any(rec.certified for rec in from_text)
+    with_fixed = 0
+    again = []
+    for _idx, parent, children in descend_iter(from_text, 4):
+        with_fixed += any(c.stab_order == parent.stab_order for c in children)
+        again.extend(children)
+    assert calls["fixed"] == with_fixed > 0
+    assert [c.to_line() for c in again] == [c.to_line() for c in certified_children]
+
+
+def test_fixed_orbits_of_redundant_list_get_the_harvested_list():
+    # a hand-built parent whose list repeats a generator: every child gets
+    # what a harvest from its own orbit gives, and on orbits of size 1 that
+    # is the list without the repeat
+    def fixed_forms(p):
+        ctx = BoundaryAction(p.rep, p.level, p.stab_gens)
+        return sum(_fixes_all(ctx, u) for u in range(1 << ctx.dim))
+
+    rec = max(classify_space(1, 4, 5), key=fixed_forms)
+    gens = list(rec.stab_gens)
+    redundant = ClassRecord(rec.level, rec.rep, rec.stab_order, gens + [gens[0]])
+    ctx = BoundaryAction(rec.rep, rec.level, redundant.stab_gens)
+    orbits = orbit_enumerate(ctx)
+    assert sum(o.size == 1 for o in orbits) >= 2
+    [(_idx, _parent, children)] = list(descend_iter([redundant], 4))
+    for orb, child in zip(orbits, children):
+        order = rec.stab_order // orb.size
+        assert child.stab_gens == generator_set(orb.seed, redundant.stab_gens, order, ctx)
+        if orb.size == 1:
+            assert child.stab_gens == gens
 
 
 def test_generator_set_full_descent_m5():
@@ -289,6 +364,13 @@ def test_classify_space_known_counts():
     assert len(classify_space(2, 2, 4)) == 3
     assert len(classify_space(2, 2, 5)) == 3
     assert len(classify_space(2, 2, 6)) == 4
+
+
+def test_classify_levels_is_one_descent_per_t():
+    levels = list(classify_levels(0, 4, 5))
+    assert [s for s, _ in levels] == [5, 4, 3, 2, 1, 0]
+    for s, records in levels:
+        assert [r.to_line() for r in records] == [r.to_line() for r in classify_space(s, 4, 5)]
 
 
 def test_classify_space_degenerate_start():

@@ -4,7 +4,7 @@ import shutil
 import pytest
 
 import rmclass.cli as cli
-from rmclass.classify import read_level_file
+from rmclass.classify import BoundaryAction, classify_space, read_level_file, top_record
 from rmclass.errors import InvalidInputError
 
 
@@ -20,11 +20,23 @@ def test_classify_writes_levels_and_manifest(tmp_path, capsys):
     manifest = (out / "manifest.txt").read_text()
     assert "status=complete" in manifest
     assert "command=classify" in manifest
+    keys = dict(line.split("=") for line in manifest.splitlines())
     records = read_level_file(out / "level_1.txt")
-    assert len(records) == int(
-        dict(line.split("=") for line in manifest.splitlines())["level_1_count"]
-    )
+    assert len(records) == int(keys["level_1_count"])
     assert not (out / "checkpoint.txt").exists()
+    # per level: parents descended, and children inherited from orbits of
+    # size 1, i.e. forms that every parent generator fixes
+    parents = [top_record(4, 4)]
+    for level in (3, 2, 1):
+        fixed = 0
+        for p in parents:
+            ctx = BoundaryAction(p.rep, p.level, p.stab_gens)
+            fixed += sum(all(ctx.apply(u, gi) == u for gi in range(len(ctx.gens)))
+                         for u in range(1 << ctx.dim))
+        assert int(keys[f"level_{level}_parents"]) == len(parents)
+        assert int(keys[f"level_{level}_inherited"]) == fixed
+        parents = read_level_file(out / f"level_{level}.txt")
+    assert [keys[f"level_{r}_inherited"] for r in (3, 2, 1)] == ["2", "1", "2"]
 
 
 def test_classify_result_files_are_deterministic(tmp_path):
@@ -59,6 +71,11 @@ def test_classify_resume_after_interrupt(tmp_path, monkeypatch):
     assert run("classify", "--m", 4, "--s", 1, "--t", 4, "--out", broken, "--resume") == 0
     for r in (3, 2, 1, 0):
         assert (broken / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()
+    # the level counts in the manifest include the parents done before the crash
+    levels = [cli._read_manifest(d / "manifest.txt") for d in (fresh, broken)]
+    for keys in levels:
+        del keys["started"], keys["finished"]
+    assert levels[0] == levels[1]
 
 
 def test_classify_to_level_stops_early(tmp_path):
@@ -92,6 +109,28 @@ def test_count_both_methods(tmp_path, capsys):
     assert "count 2 3 3 3 burnside" in out
 
 
+def test_counts_descend_once_per_t(tmp_path, capsys, monkeypatch):
+    # count and dual-check descend once per t and print, cell by cell, what
+    # one classification per cell gives.  Burnside is stubbed with that count
+    # here (the acceptance suite compares the two methods at m=4).
+    def per_cell(s, t, m, allow_long=False):
+        return len(classify_space(s, t, m))
+
+    monkeypatch.setattr(cli, "burnside_count", per_cell)
+    assert run("count", "--m", 4, "--all-cells", "--method", "both", "--out", tmp_path) == 0
+    expect = []
+    for s in range(5):
+        for t in range(s, 5):
+            n = per_cell(s, t, 4)
+            expect += [f"count {s} {t} 4 {n} classify", f"count {s} {t} 4 {n} burnside"]
+    assert capsys.readouterr().out.splitlines()[: len(expect)] == expect
+
+    assert run("dual-check", "--m", 5, "--out", tmp_path) == 0
+    expect = [f"count {s} {t} 5 {per_cell(s, t, 5)} classify"
+              for s, t in cli.dual_default_cells(5)]
+    assert capsys.readouterr().out.splitlines()[: len(expect)] == expect
+
+
 def test_dual_check_m4(tmp_path, capsys):
     assert run("dual-check", "--m", 4, "--out", tmp_path) == 0
     assert "duality holds" in capsys.readouterr().out
@@ -101,6 +140,9 @@ def test_dual_check_explicit_cells(tmp_path, capsys):
     assert run("dual-check", "--m", 5, "--cells", "2,2;3,3", "--out", tmp_path) == 0
     out = capsys.readouterr().out
     assert "count 2 2 5 3 classify" in out
+    # a cell above t+1 is refused even when a lower s shares its t
+    code = run("dual-check", "--m", 5, "--cells", "0,2;4,2", "--out", tmp_path)
+    assert code == InvalidInputError.exit_code
 
 
 def test_nearbent_cli(tmp_path, capsys):
