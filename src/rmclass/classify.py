@@ -78,12 +78,9 @@ class ClassRecord:
         return group_order(self.m) // self.stab_order
 
     def to_line(self) -> str:
-        fields = [
-            str(self.level),
-            hex_of_bits(self.rep.anf, 1 << self.m),
-            str(self.stab_order),
-            str(len(self.stab_gens)),
-        ]
+        # rep.anf has 2^m bits by construction, so no width check here
+        width = max(1, (1 << self.m) // 4)
+        fields = [f"{self.level} {self.rep.anf:0{width}x} {self.stab_order} {len(self.stab_gens)}"]
         fields.extend(g.serialize() for g in self.stab_gens)
         return " ".join(fields)
 

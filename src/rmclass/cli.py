@@ -82,10 +82,17 @@ def _log(args, msg: str) -> None:
 
 
 class _Checkpoint:
-    """Append-only progress file for the level currently being descended."""
+    """Append-only progress file for the level currently being descended.
+
+    One handle stays open per level.  Each parent's block is one write and a
+    flush, so it reaches the OS before the next parent starts: a crash of the
+    process loses at most the block being written, which load cuts off.
+    There is no fsync, so a power cut is not covered.
+    """
 
     def __init__(self, path: Path):
         self.path = path
+        self._fh = None
 
     def load(self):
         """Returns (level, parents_done, children of each parent done) from
@@ -131,16 +138,25 @@ class _Checkpoint:
         return level, done, blocks
 
     def start(self, m: int, level: int) -> None:
-        with open(self.path, "w") as fh:
-            fh.write(f"# checkpoint level={level} m={m}\n")
+        self.close()
+        self._fh = open(self.path, "w")
+        self._fh.write(f"# checkpoint level={level} m={m}\n")
+        self._fh.flush()
 
     def parent_done(self, idx: int, children: Sequence[ClassRecord]) -> None:
-        with open(self.path, "a") as fh:
-            for rec in children:
-                fh.write(rec.to_line() + "\n")
-            fh.write(f"# parent-done {idx}\n")
+        if self._fh is None:  # resuming: load has cut the file to its last block
+            self._fh = open(self.path, "a")
+        block = "".join([rec.to_line() + "\n" for rec in children])
+        self._fh.write(f"{block}# parent-done {idx}\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def clear(self) -> None:
+        self.close()
         if self.path.exists():
             self.path.unlink()
 
@@ -205,39 +221,42 @@ def cmd_classify(args) -> int:
     manifest["status"] = "running"
     _write_manifest(manifest_path, manifest)
 
-    while level > target:
-        parents = records
-        resumed = ckpt.load() if args.resume else None
-        start_at, out_records, inherited = 0, [], 0
-        if resumed and resumed[0] == level - 1:
-            start_at, blocks = resumed[1], resumed[2]
-            for parent, children in zip(parents, blocks):
+    try:
+        while level > target:
+            parents = records
+            resumed = ckpt.load() if args.resume else None
+            start_at, out_records, inherited = 0, [], 0
+            if resumed and resumed[0] == level - 1:
+                start_at, blocks = resumed[1], resumed[2]
+                for parent, children in zip(parents, blocks):
+                    out_records.extend(children)
+                    inherited += _count_inherited(parent, children)
+                _log(args, f"checkpoint: level {level - 1} resumes at parent {start_at}")
+            else:
+                ckpt.start(m, level - 1)
+            t0 = time.time()
+            for idx, parent, children in descend_iter(parents[start_at:], t, config):
+                real_idx = start_at + idx
                 out_records.extend(children)
                 inherited += _count_inherited(parent, children)
-            _log(args, f"checkpoint: level {level - 1} resumes at parent {start_at}")
-        else:
-            ckpt.start(m, level - 1)
-        t0 = time.time()
-        for idx, parent, children in descend_iter(parents[start_at:], t, config):
-            real_idx = start_at + idx
-            out_records.extend(children)
-            inherited += _count_inherited(parent, children)
-            ckpt.parent_done(real_idx, children)
-            _log(
-                args,
-                f"level {level - 1}: parent {real_idx + 1}/{len(parents)}, "
-                f"{len(out_records)} records, {time.time() - t0:.1f}s",
-            )
-        verify_level_mass(out_records, t)
-        records = out_records
-        level -= 1
-        write_level_file(out / f"level_{level}.txt", records)
-        ckpt.clear()
-        done_levels[level] = len(records)
-        manifest[f"level_{level}_parents"] = len(parents)
-        manifest[f"level_{level}_count"] = len(records)
-        manifest[f"level_{level}_inherited"] = inherited
-        _write_manifest(manifest_path, manifest)
+                ckpt.parent_done(real_idx, children)
+                _log(
+                    args,
+                    f"level {level - 1}: parent {real_idx + 1}/{len(parents)}, "
+                    f"{len(out_records)} records, {time.time() - t0:.1f}s",
+                )
+            verify_level_mass(out_records, t)
+            records = out_records
+            level -= 1
+            write_level_file(out / f"level_{level}.txt", records)
+            ckpt.clear()
+            done_levels[level] = len(records)
+            manifest[f"level_{level}_parents"] = len(parents)
+            manifest[f"level_{level}_count"] = len(records)
+            manifest[f"level_{level}_inherited"] = inherited
+            _write_manifest(manifest_path, manifest)
+    finally:
+        ckpt.close()  # an unfinished level keeps its file for --resume
 
     manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest["status"] = "complete"

@@ -21,7 +21,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .bits import hex_of_bits, is_invertible_gf2, rank_gf2
+from .bits import is_invertible_gf2, rank_gf2
 from .errors import InvalidInputError
 from .bfcore import BooleanFunction
 
@@ -39,6 +39,17 @@ def _invert_perm(perm: bytes) -> bytes:
     return bytes.maketrans(perm, _PAD[: len(perm)])
 
 
+def _affine_pmap(rows: Sequence[int], translation: int) -> bytes:
+    """Point map of x -> xA + b, A given by its rows (row i = image of e_i)."""
+    n = 1 << len(rows)
+    pmap = bytearray(n)
+    pmap[0] = translation
+    for x in range(1, n):
+        low = x & -x
+        pmap[x] = pmap[x ^ low] ^ rows[low.bit_length() - 1]
+    return bytes(pmap)
+
+
 def substitute(tt: int, pmap: bytes) -> int:
     """Truth table of f o s from that of f: bit x is bit pmap[x] of tt.
 
@@ -53,7 +64,7 @@ def substitute(tt: int, pmap: bytes) -> int:
 class AffineMap:
     """An invertible affine substitution of F_2^m."""
 
-    __slots__ = ("m", "pmap", "_tbl")
+    __slots__ = ("m", "pmap", "_tbl", "_text")
 
     def __init__(self, m: int, pmap: bytes):
         n = 1 << m
@@ -62,6 +73,7 @@ class AffineMap:
         self.m = m
         self.pmap = pmap
         self._tbl = None
+        self._text = None
 
     @property
     def table(self) -> bytes:
@@ -78,13 +90,7 @@ class AffineMap:
             raise InvalidInputError("matrix is singular over GF(2)")
         if translation >> m:
             raise InvalidInputError("translation does not fit in m bits")
-        n = 1 << m
-        pmap = bytearray(n)
-        pmap[0] = translation
-        for x in range(1, n):
-            low = x & -x
-            pmap[x] = pmap[x ^ low] ^ rows[low.bit_length() - 1]
-        return cls(m, bytes(pmap))
+        return cls(m, _affine_pmap(rows, translation))
 
     @classmethod
     def identity(cls, m: int) -> "AffineMap":
@@ -119,10 +125,13 @@ class AffineMap:
         return f"AffineMap(m={self.m}, {self.serialize()!r})"
 
     def serialize(self) -> str:
-        """Hex fields 'row_{m-1}:...:row_0:translation' (most significant row first)."""
-        fields = [hex_of_bits(r, self.m) for r in reversed(self.rows)]
-        fields.append(hex_of_bits(self.translation, self.m))
-        return ":".join(fields)
+        """Hex fields 'row_{m-1}:...:row_0:translation' (most significant row
+        first).  Computed once per map: pmap is never reassigned."""
+        if self._text is None:
+            spec = f"0{max(1, self.m // 4)}x"
+            fields = [format(v, spec) for v in (*reversed(self.rows), self.translation)]
+            self._text = ":".join(fields)
+        return self._text
 
     @classmethod
     def parse(cls, m: int, text: str) -> "AffineMap":
@@ -171,13 +180,14 @@ def generators_stu(m: int) -> List[AffineMap]:
 
 def random_affine(m: int, rng: np.random.Generator) -> AffineMap:
     """Uniform over AGL(m,2): rejection-sample an invertible matrix, then a
-    uniform translation."""
+    uniform translation.  The map is built from its point map, not through
+    from_matrix, whose rank check would repeat the one above."""
     n = 1 << m
     while True:
         rows = [int(v) for v in rng.integers(0, n, size=m)]
         if rank_gf2(rows) == m:
             break
-    return AffineMap.from_matrix(m, rows, int(rng.integers(0, n)))
+    return AffineMap(m, _affine_pmap(rows, int(rng.integers(0, n))))
 
 
 def act(f: BooleanFunction, s: AffineMap) -> BooleanFunction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 from rmclass.bfcore import BooleanFunction
+from rmclass.bits import hex_of_bits
 from rmclass.group import AffineMap, enumerate_agl
 
 
@@ -56,6 +57,14 @@ def act_by_definition(f: BooleanFunction, s: AffineMap) -> BooleanFunction:
                 y ^= rows[i]
         tt |= ((f.truth_table >> y) & 1) << x
     return BooleanFunction(m, truth_table=tt)
+
+
+def affine_text_by_formula(s: AffineMap) -> str:
+    """Record text of a map field by field: its matrix rows, most significant
+    first, then its translation, each through hex_of_bits."""
+    fields = [hex_of_bits(r, s.m) for r in reversed(s.rows)]
+    fields.append(hex_of_bits(s.translation, s.m))
+    return ":".join(fields)
 
 
 def reduce_anf(anf: int, m: int, r: int) -> int:

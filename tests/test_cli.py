@@ -5,7 +5,7 @@ import pytest
 
 import rmclass.cli as cli
 from rmclass.classify import BoundaryAction, classify_space, read_level_file, top_record
-from rmclass.errors import InvalidInputError
+from rmclass.errors import InternalConsistencyError, InvalidInputError
 
 
 def run(*argv):
@@ -246,3 +246,54 @@ def test_classify_resume_from_torn_checkpoint(tmp_path, monkeypatch):
     level, done, _records = cli._Checkpoint(path).load()
     assert path.read_bytes() == data[:block_start]
     assert level == 0 and done == int(lines[-1].split()[2])
+
+
+def test_checkpoint_blocks_reach_the_file_as_they_finish(tmp_path):
+    # one handle per level, read here through a separate one
+    records = classify_space(2, 4, 4)
+    path = tmp_path / "checkpoint.txt"
+    ckpt = cli._Checkpoint(path)
+    ckpt.start(4, 2)
+    ckpt.start(4, 1)  # a new level replaces the file, header and all
+    expect = b"# checkpoint level=1 m=4\n"
+    assert path.read_bytes() == expect
+    for idx, children in enumerate([records[:3], [], records[3:5]]):
+        ckpt.parent_done(idx, children)
+        block = "".join(rec.to_line() + "\n" for rec in children) + f"# parent-done {idx}\n"
+        expect += block.encode()
+        assert path.read_bytes() == expect
+
+    # a resumed level appends after the blocks load kept
+    again = cli._Checkpoint(path)
+    assert again.load() == (1, 3, [records[:3], [], records[3:5]])
+    again.parent_done(3, records[5:6])
+    expect += (records[5].to_line() + "\n# parent-done 3\n").encode()
+    assert path.read_bytes() == expect
+
+    handles = [ckpt._fh, again._fh]
+    ckpt.close()
+    again.clear()
+    assert not path.exists()
+    assert all(fh.closed for fh in handles) and ckpt._fh is None and again._fh is None
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, InternalConsistencyError])
+def test_classify_closes_checkpoint_on_every_exit(tmp_path, monkeypatch, error):
+    # a run that stops mid-level closes its checkpoint handle and keeps the file
+    seen = []
+    real_parent_done = cli._Checkpoint.parent_done
+
+    def stop(self, idx, children):
+        real_parent_done(self, idx, children)
+        seen.append(self)
+        raise error("stopped")
+
+    monkeypatch.setattr(cli._Checkpoint, "parent_done", stop)
+    out = tmp_path / "run"
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", out)
+    else:
+        assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", out) == error.exit_code
+    assert seen[0]._fh is None
+    assert (out / "checkpoint.txt").read_text().endswith("# parent-done 0\n")

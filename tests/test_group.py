@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from rmclass.group import (
 )
 from rmclass.rng import stream
 
-from oracles import act_by_definition
+from oracles import act_by_definition, affine_text_by_formula
 
 
 def test_group_order_values():
@@ -164,6 +166,19 @@ def test_random_affine_uniform_chi_square():
     assert worst <= 5 * sigma, f"worst deviation {worst} > 5 sigma {5 * sigma}"
 
 
+def test_random_affine_draws_are_pinned():
+    # the maps a seeded stream yields are part of every seeded search: rows
+    # are drawn until the matrix has full rank, then the translation
+    pins = {
+        3: "9432176143b37805088f5f5ba739feb4e8714a4bd553148d1ea09df3e908f6bb",
+        6: "f1ac33e7b7147ff86a260504cf2de62d006dd9cd7763f0ba4aabf1cff3696f05",
+    }
+    for m, pin in pins.items():
+        rng = stream(28)
+        pmaps = b"".join(random_affine(m, rng).pmap for _ in range(2000))
+        assert hashlib.sha256(pmaps).hexdigest() == pin
+
+
 def test_act_is_linear_bijection_on_quotient():
     # acting then reducing is additive and invertible on B(s,t,m) mod RM(s-1)
     rng = stream(26)
@@ -187,13 +202,19 @@ def test_act_is_linear_bijection_on_quotient():
 
 
 def test_serialization_round_trip_and_format():
+    # maps drawn directly and built by compose and inverse; the second
+    # serialize call returns the text cached by the first
     rng = stream(27)
-    for m in (2, 4, 7):
+    for m in range(1, 9):
         for _ in range(50):
-            g = random_affine(m, rng)
-            text = g.serialize()
-            assert len(text.split(":")) == m + 1
-            assert AffineMap.parse(m, text) == g
+            a = random_affine(m, rng)
+            for g in (a, compose(a, random_affine(m, rng)), inverse(a)):
+                text = g.serialize()
+                assert text == affine_text_by_formula(g)
+                assert g.serialize() == text
+                assert len(text.split(":")) == m + 1
+                again = AffineMap.parse(m, text)
+                assert again == g and again.serialize() == text
     with pytest.raises(InvalidInputError):
         AffineMap.parse(3, "1:2:3")  # missing translation field
 
