@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .bits import hex_of_bits, masks_in_range, space_dimension
+from .bits import degree_mask, hex_of_bits, masks_in_range, space_dimension
 from .errors import InvalidInputError
 
 MAX_M = 8
@@ -215,20 +216,14 @@ def reduce_mod_rm(f: BooleanFunction, r: int) -> BooleanFunction:
         raise InvalidInputError(f"reduction order r={r} outside -1..{f.m}")
     if r == -1:
         return f
-    keep = 0
-    for mask in masks_in_range(f.m, r + 1, f.m):
-        keep |= 1 << mask
-    return BooleanFunction(f.m, anf=f.anf & keep)
+    return BooleanFunction(f.m, anf=f.anf & degree_mask(f.m, r + 1, f.m))
 
 
 def homogeneous_part(f: BooleanFunction, r: int) -> BooleanFunction:
     """Keep exactly the ANF coefficients of degree r."""
     if not 0 <= r <= f.m:
         raise InvalidInputError(f"degree r={r} outside 0..{f.m}")
-    keep = 0
-    for mask in masks_in_range(f.m, r, r):
-        keep |= 1 << mask
-    return BooleanFunction(f.m, anf=f.anf & keep)
+    return BooleanFunction(f.m, anf=f.anf & degree_mask(f.m, r, r))
 
 
 @dataclass(frozen=True)
@@ -245,23 +240,42 @@ class WalshSpectrum:
         return set(int(v) for v in np.abs(self.values))
 
 
+@lru_cache(maxsize=None)
+def hadamard(m: int) -> np.ndarray:
+    """The read-only 2^m x 2^m Sylvester matrix H[x, a] = (-1)^(a.x), float32.
+
+    Every spectrum in the library is rows @ hadamard(m).  float32 is exact
+    there: each Walsh value and each partial sum is an integer of magnitude
+    <= 2^m <= 256 < 2^24, and the matmul runs through BLAS.
+    """
+    h = np.ones((1, 1), dtype=np.float32)
+    for _ in range(m):
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def signs(tt: int, m: int) -> np.ndarray:
+    """(-1)^f(x) for x = 0..2^m-1 as an int8 vector, f given by its truth table."""
+    n = 1 << m
+    raw = np.frombuffer(tt.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return 1 - 2 * np.unpackbits(raw, count=n, bitorder="little").view(np.int8)
+
+
+def span_signs(tts: Sequence[int], m: int) -> np.ndarray:
+    """Sign rows of every GF(2) combination of the given truth tables, int8:
+    row i is signs of the XOR of tts[j] over the set bits j of i."""
+    out = np.empty((1 << len(tts), 1 << m), dtype=np.int8)
+    out[0] = 1
+    for j, tt in enumerate(tts):
+        np.multiply(out[: 1 << j], signs(tt, m), out=out[1 << j : 2 << j])
+    return out
+
+
 def walsh(f: BooleanFunction) -> WalshSpectrum:
-    """Fast Walsh transform, O(m 2^m)."""
-    n = 1 << f.m
-    tt = f.truth_table
-    signs = np.ones(n, dtype=np.int32)
-    for i in range(n):
-        if (tt >> i) & 1:
-            signs[i] = -1
-    h = 1
-    while h < n:
-        chunk = signs.reshape(-1, 2 * h)
-        left = chunk[:, :h].copy()
-        right = chunk[:, h:].copy()
-        chunk[:, :h] = left + right
-        chunk[:, h:] = left - right
-        h *= 2
-    return WalshSpectrum(f.m, signs)
+    """Walsh spectrum: the sign row of f times the cached Sylvester matrix."""
+    values = signs(f.truth_table, f.m) @ hadamard(f.m)
+    return WalshSpectrum(f.m, values.astype(np.int32))
 
 
 def is_near_bent(f: BooleanFunction) -> bool:

@@ -45,6 +45,15 @@ def masks_in_range(m: int, s: int, t: int) -> tuple:
     return tuple(x for x in range(1 << m) if s <= x.bit_count() <= t)
 
 
+@lru_cache(maxsize=None)
+def degree_mask(m: int, lo: int, hi: int) -> int:
+    """The 2^m-bit mask of the monomials of degree lo..hi (0 when lo > hi)."""
+    mask = 0
+    for x in masks_in_range(m, lo, hi):
+        mask |= 1 << x
+    return mask
+
+
 def space_dimension(m: int, s: int, t: int) -> int:
     """Dimension of the span of monomials of degree s..t in m variables."""
     if s > t:

@@ -11,12 +11,13 @@ Gaussian elimination), so the 322560 elements of AGL(4,2) take seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bits import masks_in_range, masks_of_degree, space_dimension
-from .bfcore import BooleanFunction, mobius_np, monomial_truth_table
+from .bits import degree_mask, masks_in_range, masks_of_degree, space_dimension
+from .bfcore import BooleanFunction, hadamard, mobius_np, monomial_truth_table, signs, span_signs
 from .classify import ClassRecord, classify_space
 from .errors import (
     DependencyMissingError,
@@ -44,10 +45,7 @@ def _fix_log_batch(s: int, t: int, m: int, pmaps: np.ndarray) -> np.ndarray:
     n = 1 << m
     batch = pmaps.shape[0]
     rows = np.zeros((batch, dim), dtype=np.uint64)
-    low_clear = 0
-    for mask in masks_in_range(m, 0, s - 1):
-        low_clear |= 1 << mask
-    keep = ~np.uint64(low_clear)
+    keep = ~np.uint64(degree_mask(m, 0, s - 1))
     for j, mask in enumerate(basis):
         tt = np.uint64(monomial_truth_table(mask, m))
         gathered = np.zeros(batch, dtype=np.uint64)
@@ -225,41 +223,32 @@ class NearBentCensus:
     total: int
 
 
+@lru_cache(maxsize=1)
 def _quadratic_sign_matrix(m: int) -> np.ndarray:
-    """Signs (-1)^q(x) of all 2^C(m,2) quadratic forms; rows follow the
-    ascending order of the degree-2 monomial masks."""
-    n = 1 << m
-    stacked = np.ones((1, n), dtype=np.int8)
-    for mask in masks_of_degree(m, 2):
-        tt = monomial_truth_table(mask, m)
-        sign = np.array([1 - 2 * ((tt >> x) & 1) for x in range(n)], dtype=np.int8)
-        stacked = np.vstack([stacked, stacked * sign])
-    return stacked
-
-
-def _hadamard(m: int) -> np.ndarray:
-    h = np.array([[1]], dtype=np.int32)
-    for _ in range(m):
-        h = np.block([[h, h], [h, -h]])
-    return h
+    """Read-only signs (-1)^q(x) of all 2^C(m,2) quadratic forms q; row i is
+    the form whose bit j selects the j-th degree-2 monomial, masks ascending.
+    Built once for the last m asked (256 MiB at m=7)."""
+    out = span_signs([monomial_truth_table(mask, m) for mask in masks_of_degree(m, 2)], m)
+    out.flags.writeable = False
+    return out
 
 
 def count_near_bent_completions(f: BooleanFunction) -> int:
-    """N(f): quadratic forms q with f+q near-bent, by full enumeration."""
+    """N(f): quadratic forms q with f+q near-bent, by full enumeration.
+
+    The spectrum of f+q is (signs(q) * signs(f)) @ H = signs(q) @ H_f with
+    H_f = signs(f)[:, None] * H, so f scales the matrix once.
+    """
     m = f.m
     if m % 2 == 0:
         raise InvalidInputError("near-bent needs odd m")
-    n = 1 << m
     amp = 1 << ((m + 1) // 2)
-    tt = f.truth_table
-    sign_f = np.array([1 - 2 * ((tt >> x) & 1) for x in range(n)], dtype=np.int8)
+    h_f = signs(f.truth_table, m)[:, None] * hadamard(m)
     q_signs = _quadratic_sign_matrix(m)
-    h = _hadamard(m)
     count = 0
     block = 1 << 14
     for lo in range(0, q_signs.shape[0], block):
-        w = (q_signs[lo : lo + block] * sign_f).astype(np.int32) @ h
-        a = np.abs(w)
+        a = np.abs(q_signs[lo : lo + block] @ h_f)
         count += int((((a == 0) | (a == amp)).all(axis=1)).sum())
     return count
 

@@ -26,13 +26,12 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bits import hex_of_bits, bits_of_hex, masks_of_degree, space_dimension
+from .bits import bits_of_hex, degree_mask, hex_of_bits, masks_of_degree, space_dimension
 from .bfcore import BooleanFunction, mobius, monomial_truth_table
 from .errors import (
     InternalConsistencyError,
@@ -119,7 +118,6 @@ class BoundaryAction:
         self.monomials = masks_of_degree(f.m, r)
         self.dim = len(self.monomials)
         self.index = {mask: i for i, mask in enumerate(self.monomials)}
-        self.keep_mask = _degree_mask(self.m, r, r)
         self.gens = list(gens)
         self.inv_tables = [g.inverse().table for g in self.gens]
         self._fwd = [self._tables_for(g) for g in self.gens]
@@ -137,7 +135,7 @@ class BoundaryAction:
 
     def anf_to_form(self, anf: int) -> int:
         u = 0
-        masked = anf & self.keep_mask
+        masked = anf & degree_mask(self.m, self.r, self.r)
         while masked:
             low = masked & -masked
             u |= 1 << self.index[low.bit_length() - 1]
@@ -158,7 +156,7 @@ class BoundaryAction:
             for mask in self.monomials
         ]
         shifted = self._image_anf(self.f.truth_table, pmap) ^ self.f.anf
-        if shifted & _high_mask(self.m, self.r):
+        if shifted & degree_mask(self.m, self.r + 1, self.m):
             raise InvalidInputError(
                 "map is not in the level-%d stabilizer of the representative" % self.r
             )
@@ -186,21 +184,6 @@ class BoundaryAction:
         for c in range(1, len(tables)):
             acc ^= tables[c].take(by_byte[:, c])
         return acc
-
-
-@lru_cache(maxsize=None)
-def _degree_mask(m: int, lo: int, hi: int) -> int:
-    """The 2^m-bit mask of the monomials of degree lo..hi."""
-    mask = 0
-    for s in range(1 << m):
-        if lo <= s.bit_count() <= hi:
-            mask |= 1 << s
-    return mask
-
-
-def _high_mask(m: int, level: int) -> int:
-    """The monomials of degree above level."""
-    return _degree_mask(m, level + 1, m)
 
 
 # -- orbit enumeration ------------------------------------------------------
@@ -509,7 +492,7 @@ def descend_iter(
 
 def _check_record_fix(rep: BooleanFunction, level: int, gens: Sequence[AffineMap]) -> None:
     """Every stabilizer generator must fix the representative at its level."""
-    high = _high_mask(rep.m, level)
+    high = degree_mask(rep.m, level + 1, rep.m)
     tt, anf, n = rep.truth_table, rep.anf, 1 << rep.m
     for g in gens:
         if (mobius(substitute(tt, g.pmap), n) ^ anf) & high:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bits import space_dimension
-from .bfcore import BooleanFunction, monomial_truth_table
+from .bfcore import BooleanFunction, hadamard, monomial_truth_table, span_signs
 from .classify import ClassRecord
 from .errors import InvalidInputError, ResourceRefusedError
 from .group import act, random_affine
@@ -183,27 +183,26 @@ def _exact_min_weight_big(f: BooleanFunction, rows: List[int], m: int) -> int:
 
 def exact_covering_radius_rm1(m: int) -> int:
     """Covering radius of RM(1,m) by sweeping one representative per coset
-    and reading the distance off the Walsh spectrum; m <= 5."""
+    and reading the distance off the Walsh spectrum; m <= 5.
+
+    The representatives are the functions that vanish on the independent
+    points 0 and e_i.  Each is a low part on the first 16 free points plus a
+    tail on the rest; the tail's signs scale the rows of the Sylvester
+    matrix, (low * tail) @ H = low @ (tail[:, None] * H), so the low sign
+    rows are built once.
+    """
     if m > 5:
         raise ResourceRefusedError("full coset sweep of RM(1,m) is limited to m <= 5")
     n = 1 << m
     piv = [0] + [1 << i for i in range(m)]  # independent columns of [1; x_i]
-    free = [x for x in range(n) if x not in piv]
-    h = np.array([[1]], dtype=np.float32)
-    for _ in range(m):
-        h = np.block([[h, h], [h, -h]])
-    worst = 0
-    chunk = 1 << 16
-    total = 1 << len(free)
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        signs = np.ones((idx.size, n), dtype=np.float32)
-        for j, pos in enumerate(free):
-            signs[:, pos] = 1.0 - 2.0 * ((idx >> j) & 1)
-        w = signs @ h
-        dist = (n - np.abs(w).max(axis=1)) / 2
-        worst = max(worst, int(dist.max()))
-    return worst
+    free = [1 << x for x in range(n) if x not in piv]  # truth tables of single points
+    low = span_signs(free[:16], m).astype(np.float32)
+    h = hadamard(m)
+    peak = n  # smallest max |W| over the representatives
+    for tail in span_signs(free[16:], m):
+        w = low @ (tail[:, None] * h)
+        peak = min(peak, int(np.abs(w).max(axis=1).min()))
+    return (n - peak) // 2
 
 
 @dataclass

@@ -307,9 +307,6 @@ class SubgroupOracle:
                 edge(x, ux, g)
         return residues
 
-    def generators(self) -> List[bytes]:
-        return [g for lv in self._levels for g in lv["gens"]]
-
 
 def subgroup_order(maps: Iterable[AffineMap]) -> int:
     """Exact order of the subgroup generated by the given maps."""

@@ -7,12 +7,15 @@ from rmclass.bfcore import (
     BooleanFunction,
     SpaceSpec,
     complement_transform,
+    hadamard,
     homogeneous_part,
     inner_product,
     is_near_bent,
     mobius,
     monomial_truth_table,
     reduce_mod_rm,
+    signs,
+    span_signs,
     walsh,
 )
 from rmclass.bits import masks_in_range, space_dimension
@@ -152,10 +155,33 @@ def test_walsh_zero_function():
 
 def test_walsh_matches_definition():
     rng = stream(5)
-    for m in (2, 3, 4):
+    for m in range(1, 9):
         for _ in range(20):
-            f = BooleanFunction(m, truth_table=int(rng.integers(0, 1 << (1 << m))))
-            assert walsh(f).values.tolist() == walsh_by_definition(f)
+            tt = int.from_bytes(rng.bytes(32), "little") >> (256 - (1 << m))
+            f = BooleanFunction(m, truth_table=tt)
+            spec = walsh(f)
+            assert spec.values.dtype == np.int32
+            assert spec.values.tolist() == walsh_by_definition(f)
+        h = hadamard(m)
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 0
+
+
+def test_span_signs_rows_are_signs_of_combinations():
+    # signs(tt, m)[x] = (-1)^bit x of tt, for m = 1, 2 too (fewer than 8 points)
+    rng = stream(7)
+    for m in range(1, 6):
+        tts = [int.from_bytes(rng.bytes(4), "little") >> (32 - (1 << m)) for _ in range(4)]
+        rows = span_signs(tts, m)
+        assert rows.shape == (16, 1 << m) and rows.dtype == np.int8
+        for i in range(16):
+            tt = 0
+            for j in range(4):
+                if (i >> j) & 1:
+                    tt ^= tts[j]
+            assert rows[i].tolist() == [1 - 2 * ((tt >> x) & 1) for x in range(1 << m)]
+            assert rows[i].tolist() == signs(tt, m).tolist()
 
 
 def test_walsh_rank4_quadratic_magnitudes():

@@ -15,7 +15,7 @@ from rmclass.classify import classify_space
 from rmclass.errors import DependencyMissingError, InvalidInputError
 from rmclass.group import AffineMap, act, enumerate_agl, group_order, identity, random_affine
 from rmclass.bfcore import reduce_mod_rm
-from rmclass.bits import space_dimension
+from rmclass.bits import rank_gf2, space_dimension
 from rmclass.rng import stream
 
 from oracles import fixed_function_count_bruteforce
@@ -162,6 +162,45 @@ def test_completion_count_is_orbit_invariant():
             sigma = random_affine(5, rng)
             moved = reduce_mod_rm(act(rec.rep, sigma), 2)
             assert count_near_bent_completions(moved) == n0
+
+
+def alternating_count_by_enumeration(m, rank):
+    """m x m alternating GF(2) matrices of the given rank, one bit per
+    entry above the diagonal."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    count = 0
+    for bits in range(1 << len(pairs)):
+        rows = [0] * m
+        for k, (i, j) in enumerate(pairs):
+            if (bits >> k) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        count += rank_gf2(rows) == rank
+    return count
+
+
+def alternating_count_closed_form(m, rank):
+    """Number of m x m alternating matrices over GF(q=2) of rank 2k:
+    q^(k(k-1)) prod_{i<k} (q^(m-2i) - 1)(q^(m-2i-1) - 1) / (q^(2i+2) - 1)."""
+    k = rank // 2
+    num, den = 1 << (k * (k - 1)), 1
+    for i in range(k):
+        num *= ((1 << (m - 2 * i)) - 1) * ((1 << (m - 2 * i - 1)) - 1)
+        den *= (1 << (2 * i + 2)) - 1
+    assert num % den == 0
+    return num // den
+
+
+def test_zero_function_completions_are_rank_m_minus_1_alternating_matrices():
+    # q is near-bent exactly when its alternating form has the largest odd-m
+    # rank, m-1; m=7 is the census's kernel at the paper's size.  m=7 runs
+    # first so that the cached m=7 sign matrix (256 MiB) is evicted by m=3.
+    expected = {7: 1763776, 5: 868, 3: 7}
+    for m in (3, 5):
+        assert alternating_count_by_enumeration(m, m - 1) == expected[m]
+    for m, count in expected.items():
+        assert alternating_count_closed_form(m, m - 1) == count
+        assert count_near_bent_completions(BooleanFunction.zero(m)) == count
 
 
 def test_census_weights_are_orbit_sizes():

@@ -174,8 +174,20 @@ def test_distance_respects_max_iter():
 
 
 def test_covering_radius_rm1_m3():
-    # covering radius of RM(1,3) is 2 (odd m, quadratic bound)
+    # covering radius of RM(1,3) is 2 (odd m, quadratic bound); at even m it
+    # is the bent distance 2^(m-1) - 2^(m/2-1); m=1 has a single coset
     assert exact_covering_radius_rm1(3) == 2
+    assert [exact_covering_radius_rm1(m) for m in (1, 2, 4)] == [0, 1, 6]
+
+
+def test_covering_radius_rm1_m5_from_classes():
+    # B(2,5,5) holds one function per coset of RM(1,5), and the coset minimum
+    # weight (32 - max|W|)/2 is constant on each AGL(5,2) class: the maximum
+    # over the 48 representatives is the covering radius the exhaustive
+    # sweep in acceptance criterion 8 finds.
+    records = classify_space(2, 5, 5)
+    assert len(records) == 48
+    assert max((32 - int(abs(walsh(rec.rep).values).max())) // 2 for rec in records) == 12
 
 
 def test_covering_radius_bound_report():
