@@ -53,17 +53,6 @@ def mobius(bits: int, length: int) -> int:
     return bits
 
 
-def mobius_np(arr: np.ndarray, m: int) -> np.ndarray:
-    """Moebius transform applied to an array of packed 2^m-bit vectors (m <= 6)."""
-    if m > 6:
-        raise InvalidInputError("packed vectorized transform supports m <= 6 only")
-    out = arr.astype(np.uint64, copy=True)
-    for i, mask in enumerate(_halfmasks(m)):
-        np_mask = np.uint64(mask)
-        out ^= (out & np_mask) << np.uint64(1 << i)
-    return out
-
-
 @lru_cache(maxsize=None)
 def monomial_truth_table(mask: int, m: int) -> int:
     """Truth table of X_S for S given as an m-bit mask."""

@@ -14,8 +14,8 @@ from typing import List, Sequence
 from .errors import InvalidInputError
 
 
-def rank_gf2(rows: Sequence[int]) -> int:
-    """Rank of a GF(2) matrix given as a sequence of row ints."""
+def echelon_gf2(rows: Sequence[int]) -> List[int]:
+    """A basis of the row span with distinct leading bits, largest first."""
     basis: List[int] = []
     for row in rows:
         for b in basis:
@@ -23,12 +23,12 @@ def rank_gf2(rows: Sequence[int]) -> int:
         if row:
             basis.append(row)
             basis.sort(reverse=True)
-    return len(basis)
+    return basis
 
 
-def is_invertible_gf2(rows: Sequence[int], n: int) -> bool:
-    """Whether an n x n matrix over GF(2) has full rank."""
-    return len(rows) == n and rank_gf2(rows) == n
+def rank_gf2(rows: Sequence[int]) -> int:
+    """Rank of a GF(2) matrix given as a sequence of row ints."""
+    return len(echelon_gf2(rows))
 
 
 @lru_cache(maxsize=None)

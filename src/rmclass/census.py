@@ -1,129 +1,152 @@
-"""Independent class counting (Burnside over the full group), the duality
-relation n(s,t,m) = n(m-t,m-s,m), and the near-bent census.
+"""Independent class counting (Burnside over the conjugacy classes of
+GL(m,2)), the duality relation n(s,t,m) = n(m-t,m-s,m), and the near-bent
+census.
 
-Burnside here deliberately enumerates every group element rather than
-conjugacy classes: it is exact, cheap for m <= 4 and serves as a second
-method against the descending classification.  The per-element fixed-space
-dimensions are computed in numpy batches (bit-packed rows, vectorized
-Gaussian elimination), so the 322560 elements of AGL(4,2) take seconds.
+Burnside: n(s,t,m) = |AGL|^-1 sum_g 2^fix(g), fix(g) the dimension of the
+subspace of B(s,t,m) that g fixes.  fix is a class function, and the
+translation by c conjugates x -> xA + b to x -> xA + b + c(A - I); so the
+sum runs over one A per class of GL(m,2), times the class size, and one b
+per coset of Im(A - I), times |Im(A - I)| (Hou, J. Algebra, 1995).  No
+group element is enumerated, and nothing is shared with the descent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bits import degree_mask, masks_in_range, masks_of_degree, space_dimension
-from .bfcore import BooleanFunction, hadamard, mobius_np, monomial_truth_table, signs, span_signs
+from .bits import degree_mask, echelon_gf2, masks_in_range, masks_of_degree, rank_gf2
+from .bfcore import MAX_M, BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
 from .classify import ClassRecord, classify_space
 from .errors import (
     DependencyMissingError,
     InternalConsistencyError,
     InvalidInputError,
 )
-from .group import AffineMap, enumerate_agl, group_order
+from .group import _affine_pmap, group_order, substitute_anf
+from .group import enumerate_agl  # noqa: F401 (unused; perfbench/layers.py wraps it by name)
 
 
-# -- batched Burnside ---------------------------------------------------------
+# -- Burnside over the conjugacy classes of GL(m,2) ----------------------------
+# A polynomial over GF(2) is an int, bit i = coefficient of x^i.
 
 
-def _pmap_batch(maps: Sequence[AffineMap], m: int) -> np.ndarray:
-    n = 1 << m
-    out = np.empty((len(maps), n), dtype=np.uint8)
-    for i, g in enumerate(maps):
-        out[i] = np.frombuffer(g.pmap, dtype=np.uint8)
+def _clmul(a: int, b: int) -> int:
+    """Product of two GF(2) polynomials."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
     return out
 
 
-def _fix_log_batch(s: int, t: int, m: int, pmaps: np.ndarray) -> np.ndarray:
-    """log2 of the fixed-space size for a batch of point maps."""
-    basis = masks_in_range(m, s, t)
-    dim = len(basis)
-    n = 1 << m
-    batch = pmaps.shape[0]
-    rows = np.zeros((batch, dim), dtype=np.uint64)
-    keep = ~np.uint64(degree_mask(m, 0, s - 1))
-    for j, mask in enumerate(basis):
-        tt = np.uint64(monomial_truth_table(mask, m))
-        gathered = np.zeros(batch, dtype=np.uint64)
-        for x in range(n):
-            gathered |= ((tt >> pmaps[:, x].astype(np.uint64)) & np.uint64(1)) << np.uint64(x)
-        image = (mobius_np(gathered, m) ^ np.uint64(1 << mask)) & keep
-        row = np.zeros(batch, dtype=np.uint64)
-        for jj, other in enumerate(basis):
-            row |= ((image >> np.uint64(other)) & np.uint64(1)) << np.uint64(jj)
-        rows[:, j] = row
-    rank = _rank_batch(rows, dim)
-    return dim - rank
-
-
-def _rank_batch(rows: np.ndarray, dim: int) -> np.ndarray:
-    """GF(2) rank of each row-set in a (batch, dim) array of bit-mask rows."""
-    batch = rows.shape[0]
-    pivot = np.zeros((batch, dim), dtype=np.uint64)  # pivot[b, p]: row leading at bit p
-    rank = np.zeros(batch, dtype=np.int64)
-    for j in range(rows.shape[1]):
-        v = rows[:, j].copy()
-        for p in range(dim - 1, -1, -1):
-            hit = ((v >> np.uint64(p)) & np.uint64(1)).astype(bool)
-            if hit.any():
-                v[hit] ^= pivot[hit, p]
-        live = v != 0
-        for p in range(dim - 1, -1, -1):
-            lead = live & (((v >> np.uint64(p)) & np.uint64(1)).astype(bool))
-            if lead.any():
-                pivot[lead, p] = v[lead]
-                rank[lead] += 1
-                live &= ~lead
-        if not live.any():
+def _elementary_divisors(m: int) -> List[Tuple[int, int, int]]:
+    """(p, i, p^i) for each irreducible p other than x and each i >= 1 with
+    deg(p^i) <= m, p ascending."""
+    reducible = {
+        _clmul(a, b) for a in range(2, 1 << m) for b in range(2, 1 << (m + 2 - a.bit_length()))
+    }
+    out = []
+    for p in range(3, 2 << m):
+        if p in reducible:
             continue
-    return rank
+        f, i = p, 1
+        while f.bit_length() <= m + 1:
+            out.append((p, i, f))
+            f, i = _clmul(f, p), i + 1
+    return out
 
 
-BURNSIDE_CHUNK = 1 << 15
+def _class_types(divisors: Sequence[tuple], m: int, start: int = 0) -> Iterator[list]:
+    """Multisets of divisors[start:] whose degrees sum to m: the elementary
+    divisors of each conjugacy class of GL(m,2) once."""
+    if m == 0:
+        yield []
+        return
+    for k in range(start, len(divisors)):
+        d = divisors[k][2].bit_length() - 1
+        if d <= m:
+            for rest in _class_types(divisors, m - d, k):
+                yield [divisors[k]] + rest
 
 
-def burnside_count(
-    s: int,
-    t: int,
-    m: int,
-    allow_long: bool = False,
-    chunk: int = BURNSIDE_CHUNK,
-) -> int:
-    """Class number of B(s,t,m) by averaging fixed-point counts over the
-    whole group.  m <= 4 runs in seconds; m = 5 iterates ~3.2e8 elements and
-    is refused unless allow_long is set."""
-    if not (0 <= s <= t <= m):
-        raise InvalidInputError(f"need 0 <= s <= t <= m, got s={s} t={t} m={m}")
-    if m > 5 or (m == 5 and not allow_long):
-        raise InvalidInputError(
-            "full-group Burnside is supported for m <= 4; m = 5 enumerates "
-            "319979520 elements and needs allow_long=True (hours of runtime); "
-            "larger m is out of reach by design"
-        )
+def _centralizer_order(divisors: Sequence[tuple]) -> int:
+    """|C(A)| from the elementary divisors of A (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. IV): the product over p, with
+    q = 2^deg p, lam the partition of the p^i and m_i the multiplicity of
+    the part i, of q^(sum_j lam'_j^2 - sum_i m_i(m_i+1)/2) prod_i
+    prod_{j<=m_i} (q^j - 1)."""
+    order = 1
+    for p in {p for p, _, _ in divisors}:
+        q = 1 << (p.bit_length() - 1)
+        lam = [i for r, i, _ in divisors if r == p]
+        mult = [lam.count(i) for i in set(lam)]
+        conj2 = sum(sum(i >= j for i in lam) ** 2 for j in range(1, max(lam) + 1))
+        order *= q ** (conj2 - sum(k * (k + 1) // 2 for k in mult))
+        for k in mult:
+            for j in range(1, k + 1):
+                order *= q**j - 1
+    return order
+
+
+def gl_classes(m: int) -> List[Tuple[List[int], int]]:
+    """(rows, class size) for each conjugacy class of GL(m,2).
+
+    The representative is block diagonal with one companion matrix of f,
+    multiplication by x on GF(2)[x]/(f), per elementary divisor f = p^i.
+    Certificate: the sizes |GL|/|C(A)| are integers and sum to |GL(m,2)|.
+    """
+    gl_order = group_order(m) >> m
+    classes = []
+    for divisors in _class_types(_elementary_divisors(m), m):
+        centralizer = _centralizer_order(divisors)
+        if gl_order % centralizer:
+            raise InternalConsistencyError(f"centralizer order {centralizer} does not divide |GL|")
+        rows: List[int] = []
+        for _, _, f in divisors:
+            n, at = f.bit_length() - 1, len(rows)
+            rows += [1 << (at + j + 1) for j in range(n - 1)] + [(f ^ (1 << n)) << at]
+        classes.append((rows, gl_order // centralizer))
+    if sum(size for _, size in classes) != gl_order:
+        raise InternalConsistencyError(f"class sizes do not sum to |GL({m},2)|")
+    return classes
+
+
+def fix_dimension(s: int, t: int, m: int, pmap: bytes) -> int:
+    """Dimension of the subspace of B(s,t,m) that the substitution with point
+    map pmap fixes modulo RM(s-1,m): dim B minus the rank of g - 1."""
+    high = degree_mask(m, s, m)
+    rows = [
+        (substitute_anf(monomial_truth_table(mask, m), pmap) ^ (1 << mask)) & high
+        for mask in masks_in_range(m, s, t)
+    ]
+    return len(rows) - rank_gf2(rows)
+
+
+def burnside_count(s: int, t: int, m: int) -> int:
+    """Class number of B(s,t,m), any m <= MAX_M.  Certificate: the Burnside
+    sum is divisible by |AGL(m,2)|."""
+    if not (0 <= s <= t <= m and 1 <= m <= MAX_M):
+        raise InvalidInputError(f"need 0 <= s <= t <= m, 1 <= m <= {MAX_M}; got s={s} t={t} m={m}")
     total = 0
-    bucket: List[AffineMap] = []
-    dim = space_dimension(m, s, t)
-    for g in enumerate_agl(m):
-        bucket.append(g)
-        if len(bucket) == chunk:
-            total += _bucket_total(s, t, m, bucket, dim)
-            bucket = []
-    if bucket:
-        total += _bucket_total(s, t, m, bucket, dim)
+    for rows, size in gl_classes(m):
+        image = echelon_gf2([r ^ (1 << i) for i, r in enumerate(rows)])
+        leads = sum(1 << (v.bit_length() - 1) for v in image)
+        # the b without a leading bit of the image's echelon basis: one per coset
+        fixed = sum(
+            1 << fix_dimension(s, t, m, _affine_pmap(rows, b))
+            for b in range(1 << m)
+            if not b & leads
+        )
+        total += size * fixed << len(image)
     order = group_order(m)
     if total % order:
         raise InternalConsistencyError("Burnside sum is not divisible by the group order")
     return total // order
-
-
-def _bucket_total(s, t, m, bucket, dim):
-    logs = _fix_log_batch(s, t, m, _pmap_batch(bucket, m))
-    counts = np.bincount(logs, minlength=dim + 1)
-    return sum(int(c) << k for k, c in enumerate(counts) if c)
 
 
 # -- the class-number table and duality ---------------------------------------

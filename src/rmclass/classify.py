@@ -32,13 +32,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bits import bits_of_hex, degree_mask, hex_of_bits, masks_of_degree, space_dimension
-from .bfcore import BooleanFunction, mobius, monomial_truth_table
+from .bfcore import BooleanFunction, monomial_truth_table
 from .errors import (
     InternalConsistencyError,
     InvalidInputError,
     ResourceRefusedError,
 )
-from .group import AffineMap, SubgroupOracle, generators_stu, group_order, substitute
+from .group import AffineMap, SubgroupOracle, generators_stu, group_order, substitute_anf
 
 _UNSEEN = 255
 _BLOCK = 1 << 18
@@ -144,18 +144,15 @@ class BoundaryAction:
 
     # -- action tables ----------------------------------------------------
 
-    def _image_anf(self, tt: int, pmap: bytes) -> int:
-        return mobius(substitute(tt, pmap), 1 << self.m)
-
     def _tables_for(self, g: AffineMap) -> List[List[int]]:
         if g.m != self.m:
             raise InvalidInputError("generator has wrong m")
         pmap = g.pmap
         cols = [
-            self.anf_to_form(self._image_anf(monomial_truth_table(mask, self.m), pmap))
+            self.anf_to_form(substitute_anf(monomial_truth_table(mask, self.m), pmap))
             for mask in self.monomials
         ]
-        shifted = self._image_anf(self.f.truth_table, pmap) ^ self.f.anf
+        shifted = substitute_anf(self.f.truth_table, pmap) ^ self.f.anf
         if shifted & degree_mask(self.m, self.r + 1, self.m):
             raise InvalidInputError(
                 "map is not in the level-%d stabilizer of the representative" % self.r
@@ -493,9 +490,9 @@ def descend_iter(
 def _check_record_fix(rep: BooleanFunction, level: int, gens: Sequence[AffineMap]) -> None:
     """Every stabilizer generator must fix the representative at its level."""
     high = degree_mask(rep.m, level + 1, rep.m)
-    tt, anf, n = rep.truth_table, rep.anf, 1 << rep.m
+    tt, anf = rep.truth_table, rep.anf
     for g in gens:
-        if (mobius(substitute(tt, g.pmap), n) ^ anf) & high:
+        if (substitute_anf(tt, g.pmap) ^ anf) & high:
             raise InternalConsistencyError(
                 "harvested generator does not fix the representative at its level"
             )

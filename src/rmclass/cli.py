@@ -307,7 +307,7 @@ def cmd_count(args) -> int:
         if classified is not None:
             by["classify"] = classified[s, t]
         if args.method in ("burnside", "both"):
-            by["burnside"] = burnside_count(s, t, args.m, allow_long=args.allow_long)
+            by["burnside"] = burnside_count(s, t, args.m)
         if args.method == "both" and by["classify"] != by["burnside"]:
             raise InternalConsistencyError(
                 f"methods disagree at ({s},{t},{args.m}): {by}"
@@ -473,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int)
     sp.add_argument("--all-cells", action="store_true")
     sp.add_argument("--method", choices=("classify", "burnside", "both"), default="classify")
-    sp.add_argument("--allow-long", action="store_true",
-                    help="permit the ~3.2e8-element m=5 Burnside enumeration")
     common(sp)
     sp.set_defaults(func=cmd_count)
 

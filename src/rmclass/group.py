@@ -16,14 +16,14 @@ equivalently compose(s, t).point_map[x] = s.point_map[t.point_map[x]].
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import product
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .bits import is_invertible_gf2, rank_gf2
+from .bits import rank_gf2
 from .errors import InvalidInputError
-from .bfcore import BooleanFunction
+from .bfcore import BooleanFunction, mobius
 
 _PAD = bytes(range(256))
 
@@ -61,6 +61,11 @@ def substitute(tt: int, pmap: bytes) -> int:
     return int(pmap.translate(points)[::-1], 2)
 
 
+def substitute_anf(tt: int, pmap: bytes) -> int:
+    """ANF of f o s from the truth table of f: substitute, then Moebius."""
+    return mobius(substitute(tt, pmap), len(pmap))
+
+
 class AffineMap:
     """An invertible affine substitution of F_2^m."""
 
@@ -86,7 +91,7 @@ class AffineMap:
         """Build from m row masks (row i = image of basis point e_i minus b)."""
         if len(rows) != m:
             raise InvalidInputError(f"expected {m} matrix rows, got {len(rows)}")
-        if not is_invertible_gf2(tuple(rows), m):
+        if rank_gf2(rows) != m:
             raise InvalidInputError("matrix is singular over GF(2)")
         if translation >> m:
             raise InvalidInputError("translation does not fit in m bits")
@@ -322,30 +327,12 @@ def subgroup_order(maps: Iterable[AffineMap]) -> int:
     return oracle.order()
 
 
-@lru_cache(maxsize=8)
-def _agl_matrices(m: int) -> tuple:
-    """All invertible m x m matrices over GF(2) as row tuples (m <= 4 sized)."""
-    mats = []
-
-    def build(rows: tuple):
-        if len(rows) == m:
-            mats.append(rows)
-            return
-        span = {0}
-        for r in rows:
-            span |= {v ^ r for v in span}
-        for cand in range(1, 1 << m):
-            if cand not in span:
-                build(rows + (cand,))
-
-    build(())
-    return tuple(mats)
-
-
 def enumerate_agl(m: int):
-    """Yield every element of AGL(m,2) exactly once (full enumeration)."""
+    """Yield every element of AGL(m,2) exactly once, matrix rows in
+    lexicographic order: the tests' brute-force reference."""
     if m > 5:
         raise InvalidInputError("full group enumeration is limited to m <= 5")
-    for rows in _agl_matrices(m):
-        for b in range(1 << m):
-            yield AffineMap.from_matrix(m, rows, b)
+    for rows in product(range(1 << m), repeat=m):
+        if rank_gf2(rows) == m:
+            for b in range(1 << m):
+                yield AffineMap(m, _affine_pmap(rows, b))

@@ -165,3 +165,47 @@ def orbit_partition_by_action(ctx):
         seen |= orbit
         orbits.append((seed, len(orbit)))
     return orbits
+
+
+def gl_conjugacy_classes_bruteforce(m: int):
+    """The conjugacy classes of GL(m,2), m <= 4, as sets of row tuples: the
+    linear parts of enumerate_agl split into orbits by a breadth-first search
+    under conjugation by the elementary transvections e_i -> e_i + e_j, which
+    generate GL(m,2) and are their own inverses."""
+    if m > 4:
+        raise ValueError("brute-force conjugacy classes are m <= 4 only")
+
+    def matmul(a, b):
+        # row i of ab is the sum of the rows of b that row i of a selects
+        out = []
+        for row in a:
+            acc = 0
+            for k in range(m):
+                if (row >> k) & 1:
+                    acc ^= b[k]
+            out.append(acc)
+        return tuple(out)
+
+    units = [1 << i for i in range(m)]
+    transvections = []
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                rows = list(units)
+                rows[i] ^= units[j]
+                transvections.append(tuple(rows))
+    unseen = {tuple(g.rows) for g in enumerate_agl(m) if g.translation == 0}
+    orbits = []
+    while unseen:
+        start = min(unseen)
+        orbit, frontier = {start}, [start]
+        while frontier:
+            a = frontier.pop()
+            for x in transvections:
+                c = matmul(matmul(x, a), x)
+                if c not in orbit:
+                    orbit.add(c)
+                    frontier.append(c)
+        unseen -= orbit
+        orbits.append(orbit)
+    return orbits

@@ -118,6 +118,18 @@ def test_criterion_3_cross_method_exactness():
     )
 
 
+def test_burnside_pins_paper_counts(m5_table):
+    pinned = {
+        (3, 4, 7): 68443, (4, 7, 7): 3486, (0, 3, 7): 3486, (4, 4, 7): 12, (3, 3, 7): 12,
+        (2, 6, 6): 150357, (0, 4, 6): 150357, (3, 6, 6): 205, (2, 5, 5): 48,
+    }
+    assert {cell: burnside_count(*cell) for cell in pinned} == pinned
+    table5, _ = m5_table
+    assert len(table5.entries) == 21
+    for (s, t), n in table5.entries.items():
+        assert burnside_count(s, t, 5) == n, (s, t)
+
+
 def test_criterion_4_duality(m5_table, m6_levels, m7_shallow):
     table5, _ = m5_table
     rep5 = duality_check(table5)

@@ -1,33 +1,34 @@
 import pytest
 
 from rmclass.bfcore import BooleanFunction, is_near_bent
+import rmclass.census as census
 from rmclass.census import (
     ClassCountTable,
-    _fix_log_batch,
-    _pmap_batch,
     burnside_count,
     count_near_bent_completions,
     duality_check,
+    fix_dimension,
+    gl_classes,
     near_bent_census,
     table_render,
 )
 from rmclass.classify import classify_space
-from rmclass.errors import DependencyMissingError, InvalidInputError
+from rmclass.errors import DependencyMissingError, InternalConsistencyError, InvalidInputError
 from rmclass.group import AffineMap, act, enumerate_agl, group_order, identity, random_affine
 from rmclass.bfcore import reduce_mod_rm
 from rmclass.bits import rank_gf2, space_dimension
 from rmclass.rng import stream
 
-from oracles import fixed_function_count_bruteforce
+from oracles import fixed_function_count_bruteforce, gl_conjugacy_classes_bruteforce
 
 
-# -- fixed-space sizes of the batched Burnside kernel ------------------------------
+# -- fixed-space sizes -------------------------------------------------------------
 
 
 def fix_count(s, t, m, sigma):
     """Number of f in B(s,t,m) with f o sigma = f modulo RM(s-1,m), through
-    the kernel burnside_count runs on its batches."""
-    return 1 << int(_fix_log_batch(s, t, m, _pmap_batch([sigma], m))[0])
+    the fixed-space dimension burnside_count sums over."""
+    return 1 << fix_dimension(s, t, m, sigma.pmap)
 
 
 def test_fix_count_identity():
@@ -61,10 +62,52 @@ def test_burnside_known_values():
 
 
 def test_burnside_refuses_large_m():
-    with pytest.raises(InvalidInputError):
-        burnside_count(2, 2, 5)
-    with pytest.raises(InvalidInputError):
-        burnside_count(0, 0, 6, allow_long=True)
+    assert burnside_count(2, 5, 5) == 48
+    for s, t, m in [(0, 0, 9), (0, 0, 0), (3, 2, 4)]:
+        with pytest.raises(InvalidInputError):
+            burnside_count(s, t, m)
+
+
+def test_gl_classes_are_the_conjugation_orbits():
+    # every representative in its own orbit, each class size that orbit's
+    for m in range(1, 5):
+        orbits = gl_conjugacy_classes_bruteforce(m)
+        where = {a: k for k, orbit in enumerate(orbits) for a in orbit}
+        classes = gl_classes(m)
+        hit = [where[tuple(rows)] for rows, _ in classes]
+        assert len(set(hit)) == len(hit) == len(orbits)
+        assert [size for _, size in classes] == [len(orbits[k]) for k in hit]
+
+
+def test_burnside_class_sum_equals_element_sum_m3():
+    group = list(enumerate_agl(3))
+    for s in range(4):
+        for t in range(s, 4):
+            element_sum = sum(1 << fix_dimension(s, t, 3, g.pmap) for g in group)
+            assert element_sum == burnside_count(s, t, 3) * group_order(3)
+
+
+def test_burnside_certificates_catch_tampered_class_sizes(monkeypatch):
+    true_classes = gl_classes(3)
+    true_order = census._centralizer_order
+    # halving the even centralizer orders keeps every size an integer but
+    # breaks the class equation; doubling them breaks integrality
+    def halve_even(divisors):
+        order = true_order(divisors)
+        return order // 2 if order % 2 == 0 else order
+
+    monkeypatch.setattr(census, "_centralizer_order", halve_even)
+    with pytest.raises(InternalConsistencyError, match="sum"):
+        burnside_count(2, 2, 3)
+    monkeypatch.setattr(census, "_centralizer_order", lambda d: 2 * true_order(d))
+    with pytest.raises(InternalConsistencyError, match="divide"):
+        burnside_count(2, 2, 3)
+    # one class one element too large: the Burnside sum over B(0,0,3), all
+    # 2 |AGL(3,2)| before, grows by 2^(m+1) = 16, which |AGL(3,2)| does not divide
+    tampered = [(rows, size + (k == 0)) for k, (rows, size) in enumerate(true_classes)]
+    monkeypatch.setattr(census, "gl_classes", lambda m: tampered)
+    with pytest.raises(InternalConsistencyError, match="divisible"):
+        burnside_count(0, 0, 3)
 
 
 def test_burnside_equals_classification_m3():

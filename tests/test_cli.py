@@ -109,14 +109,12 @@ def test_count_both_methods(tmp_path, capsys):
     assert "count 2 3 3 3 burnside" in out
 
 
-def test_counts_descend_once_per_t(tmp_path, capsys, monkeypatch):
+def test_counts_descend_once_per_t(tmp_path, capsys):
     # count and dual-check descend once per t and print, cell by cell, what
-    # one classification per cell gives.  Burnside is stubbed with that count
-    # here (the acceptance suite compares the two methods at m=4).
-    def per_cell(s, t, m, allow_long=False):
+    # one classification per cell gives; Burnside gives the same at m=4.
+    def per_cell(s, t, m):
         return len(classify_space(s, t, m))
 
-    monkeypatch.setattr(cli, "burnside_count", per_cell)
     assert run("count", "--m", 4, "--all-cells", "--method", "both", "--out", tmp_path) == 0
     expect = []
     for s in range(5):
@@ -129,6 +127,15 @@ def test_counts_descend_once_per_t(tmp_path, capsys, monkeypatch):
     expect = [f"count {s} {t} 5 {per_cell(s, t, 5)} classify"
               for s, t in cli.dual_default_cells(5)]
     assert capsys.readouterr().out.splitlines()[: len(expect)] == expect
+
+
+def test_count_burnside_m7_and_no_allow_long(tmp_path, capsys):
+    assert run("count", "--m", 7, "--s", 3, "--t", 4, "--method", "burnside",
+               "--out", tmp_path) == 0
+    assert "count 3 4 7 68443 burnside" in capsys.readouterr().out.splitlines()
+    with pytest.raises(SystemExit) as exc:
+        run("count", "--m", 5, "--s", 2, "--t", 5, "--method", "burnside", "--allow-long")
+    assert exc.value.code == 2
 
 
 def test_dual_check_m4(tmp_path, capsys):
