@@ -14,32 +14,22 @@ from .errors import (
 )
 from .bfcore import (
     BooleanFunction,
-    SpaceSpec,
-    WalshSpectrum,
     mobius,
     walsh,
     is_near_bent,
-    inner_product,
-    complement_transform,
-    reduce_mod_rm,
-    homogeneous_part,
 )
 from .group import (
     AffineMap,
     SubgroupOracle,
     act,
-    compose,
     generators_stu,
     group_order,
-    identity,
-    inverse,
     random_affine,
     subgroup_order,
 )
 from .classify import (
     BoundaryAction,
     ClassRecord,
-    OrbitConfig,
     OrbitSet,
     classify_levels,
     classify_space,

@@ -198,9 +198,9 @@ def duality_check(table: ClassCountTable) -> DualityReport:
     return DualityReport(checked, violations)
 
 
-def table_render(table: ClassCountTable, pow_threshold: int = 10 ** 6) -> str:
-    """Render the triangle; entries at or above the threshold appear as
-    rounded powers of ten."""
+def table_render(table: ClassCountTable) -> str:
+    """Render the triangle; entries of 10^6 and above appear as rounded
+    powers of ten."""
     m = table.m
     cols = list(range(1, m + 1))
     width = 10
@@ -212,7 +212,7 @@ def table_render(table: ClassCountTable, pow_threshold: int = 10 ** 6) -> str:
             v = table.get(s, t)
             if v is None or s > t:
                 cells.append(f"{'':>{width}}")
-            elif v >= pow_threshold:
+            elif v >= 10**6:
                 cells.append(f"{'10^%.1f' % np.log10(float(v)):>{width}}")
             else:
                 cells.append(f"{v:>{width}}")
@@ -279,10 +279,11 @@ def count_near_bent_completions(f: BooleanFunction) -> int:
 def near_bent_census(
     m: int,
     records: Optional[Sequence[ClassRecord]] = None,
-    config=None,
+    mem_limit: int = 2 << 30,
 ) -> NearBentCensus:
     """Weighted count of near-bent functions from the level-2 classification
-    of B(3,(m+1)/2,m)."""
+    of B(3,(m+1)/2,m), classified here (within mem_limit bytes) unless
+    given."""
     if m % 2 == 0:
         raise InvalidInputError("near-bent census needs odd m")
     d = (m + 1) // 2
@@ -292,7 +293,7 @@ def near_bent_census(
                 f"near-bent census for m={m} needs the classification of "
                 f"B(3,{d},{m}) passed in as records (long-run artifact)"
             )
-        records = classify_space(3, d, m, config)
+        records = classify_space(3, d, m, mem_limit)
     order = group_order(m)
     per_rep = []
     weighted = 0

@@ -26,14 +26,16 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from math import comb
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .bits import bits_of_hex, degree_mask, hex_of_bits, masks_of_degree, space_dimension
 from .bfcore import BooleanFunction, monomial_truth_table
 from .errors import (
+    DependencyMissingError,
     InternalConsistencyError,
     InvalidInputError,
     ResourceRefusedError,
@@ -42,13 +44,6 @@ from .group import AffineMap, SubgroupOracle, generators_stu, group_order, subst
 
 _UNSEEN = 255
 _BLOCK = 1 << 18
-
-
-@dataclass
-class OrbitConfig:
-    """Resource policy for orbit enumeration."""
-
-    mem_limit_bytes: int = 2 << 30
 
 
 @dataclass
@@ -73,9 +68,6 @@ class ClassRecord:
     def m(self) -> int:
         return self.rep.m
 
-    def orbit_size(self) -> int:
-        return group_order(self.m) // self.stab_order
-
     def to_line(self) -> str:
         # rep.anf has 2^m bits by construction, so no width check here
         width = max(1, (1 << self.m) // 4)
@@ -88,13 +80,14 @@ class ClassRecord:
         parts = line.split()
         if len(parts) < 4:
             raise InvalidInputError(f"malformed record line: {line!r}")
-        level = int(parts[0])
-        rep = BooleanFunction(m, anf=bits_of_hex(parts[1], 1 << m))
-        order = int(parts[2])
-        ngens = int(parts[3])
+        try:
+            level, order, ngens = int(parts[0]), int(parts[2]), int(parts[3])
+            rep = BooleanFunction(m, anf=bits_of_hex(parts[1], 1 << m))
+            gens = [AffineMap.parse(m, p) for p in parts[4:]]
+        except ValueError as err:
+            raise InvalidInputError(f"malformed record line ({err}): {line!r}") from None
         if len(parts) != 4 + ngens:
             raise InvalidInputError(f"record line announces {ngens} generators: {line!r}")
-        gens = [AffineMap.parse(m, p) for p in parts[4:]]
         return cls(level, rep, order, gens)
 
 
@@ -209,10 +202,21 @@ def estimate_orbit_bytes(dim: int) -> int:
     return 17 * (1 << dim) + 48 * _BLOCK + (64 << 20)
 
 
-def orbit_enumerate(
-    ctx: BoundaryAction,
-    config: Optional[OrbitConfig] = None,
-) -> List[OrbitSet]:
+def check_memory(m: int, t: int, target: int, mem_limit: int) -> None:
+    """Pre-flight of a descent from level t down to level target: refuse
+    before the first sweep if the boundary space of any level r in
+    (target, t] needs more than mem_limit bytes by estimate_orbit_bytes."""
+    for r in range(t, target, -1):
+        need = estimate_orbit_bytes(comb(m, r))
+        if need > mem_limit:
+            raise ResourceRefusedError(
+                f"level {r} needs a 2^{comb(m, r)}-element form space "
+                f"(~{need >> 20} MiB > limit {mem_limit >> 20} MiB); "
+                f"rerun with a higher --mem-limit on suitable hardware"
+            )
+
+
+def orbit_enumerate(ctx: BoundaryAction) -> List[OrbitSet]:
     """Partition the form space into orbits under the boundary action.
 
     One batched multi-seed BFS over a uint8 label array (255 = unseen).
@@ -227,14 +231,8 @@ def orbit_enumerate(
     k doubles up to 253 while a batch finds no orbit larger than 4096 forms
     and falls back to 1 after one that is, so spaces of many tiny orbits run
     in wide batches and spaces of a few huge ones as single-seed BFS.
+    Memory is not checked here: check_memory refuses a run up front.
     """
-    config = config or OrbitConfig()
-    need = estimate_orbit_bytes(ctx.dim)
-    if need > config.mem_limit_bytes:
-        raise ResourceRefusedError(
-            f"orbit enumeration over 2^{ctx.dim} forms needs about {need} bytes; "
-            f"limit is {config.mem_limit_bytes} (raise --mem-limit to allow)"
-        )
     space = 1 << ctx.dim
     labels = np.full(space, _UNSEEN, dtype=np.uint8)
     orbits: List[OrbitSet] = []
@@ -367,7 +365,7 @@ def generator_set(
 
     def elem_of(x: int) -> Tuple[bytes, bytes]:
         # R[x] and R[x]^-1 as padded permutation tables; R[child] = R[parent]
-        # * lam and R[child]^-1 = lam^-1 * R[parent]^-1, where compose(a, b)
+        # * lam and R[child]^-1 = lam^-1 * R[parent]^-1, where a.compose(b)
         # is b.table.translate(a.table).
         got = elem_cache.get(x)
         if got is None:
@@ -440,9 +438,13 @@ def verify_level_mass(records: Sequence[ClassRecord], k: int) -> None:
 def descend_iter(
     records: Sequence[ClassRecord],
     k: int,
-    config: Optional[OrbitConfig] = None,
 ) -> Iterator[Tuple[int, ClassRecord, List[ClassRecord]]]:
     """Yield (parent index, parent record, children) for one descent step.
+
+    k, the top degree t of the space, is not needed for one step: it is
+    kept so that descend_iter(records, k) takes the arguments of
+    descend(records, k), which does use it, and the benchmark in perfbench/
+    calls it in that form.
 
     An orbit of size 1 is fixed by the whole parent stabilizer <L>, so its
     child has <L> itself as stabilizer, and the harvest from it tries exactly
@@ -460,7 +462,6 @@ def descend_iter(
     r = records[0].level
     if r < 0:
         raise InvalidInputError("already at level -1; nothing to descend")
-    config = config or OrbitConfig()
     for idx, rec in enumerate(records):
         if rec.level != r:
             raise InvalidInputError("records from mixed levels")
@@ -468,7 +469,7 @@ def descend_iter(
         fixed_gens = list(rec.stab_gens) if rec.certified else None
         try:
             children = []
-            for orb in orbit_enumerate(ctx, config=config):
+            for orb in orbit_enumerate(ctx):
                 child_order = stab_order_from_class_formula(rec.stab_order, orb.size)
                 if orb.size == 1 and fixed_gens is not None:
                     gens = list(fixed_gens)
@@ -498,14 +499,10 @@ def _check_record_fix(rep: BooleanFunction, level: int, gens: Sequence[AffineMap
             )
 
 
-def descend(
-    records: Sequence[ClassRecord],
-    k: int,
-    config: Optional[OrbitConfig] = None,
-) -> List[ClassRecord]:
+def descend(records: Sequence[ClassRecord], k: int) -> List[ClassRecord]:
     """One full descent step with the mass check replayed on the output."""
     out: List[ClassRecord] = []
-    for _idx, _parent, children in descend_iter(records, k, config):
+    for _idx, _parent, children in descend_iter(records, k):
         out.extend(children)
     verify_level_mass(out, k)
     return out
@@ -517,33 +514,26 @@ def top_record(m: int, t: int) -> ClassRecord:
 
 
 def classify_levels(
-    s: int,
-    t: int,
-    m: int,
-    config: Optional[OrbitConfig] = None,
+    s: int, t: int, m: int, mem_limit: int = 2 << 30
 ) -> Iterator[Tuple[int, List[ClassRecord]]]:
     """Yield (s', classification of B(s',t,m) at level s'-1) for s' = t+1,
     t, ..., s, all from one descent: each item is the last one descended by
-    one level."""
+    one level.  check_memory runs against mem_limit (bytes) first."""
     if not (0 <= s <= m and t <= m):
         raise InvalidInputError(f"need 0 <= s <= m and t <= m, got s={s} t={t} m={m}")
     if s > t + 1:
         raise InvalidInputError(f"B({s},{t},{m}) with s > t+1 has no canonical start")
+    check_memory(m, t, s - 1, mem_limit)
     records = [top_record(m, t)]
     yield t + 1, records
     for r in range(t, s - 1, -1):
-        records = descend(records, t, config)
+        records = descend(records, t)
         yield r, records
 
 
-def classify_space(
-    s: int,
-    t: int,
-    m: int,
-    config: Optional[OrbitConfig] = None,
-) -> List[ClassRecord]:
+def classify_space(s: int, t: int, m: int, mem_limit: int = 2 << 30) -> List[ClassRecord]:
     """Complete classification of B(s,t,m) at level s-1, in t-s+1 descents."""
-    for _s, records in classify_levels(s, t, m, config):
+    for _s, records in classify_levels(s, t, m, mem_limit):
         pass
     return records
 
@@ -575,22 +565,30 @@ def write_level_file(path, records: Sequence[ClassRecord]) -> None:
 
 
 def read_level_file(path) -> List[ClassRecord]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# rmclass m="):
-            raise InvalidInputError(f"{path}: not a level file")
-        fields = dict(kv.split("=") for kv in header[2:].split() if "=" in kv)
-        m = int(fields["m"])
-        records = []
-        complete = None
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# complete"):
-                complete = int(line.split()[2])
-                break
-            records.append(ClassRecord.from_line(m, line))
+    """Records of a level file.  A missing file raises DependencyMissingError,
+    a malformed one InvalidInputError naming the file and line."""
+    records: List[ClassRecord] = []
+    complete = None
+    lineno = 1
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if not header.startswith("# rmclass m="):
+                raise InvalidInputError("not a level file")
+            fields = dict(kv.split("=", 1) for kv in header[2:].split() if "=" in kv)
+            m = int(fields["m"])
+            for lineno, line in enumerate(fh, 2):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("# complete"):
+                    complete = int(line.split()[2])
+                    break
+                records.append(ClassRecord.from_line(m, line))
+    except FileNotFoundError:
+        raise DependencyMissingError(f"{path}: no such level file") from None
+    except (OSError, ValueError, IndexError, InvalidInputError) as err:
+        raise InvalidInputError(f"{path}:{lineno}: {err}") from None
     if complete is None:
         raise InvalidInputError(f"{path}: missing completion marker (truncated run?)")
     if complete != len(records):

@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from math import comb
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,11 +28,10 @@ from .census import (
 )
 from .classify import (
     ClassRecord,
-    OrbitConfig,
+    check_memory,
     classify_levels,
     classify_space,
     descend_iter,
-    estimate_orbit_bytes,
     read_level_file,
     stab_histogram,
     top_record,
@@ -41,12 +39,7 @@ from .classify import (
     write_level_file,
 )
 from .covrad import covering_radius_bound
-from .errors import (
-    InternalConsistencyError,
-    InvalidInputError,
-    ResourceRefusedError,
-    RmclassError,
-)
+from .errors import InternalConsistencyError, InvalidInputError, RmclassError
 
 
 def _out_dir(args) -> Path:
@@ -168,20 +161,10 @@ def cmd_classify(args) -> int:
     target = args.to_level if args.to_level is not None else s - 1
     if not (s - 1 <= target <= t):
         raise InvalidInputError(f"--to-level must lie in [{s - 1}, {t}]")
-    config = OrbitConfig(mem_limit_bytes=args.mem_limit * (1 << 20))
+    check_memory(m, t, target, args.mem_limit << 20)
     out = _out_dir(args)
     manifest_path = out / "manifest.txt"
     ckpt = _Checkpoint(out / "checkpoint.txt")
-
-    # pre-flight: every boundary space this run will touch
-    for r in range(t, target, -1):
-        need = estimate_orbit_bytes(comb(m, r))
-        if need > config.mem_limit_bytes:
-            raise ResourceRefusedError(
-                f"level {r} needs a 2^{comb(m, r)}-element form space "
-                f"(~{need >> 20} MiB > limit {args.mem_limit} MiB); "
-                f"rerun with a higher --mem-limit on suitable hardware"
-            )
 
     settings = {
         "artifact": f"rmclass {__version__}",
@@ -235,7 +218,7 @@ def cmd_classify(args) -> int:
             else:
                 ckpt.start(m, level - 1)
             t0 = time.time()
-            for idx, parent, children in descend_iter(parents[start_at:], t, config):
+            for idx, parent, children in descend_iter(parents[start_at:], t):
                 real_idx = start_at + idx
                 out_records.extend(children)
                 inherited += _count_inherited(parent, children)
@@ -276,23 +259,27 @@ def _count_inherited(parent: ClassRecord, children: Sequence[ClassRecord]) -> in
 # -- count / dual-check --------------------------------------------------------
 
 
-def _class_counts(cells, m: int, config) -> Dict[Tuple[int, int], int]:
+def _class_counts(cells, m: int, mem_limit: int) -> Dict[Tuple[int, int], int]:
     """n(s,t,m) of every cell by classification: one descent per t, down to
-    the lowest s asked for at that t."""
+    the lowest s asked for at that t.  Every descent's memory is checked
+    before the first one starts."""
     lowest: Dict[int, int] = {}
     for s, t in cells:
+        if not (0 <= s and t <= m):
+            raise InvalidInputError(f"cell ({s},{t}) needs 0 <= s and t <= m={m}")
         if s > t + 1:
             raise InvalidInputError(f"B({s},{t},{m}) with s > t+1 has no canonical start")
         lowest[t] = min(s, lowest.get(t, s))
+    for t, s_low in lowest.items():
+        check_memory(m, t, s_low - 1, mem_limit)
     counts = {}
     for t, s_low in lowest.items():
-        for s, records in classify_levels(s_low, t, m, config):
+        for s, records in classify_levels(s_low, t, m, mem_limit):
             counts[s, t] = len(records)
     return counts
 
 
 def cmd_count(args) -> int:
-    config = OrbitConfig(mem_limit_bytes=args.mem_limit * (1 << 20))
     cells = [(args.s, args.t)] if not args.all_cells else [
         (s, t) for s in range(args.m + 1) for t in range(s, args.m + 1)
     ]
@@ -300,7 +287,7 @@ def cmd_count(args) -> int:
         raise InvalidInputError("count needs --s and --t (or --all-cells)")
     classified = None
     if args.method in ("classify", "both"):
-        classified = _class_counts(cells, args.m, config)
+        classified = _class_counts(cells, args.m, args.mem_limit << 20)
     rows = []
     for s, t in cells:
         by = {}
@@ -341,15 +328,19 @@ def dual_default_cells(m: int) -> List[tuple]:
 
 
 def cmd_dual_check(args) -> int:
-    config = OrbitConfig(mem_limit_bytes=args.mem_limit * (1 << 20))
     if args.cells:
         cells = []
         for part in args.cells.split(";"):
-            s, t = part.split(",")
-            cells.append((int(s), int(t)))
+            try:
+                s, t = part.split(",")
+                cells.append((int(s), int(t)))
+            except ValueError:
+                raise InvalidInputError(
+                    f"--cells wants 's,t' pairs separated by ';', got {part!r}"
+                ) from None
     else:
         cells = dual_default_cells(args.m)
-    classified = _class_counts(cells, args.m, config)
+    classified = _class_counts(cells, args.m, args.mem_limit << 20)
     table = ClassCountTable(args.m)
     for s, t in cells:
         table.set(s, t, classified[s, t])
@@ -370,8 +361,7 @@ def cmd_dual_check(args) -> int:
 
 def cmd_nearbent(args) -> int:
     records = read_level_file(args.reps) if args.reps else None
-    config = OrbitConfig(mem_limit_bytes=args.mem_limit * (1 << 20))
-    census = near_bent_census(args.m, records, config)
+    census = near_bent_census(args.m, records, args.mem_limit << 20)
     for pr in census.per_rep:
         print(f"nearbent-rep {pr.rep.anf_hex()} {pr.n_quadratics} {pr.orbit_size}")
     print(f"nearbent-valuation2-count {census.weighted_sum}")
@@ -389,19 +379,20 @@ def cmd_nearbent(args) -> int:
 def cmd_distance(args) -> int:
     if args.reps:
         records = read_level_file(args.reps)
-        m = records[0].m
     elif args.function is not None:
         if args.m is None:
             raise InvalidInputError("--function needs --m")
-        m = args.m
-        f = BooleanFunction(m, anf=int(args.function, 16))
-        records = [ClassRecord(-1, f, 1, [])]
+        try:
+            anf = int(args.function, 16)
+        except ValueError:
+            raise InvalidInputError(
+                f"--function wants an ANF in hex, got {args.function!r}"
+            ) from None
+        records = [ClassRecord(-1, BooleanFunction(args.m, anf=anf), 1, [])]
     elif args.s is not None and args.t is not None:
         if args.m is None:
             raise InvalidInputError("classifying first needs --m")
-        m = args.m
-        config = OrbitConfig(mem_limit_bytes=args.mem_limit * (1 << 20))
-        records = classify_space(args.s, args.t, m, config)
+        records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
         raise InvalidInputError("give --reps FILE, --function ANFHEX, or --s/--t")
     report = covering_radius_bound(
@@ -427,8 +418,7 @@ def cmd_stab_hist(args) -> int:
     if args.records:
         records = read_level_file(args.records)
     elif args.s is not None and args.t is not None and args.m is not None:
-        config = OrbitConfig(mem_limit_bytes=args.mem_limit * (1 << 20))
-        records = classify_space(args.s, args.t, args.m, config)
+        records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
         raise InvalidInputError("give --records FILE or --m/--s/--t")
     hist = stab_histogram(records)
@@ -454,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, seed_required=False):
         sp.add_argument("--out", help="output directory (default $RMCLASS_OUT or ./rmclass-runs)")
         sp.add_argument("--mem-limit", type=int, default=2048, help="memory budget in MiB")
-        sp.add_argument("--verbose", action="store_true")
         if seed_required:
             sp.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
 
@@ -464,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--to-level", type=int, default=None)
     sp.add_argument("--resume", action="store_true")
+    sp.add_argument("--verbose", action="store_true", help="progress lines on stderr")
     common(sp)
     sp.set_defaults(func=cmd_classify)
 

@@ -100,7 +100,6 @@ class TrialReport:
     best: int
     threshold: int
     hit: bool
-    seed: Optional[int] = None
 
 
 def distance(
@@ -108,17 +107,16 @@ def distance(
     G: GeneratorMatrix,
     threshold: int,
     max_iter: int = MAX_ITER_DEFAULT,
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
+    *,
+    rng: np.random.Generator,
 ) -> TrialReport:
-    """Randomized search for a word of weight <= threshold in the coset f+C.
+    """Randomized search for a word of weight <= threshold in the coset f+C,
+    drawing every random choice from rng.
 
     Each trial substitutes a random affine map into f, re-pivots G at random
     and reduces; the best weight seen certifies an upper bound on the coset
     minimum weight of f's whole orbit.  Never a lower bound.
     """
-    if rng is None:
-        rng = stream(seed if seed is not None else 0)
     m = f.m
     score = G.n
     trials = 0
@@ -129,12 +127,13 @@ def distance(
         if w < score:
             score = w
         trials += 1
-    return TrialReport(trials, score, threshold, score <= threshold, seed)
+    return TrialReport(trials, score, threshold, score <= threshold)
 
 
 def exact_coset_min_weight(f: BooleanFunction, r: int, m: int) -> int:
-    """Minimum weight of f + RM(r,m) by enumerating all codewords (Gray
-    order); refused when the code dimension exceeds 28."""
+    """Minimum weight of f + RM(r,m) by enumerating all 2^k codewords: the
+    span of the first min(k, 20) rows is one numpy block, XORed with each
+    word of a Gray walk over the other rows; refused when k exceeds 28."""
     if f.m != m:
         raise InvalidInputError("function does not live on m variables")
     k = space_dimension(m, 0, r)
@@ -143,24 +142,8 @@ def exact_coset_min_weight(f: BooleanFunction, r: int, m: int) -> int:
             f"RM({r},{m}) has dimension {k} > 28; full coset enumeration refused"
         )
     rows = rm_generator_matrix(r, m).rows
-    if k <= 20:
-        best = f.truth_table.bit_count()
-        c = f.truth_table
-        for i in range(1, 1 << k):
-            c ^= rows[(i & -i).bit_length() - 1]
-            w = c.bit_count()
-            if w < best:
-                best = w
-        return best
-    return _exact_min_weight_big(f, rows, m)
-
-
-def _exact_min_weight_big(f: BooleanFunction, rows: List[int], m: int) -> int:
-    """Same enumeration with a vectorized 2^20 block and an outer Gray walk."""
-    n = 1 << m
-    words = (n + 63) // 64
-    base_bits = 20
-    lo_rows, hi_rows = rows[:base_bits], rows[base_bits:]
+    words = ((1 << m) + 63) // 64
+    lo_rows, hi_rows = rows[:20], rows[20:]
 
     def to_words(value: int) -> np.ndarray:
         return np.array(
@@ -210,8 +193,6 @@ class CoverReport:
     m: int
     r: int
     threshold: int
-    max_iter: int
-    seed: int
     reports: List[TrialReport]
     certified: bool
     mean_trials: float
@@ -251,15 +232,13 @@ def covering_radius_bound(
     for i, rec in enumerate(records):
         G = base.copy()
         rng = stream(seed, i)
-        reports.append(distance(rec.rep, G, threshold, max_iter, rng, seed=seed))
+        reports.append(distance(rec.rep, G, threshold, max_iter, rng=rng))
     trials = np.array([rep.trials for rep in reports], dtype=np.float64)
     certified = all(rep.hit for rep in reports)
     return CoverReport(
         m,
         r,
         threshold,
-        max_iter,
-        seed,
         reports,
         certified,
         float(trials.mean()),

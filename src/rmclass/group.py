@@ -6,12 +6,12 @@ single C-level bytes.translate, which is what keeps the Schreier machinery
 cheap.  The matrix rows and the translation are recovered from the
 permutation when needed.
 
-Composition convention: compose(s, t) is "s then t" in the sense of the
-right action on functions,
+Composition convention: s.compose(t) (also s * t) is "s then t" in the
+sense of the right action on functions,
 
-    act(f, compose(s, t)) = act(act(f, s), t),
+    act(f, s.compose(t)) = act(act(f, s), t),
 
-equivalently compose(s, t).point_map[x] = s.point_map[t.point_map[x]].
+equivalently s.compose(t).pmap[x] = s.pmap[t.pmap[x]].
 """
 
 from __future__ import annotations
@@ -148,18 +148,6 @@ class AffineMap:
         return cls.from_matrix(m, rows, values[m])
 
 
-def identity(m: int) -> AffineMap:
-    return AffineMap.identity(m)
-
-
-def compose(s: AffineMap, t: AffineMap) -> AffineMap:
-    return s.compose(t)
-
-
-def inverse(s: AffineMap) -> AffineMap:
-    return s.inverse()
-
-
 def group_order(m: int) -> int:
     """|AGL(m,2)| = 2^m prod_{i<m} (2^m - 2^i)."""
     if m < 1:
@@ -238,11 +226,6 @@ class SubgroupOracle:
     def contains_perm(self, perm: bytes) -> bool:
         residue, _ = self._strip(perm)
         return residue == self._id
-
-    def contains(self, s: AffineMap) -> bool:
-        return self.contains_perm(_pad256(s.pmap))
-
-    __contains__ = contains
 
     def add(self, s: AffineMap) -> bool:
         """Add a generator; returns True if the group grew."""

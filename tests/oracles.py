@@ -7,10 +7,12 @@ tables) so that agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from rmclass.bfcore import BooleanFunction
 from rmclass.bits import hex_of_bits
+from rmclass.errors import InvalidInputError
 from rmclass.group import AffineMap, enumerate_agl
 
 
@@ -74,6 +76,63 @@ def reduce_anf(anf: int, m: int, r: int) -> int:
         if s.bit_count() > r and (anf >> s) & 1:
             out |= 1 << s
     return out
+
+
+def degree(f: BooleanFunction) -> int:
+    """Largest |S| with a_S = 1; -1 for the zero function."""
+    a = f.anf
+    best = -1
+    while a:
+        low = a & -a
+        best = max(best, (low.bit_length() - 1).bit_count())
+        a ^= low
+    return best
+
+
+def valuation(f: BooleanFunction) -> float:
+    """Smallest |S| with a_S = 1; +infinity for the zero function."""
+    a = f.anf
+    if a == 0:
+        return math.inf
+    best = f.m + 1
+    while a:
+        low = a & -a
+        best = min(best, (low.bit_length() - 1).bit_count())
+        a ^= low
+    return best
+
+
+def inner_product(f: BooleanFunction, g: BooleanFunction) -> int:
+    """Parity of sum_x f(x) g(x)."""
+    if f.m != g.m:
+        raise InvalidInputError("inner product needs functions on the same m")
+    return (f.truth_table & g.truth_table).bit_count() & 1
+
+
+def complement_transform(f: BooleanFunction) -> BooleanFunction:
+    """Send every monomial X_S to X_{complement of S}; an involution.
+
+    Maps B(s,t,m) onto B(m-t,m-s,m).
+    """
+    full = (1 << f.m) - 1
+    a = f.anf
+    out = 0
+    while a:
+        low = a & -a
+        mask = low.bit_length() - 1
+        out |= 1 << (full ^ mask)
+        a ^= low
+    return BooleanFunction(f.m, anf=out)
+
+
+def coset_min_weight_by_gray_walk(tt: int, rows) -> int:
+    """Minimum weight of tt plus the span of rows, one codeword at a time in
+    Gray order (2^len(rows) steps)."""
+    best, c = tt.bit_count(), tt
+    for i in range(1, 1 << len(rows)):
+        c ^= rows[(i & -i).bit_length() - 1]
+        best = min(best, c.bit_count())
+    return best
 
 
 def orbit_partition_bruteforce(s: int, t: int, m: int):

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmclass.bfcore import BooleanFunction, reduce_mod_rm
-from rmclass.bits import hex_of_bits
+from rmclass.bfcore import BooleanFunction
+from rmclass.bits import degree_mask, hex_of_bits
 from rmclass.classify import (
     BoundaryAction,
     ClassRecord,
-    OrbitConfig,
+    check_memory,
     classify_levels,
     classify_space,
     descend,
@@ -31,7 +31,6 @@ from rmclass.classify import (
 from rmclass.errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
 from rmclass.group import (
     act,
-    compose,
     generators_stu,
     group_order,
     random_affine,
@@ -41,9 +40,12 @@ from rmclass.rng import stream
 
 from oracles import (
     boundary_act,
+    degree,
     orbit_partition_by_action,
     orbit_partition_bruteforce,
+    reduce_anf,
     stabilizer_order_bruteforce,
+    valuation,
 )
 
 X = lambda *vars_: sum(1 << (v - 1) for v in vars_)
@@ -91,7 +93,7 @@ def test_boundary_action_law_with_nonzero_rep():
         g2 = rec.stab_gens[int(rng.integers(len(rec.stab_gens)))]
         u = int(rng.integers(0, 1 << ctx.dim))
         assert boundary_act(boundary_act(u, g1, ctx), g2, ctx) == boundary_act(
-            u, compose(g1, g2), ctx
+            u, g1.compose(g2), ctx
         )
 
 
@@ -102,7 +104,7 @@ def test_boundary_action_rejects_non_stabilizer():
     bad = None
     for _ in range(200):
         g = random_affine(m, rng)
-        if reduce_mod_rm(act(f, g) + f, 1).anf != 0:
+        if (act(f, g).anf ^ f.anf) & degree_mask(m, 2, m):
             bad = g
             break
     assert bad is not None
@@ -210,10 +212,21 @@ def test_orbit_sweep_memory_under_estimate():
 
 
 def test_orbit_memory_refusal():
-    ctx = BoundaryAction(BooleanFunction.zero(5), 2, generators_stu(5))
+    # one pre-flight for the whole run, before any sweep: the first level
+    # over the limit is named (descending from level 4, level 3 with its
+    # C(5,3) = 10-dimensional forms), with its estimate and the limit in MiB
+    need = estimate_orbit_bytes(10)
     with pytest.raises(ResourceRefusedError) as err:
-        orbit_enumerate(ctx, config=OrbitConfig(mem_limit_bytes=16))
-    assert "bytes" in str(err.value)
+        check_memory(5, 4, 1, need - 1)
+    assert str(err.value).startswith(
+        f"level 3 needs a 2^10-element form space (~{need >> 20} MiB > limit "
+    )
+    check_memory(5, 4, 1, need)
+    check_memory(5, 1, 1, 0)  # no level to descend through
+    with pytest.raises(ResourceRefusedError):
+        next(classify_levels(2, 4, 5, mem_limit=need - 1))
+    with pytest.raises(ResourceRefusedError):
+        classify_space(2, 2, 5, mem_limit=need - 1)
 
 
 # -- class formula and generator harvesting ---------------------------------------
@@ -385,15 +398,15 @@ def test_classify_space_degenerate_start():
 def test_representatives_inside_their_space():
     for s, t, m in [(2, 4, 4), (1, 3, 4), (0, 3, 3)]:
         for rec in classify_space(s, t, m):
-            assert rec.rep.degree() <= t
-            assert rec.rep.valuation() >= s
+            assert degree(rec.rep) <= t
+            assert valuation(rec.rep) >= s
             assert rec.level == s - 1
 
 
 def test_every_generator_fixes_representative_at_level():
     for rec in classify_space(1, 4, 4):
         for g in rec.stab_gens:
-            assert reduce_mod_rm(act(rec.rep, g) + rec.rep, rec.level).anf == 0
+            assert reduce_anf(act(rec.rep, g).anf ^ rec.rep.anf, 4, rec.level) == 0
 
 
 def test_against_bruteforce_partition_m3():

@@ -5,7 +5,12 @@ import pytest
 
 import rmclass.cli as cli
 from rmclass.classify import BoundaryAction, classify_space, read_level_file, top_record
-from rmclass.errors import InternalConsistencyError, InvalidInputError
+from rmclass.errors import (
+    DependencyMissingError,
+    InternalConsistencyError,
+    InvalidInputError,
+    ResourceRefusedError,
+)
 
 
 def run(*argv):
@@ -93,12 +98,27 @@ def test_classify_resume_rejects_mismatched_args(tmp_path):
     assert code == InvalidInputError.exit_code
 
 
-def test_classify_memory_refusal(tmp_path):
-    from rmclass.errors import ResourceRefusedError
-
+def test_classify_memory_refusal(tmp_path, capsys):
     code = run("classify", "--m", 7, "--s", 3, "--t", 4, "--out", tmp_path / "r",
                "--mem-limit", 64)
     assert code == ResourceRefusedError.exit_code
+    err = capsys.readouterr().err
+    assert "level 4 needs a 2^35-element form space" in err and "MiB > limit 64 MiB" in err
+
+
+def test_count_memory_refusal_before_first_sweep(tmp_path, capsys, monkeypatch):
+    # the same pre-flight refuses B(4,7,7) at level 4 (dimension 35) before
+    # levels 7, 6 and 5 are descended
+    import rmclass.classify as classify
+
+    def no_sweep(ctx):
+        raise AssertionError("swept before the pre-flight refused")
+
+    monkeypatch.setattr(classify, "orbit_enumerate", no_sweep)
+    code = run("count", "--m", 7, "--s", 4, "--t", 7, "--method", "classify", "--out", tmp_path)
+    assert code == ResourceRefusedError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error (ResourceRefusedError): level 4 needs a 2^35-element form space")
 
 
 def test_count_both_methods(tmp_path, capsys):
@@ -199,6 +219,67 @@ def test_stab_hist_cli(tmp_path, capsys):
 def test_seed_is_mandatory_for_distance(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run("distance", "--m", 5, "--r", 1, "--threshold", 2, "--out", tmp_path)
+
+
+def test_verbose_is_a_classify_flag(tmp_path, capsys):
+    assert run("classify", "--m", 3, "--s", 2, "--t", 2, "--out", tmp_path, "--verbose") == 0
+    assert "level 1: parent 1/1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("count", "--m", 3, "--s", 2, "--t", 3, "--verbose")
+    assert exc.value.code == 2
+
+
+_BAD_LEVEL_FILES = {
+    "anf": "# rmclass m=4 level=1\n1 zz 2 0\n# complete 1\n",
+    "order": "# rmclass m=4 level=1\n1 0080 x 0\n# complete 1\n",
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dual-check", "--m", 5, "--cells", "2"], InvalidInputError.exit_code),
+    (["dual-check", "--m", 5, "--cells", "2,x"], InvalidInputError.exit_code),
+    (["distance", "--m", 5, "--r", 1, "--function", "zz", "--threshold", 2, "--seed", 1],
+     InvalidInputError.exit_code),
+    (["stab-hist", "--records", "{anf}"], InvalidInputError.exit_code),
+    (["stab-hist", "--records", "{order}"], InvalidInputError.exit_code),
+    (["nearbent", "--m", 5, "--reps", "{anf}"], InvalidInputError.exit_code),
+    (["distance", "--r", 1, "--reps", "{order}", "--threshold", 2, "--seed", 1],
+     InvalidInputError.exit_code),
+    (["distance", "--r", 1, "--reps", "{missing}", "--threshold", 2, "--seed", 1],
+     DependencyMissingError.exit_code),
+    (["nearbent", "--m", 5, "--reps", "{missing}"], DependencyMissingError.exit_code),
+    (["stab-hist", "--records", "{missing}"], DependencyMissingError.exit_code),
+])
+def test_outside_input_exits_without_traceback(tmp_path, capsys, argv, code):
+    # malformed arguments and level files exit 2, a missing file 3, each
+    # with a one-line error; a level file's error names the file and line
+    paths = {"missing": tmp_path / "absent.txt"}
+    for name, text in _BAD_LEVEL_FILES.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    argv = [str(a).format(**paths) for a in argv] + ["--out", str(tmp_path)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error (")
+    for name in _BAD_LEVEL_FILES:
+        if str(paths[name]) in argv:
+            assert f"{paths[name]}:2: " in err
+
+
+def test_resume_redoes_a_corrupt_level_file(tmp_path):
+    # a level file whose record does not parse is treated as absent
+    fresh = tmp_path / "fresh"
+    assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", fresh) == 0
+    out = tmp_path / "run"
+    shutil.copytree(fresh, out)
+    lines = (out / "level_2.txt").read_text().splitlines(keepends=True)
+    fields = lines[1].split(" ")
+    fields[1] = "zz"  # the representative's ANF
+    lines[1] = " ".join(fields)
+    (out / "level_2.txt").write_text("".join(lines))
+    assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", out, "--resume") == 0
+    for r in (3, 2, 1):
+        assert (out / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch, capsys):

@@ -17,6 +17,8 @@ from rmclass.errors import InvalidInputError, ResourceRefusedError
 from rmclass.group import act, random_affine
 from rmclass.rng import stream
 
+from oracles import coset_min_weight_by_gray_walk
+
 X = lambda *vars_: sum(1 << (v - 1) for v in vars_)
 
 BENT_M5 = BooleanFunction(5, anf=(1 << X(1, 2)) ^ (1 << X(3, 4)) ^ (1 << X(5)))
@@ -116,7 +118,7 @@ def test_exact_min_weight_of_codewords_is_zero():
 def test_exact_min_weight_bent_case():
     assert exact_coset_min_weight(BENT_M5, 1, 5) == 12
     # cross-check through the spectrum: distance to RM(1,5) = (32 - max|W|)/2
-    spectral = (32 - max(abs(v) for v in walsh(BENT_M5).values)) // 2
+    spectral = (32 - max(abs(v) for v in walsh(BENT_M5))) // 2
     assert spectral == 12
 
 
@@ -135,12 +137,24 @@ def test_exact_min_weight_orbit_invariance():
 
 
 def test_big_enumeration_path_matches_small():
-    # force the vectorized 2^20-block route and compare against Gray scan
-    f = BENT_M5
-    from rmclass.covrad import _exact_min_weight_big
-
-    rows = rm_generator_matrix(1, 5).rows
-    assert _exact_min_weight_big(f, rows, 5) == 12
+    # the block enumeration against a plain Gray walk over all codewords,
+    # for codes of dimension 1 to 16 (all rows in the block)
+    rng = stream(61)
+    bent_rows = rm_generator_matrix(1, 5).rows
+    assert coset_min_weight_by_gray_walk(BENT_M5.truth_table, bent_rows) == 12
+    for r, m in [(0, 3), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5), (1, 6), (1, 7)]:
+        rows = rm_generator_matrix(r, m).rows
+        for _ in range(3):
+            tt = int.from_bytes(rng.bytes(16), "little") >> (128 - (1 << m))
+            exact = exact_coset_min_weight(BooleanFunction(m, truth_table=tt), r, m)
+            assert exact == coset_min_weight_by_gray_walk(tt, rows)
+    # RM(2,6) has dimension 22: 2^20 words in the block, a walk over the
+    # other 2; a codeword has weight 0, and a codeword with one point
+    # flipped weight 1 (the minimum distance is 16)
+    rows = rm_generator_matrix(2, 6).rows
+    word = rows[0] ^ rows[5] ^ rows[20] ^ rows[21]
+    assert exact_coset_min_weight(BooleanFunction(6, truth_table=word), 2, 6) == 0
+    assert exact_coset_min_weight(BooleanFunction(6, truth_table=word ^ (1 << 37)), 2, 6) == 1
 
 
 # -- randomized search ------------------------------------------------------------------
@@ -187,7 +201,7 @@ def test_covering_radius_rm1_m5_from_classes():
     # sweep in acceptance criterion 8 finds.
     records = classify_space(2, 5, 5)
     assert len(records) == 48
-    assert max((32 - int(abs(walsh(rec.rep).values).max())) // 2 for rec in records) == 12
+    assert max((32 - int(abs(walsh(rec.rep)).max())) // 2 for rec in records) == 12
 
 
 def test_covering_radius_bound_report():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from rmclass.census import near_bent_census
-from rmclass.classify import OrbitConfig, classify_space, read_level_file, stab_histogram
+from rmclass.classify import classify_space, read_level_file, stab_histogram
 from rmclass.covrad import covering_radius_bound
 
 STRETCH = os.environ.get("RMCLASS_STRETCH") == "1"
@@ -26,7 +26,7 @@ pytestmark = pytest.mark.skipif(
     not STRETCH, reason="stretch reproduction; set RMCLASS_STRETCH=1 to run"
 )
 
-BIG = OrbitConfig(mem_limit_bytes=64 << 30)
+BIG = 64 << 30  # memory limit in bytes
 
 
 def _records(name, builder):
