@@ -298,6 +298,8 @@ def near_bent_census(
     per_rep = []
     weighted = 0
     for rec in records:
+        if rec.m != m:
+            raise InvalidInputError(f"records are for m={rec.m}, not m={m}")
         if rec.level != 2:
             raise InvalidInputError("records are not a level-2 classification")
         n_q = count_near_bent_completions(rec.rep)

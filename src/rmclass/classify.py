@@ -18,7 +18,10 @@ byte-sliced XOR lookup tables, forward only: the Schreier transversal walks
 stored parent pointers instead of inverting the action.  Phase 1 is one
 sweep over a 1-byte label per form: a batched multi-seed BFS that expands up
 to 253 seeds' waves together, a few array operations per generator and BFS
-level, and joins waves that meet in a union-find over the batch.
+level, and joins waves that meet in a union-find over the batch.  A space of
+at most 253 forms is a single batch with every form as a seed, closed in one
+BFS level.  Phase 2's stabilizer chain knows the order it is building, and
+stops closing once its orbits reach it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -169,6 +173,8 @@ class BoundaryAction:
 
     def apply_block(self, arr: np.ndarray, gi: int) -> np.ndarray:
         tables = self._np_fwd[gi]
+        if len(tables) == 1:  # dim <= 8: the forms index the one table
+            return tables[0].take(arr)
         by_byte = np.ascontiguousarray(arr, dtype="<i8").view(np.uint8).reshape(-1, 8)
         acc = tables[0].take(by_byte[:, 0])
         for c in range(1, len(tables)):
@@ -205,13 +211,15 @@ def estimate_orbit_bytes(dim: int) -> int:
 def check_memory(m: int, t: int, target: int, mem_limit: int) -> None:
     """Pre-flight of a descent from level t down to level target: refuse
     before the first sweep if the boundary space of any level r in
-    (target, t] needs more than mem_limit bytes by estimate_orbit_bytes."""
+    (target, t] needs more than mem_limit bytes by estimate_orbit_bytes.
+    The message rounds the estimate up and the limit down to whole MiB, so
+    the one printed is always the larger."""
     for r in range(t, target, -1):
         need = estimate_orbit_bytes(comb(m, r))
         if need > mem_limit:
             raise ResourceRefusedError(
                 f"level {r} needs a 2^{comb(m, r)}-element form space "
-                f"(~{need >> 20} MiB > limit {mem_limit >> 20} MiB); "
+                f"(~{-(-need >> 20)} MiB > limit {mem_limit >> 20} MiB); "
                 f"rerun with a higher --mem-limit on suitable hardware"
             )
 
@@ -228,15 +236,19 @@ def orbit_enumerate(ctx: BoundaryAction) -> List[OrbitSet]:
     orbit minimum is one of the batch's seeds: seeds come out as the
     numerically smallest member of each orbit, in increasing order.
 
-    k doubles up to 253 while a batch finds no orbit larger than 4096 forms
-    and falls back to 1 after one that is, so spaces of many tiny orbits run
-    in wide batches and spaces of a few huge ones as single-seed BFS.
-    Memory is not checked here: check_memory refuses a run up front.
+    A space of at most 253 forms is one batch with every form as a seed:
+    its waves close in one BFS level, one apply_block and at most one join
+    per generator.  In a larger space k starts at 1 and doubles up to 253
+    while a batch finds no orbit larger than 4096 forms, and falls back to 1
+    after one that is, so spaces of many tiny orbits run in wide batches and
+    spaces of a few huge ones as single-seed BFS.  Memory is not checked
+    here: check_memory refuses a run up front.
     """
     space = 1 << ctx.dim
     labels = np.full(space, _UNSEEN, dtype=np.uint8)
     orbits: List[OrbitSet] = []
-    scan, k, total = 0, 1, 0
+    scan, total = 0, 0
+    k = space if space <= _MAX_BATCH else 1
     while total < space:
         seeds = _next_unseen(labels, scan, k)
         if not seeds.size:
@@ -288,16 +300,20 @@ def _sweep_batch(ctx: BoundaryAction, labels: np.ndarray, seeds: np.ndarray) -> 
                 imgs = ctx.apply_block(frontier[lo : lo + _BLOCK], gi)
                 got = labels[imgs]
                 fresh = got == _UNSEEN
-                new = imgs.compress(fresh)
                 if k > 1:
                     mine = src[lo : lo + _BLOCK]
-                    meet = (got != mine) & ~fresh
+                    meet = got != mine
+                    if fresh.any():
+                        meet &= ~fresh
+                        new = imgs.compress(fresh)
+                        labels[new] = mine.compress(fresh)
+                        parts.append(new)
                     if meet.any():
                         rep = _join(rep, rep[mine.compress(meet)], rep[got.compress(meet)])
-                    labels[new] = mine.compress(fresh)
                 else:
+                    new = imgs.compress(fresh)
                     labels[new] = 0
-                parts.append(new)
+                    parts.append(new)
         frontier = np.concatenate(parts) if parts else seeds[:0]
     roots = rep.tolist()
     sizes = [0] * k
@@ -349,14 +365,16 @@ def generator_set(
     as (generator index, parent form) per visited form.  Every already-seen
     edge (x, lam) yields the candidate R[x] * lam * R[x o lam]^-1, which
     fixes u; candidates not already inside the harvested subgroup are kept,
-    and the sweep stops as soon as the subgroup order matches s_u.
+    and the sweep stops as soon as the subgroup order matches s_u.  The
+    chain is told s_u, so the closure after the last kept candidate stops
+    once the chain's orbits reach that order (see SubgroupOracle).
     """
     if list(L) != ctx.gens:
         raise InvalidInputError("generator list does not match the action context")
     if s_u == 1:
         return []
     m = ctx.m
-    oracle = SubgroupOracle(m)
+    oracle = SubgroupOracle(m, s_u)
     harvested: List[AffineMap] = []
     visited: Dict[int, Tuple[int, int]] = {u: (-1, u)}  # the walk stops at u
     queue = deque([u])
@@ -509,8 +527,21 @@ def descend(records: Sequence[ClassRecord], k: int) -> List[ClassRecord]:
 
 
 def top_record(m: int, t: int) -> ClassRecord:
-    """The starting point: the zero class at level t, stabilized by everything."""
-    return ClassRecord(t, BooleanFunction.zero(m), group_order(m), generators_stu(m))
+    """The starting point: the zero class at level t, stabilized by everything.
+    It is certified by _stu_generates_agl, one chain per m."""
+    rec = ClassRecord(t, BooleanFunction.zero(m), group_order(m), generators_stu(m))
+    rec.certified = _stu_generates_agl(m)
+    return rec
+
+
+@lru_cache(maxsize=None)
+def _stu_generates_agl(m: int) -> bool:
+    """Whether S, T, U generate AGL(m,2), by one stabilizer chain closed up
+    to the known order |AGL(m,2)|, which bounds <S,T,U> from above."""
+    oracle = SubgroupOracle(m, group_order(m))
+    for g in generators_stu(m):
+        oracle.add(g)
+    return oracle.order() == group_order(m)
 
 
 def classify_levels(

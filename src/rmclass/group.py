@@ -17,7 +17,7 @@ equivalently s.compose(t).pmap[x] = s.pmap[t.pmap[x]].
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -191,21 +191,34 @@ def act(f: BooleanFunction, s: AffineMap) -> BooleanFunction:
 
 
 class SubgroupOracle:
-    """Exact order and membership for a subgroup of AGL(m,2) given by
+    """Exact order and membership for a subgroup H of AGL(m,2) given by
     generators, via a stabilizer chain over the 2^m points.
 
     Internally permutations are 256-byte tables (identity tail) so that all
-    products are bytes.translate calls.  A generator assigned to level l
-    fixes the first l base points, hence also acts at every level i <= l;
-    orbits are maintained incrementally under that nested visibility.
+    products are bytes.translate calls.  Level l keeps its base point, its
+    transversal and the inverses (point -> element mapping the base there),
+    and the generators visible at it: a residue assigned to level l fixes the
+    first l base points, so it joins the lists of levels 0..l.  Orbits grow
+    incrementally under each new visible generator.
+
+    known_order, if given, is the order of a group known to contain every
+    generator added.  Each orbit found is part of a basic orbit of H, so the
+    product P of the orbit lengths is at most |H| <= known_order.  When P
+    reaches known_order, H is that group, the orbits are its basic orbits and
+    sifting decides membership exactly, so _add_perm stops closing there:
+    the known-order Schreier-Sims of Seress, Permutation Group Algorithms
+    (2003), ch. 4.  Without known_order, as in subgroup_order, every
+    closure is full.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, known_order: Optional[int] = None):
         self.m = m
         self.n = 1 << m
-        self._id = _PAD
-        # per level: base point, {point: transversal}, {point: inverse}, [gens]
-        self._levels: List[dict] = []
+        self._known = known_order
+        self._bases: List[int] = []
+        self._trans: List[Dict[int, bytes]] = []
+        self._invs: List[Dict[int, bytes]] = []
+        self._gens: List[List[bytes]] = []
         self._order = 1
 
     def order(self) -> int:
@@ -214,18 +227,18 @@ class SubgroupOracle:
     def _strip(self, perm: bytes, start: int = 0):
         """Sift through the chain from level start on (perm must fix the
         earlier base points); returns (residue, deepest level reached)."""
-        for i in range(start, len(self._levels)):
-            lv = self._levels[i]
-            u_inv = lv["inv"].get(perm[lv["base"]])
+        bases, invs = self._bases, self._invs
+        for i in range(start, len(bases)):
+            u_inv = invs[i].get(perm[bases[i]])
             if u_inv is None:
                 return perm, i
             # residue = u^-1 * perm still maps earlier bases to themselves
             perm = perm.translate(u_inv)
-        return perm, len(self._levels)
+        return perm, len(bases)
 
     def contains_perm(self, perm: bytes) -> bool:
         residue, _ = self._strip(perm)
-        return residue == self._id
+        return residue == _PAD
 
     def add(self, s: AffineMap) -> bool:
         """Add a generator; returns True if the group grew."""
@@ -238,61 +251,53 @@ class SubgroupOracle:
         queue = [(perm, 0)]
         while queue:
             residue, lvl = self._strip(*queue.pop())
-            if residue == self._id:
+            if residue == _PAD:
                 continue
             grew = True
-            if lvl == len(self._levels):
+            if lvl == len(self._bases):
                 base = next(x for x in range(self.n) if residue[x] != x)
-                self._levels.append(
-                    {"base": base, "orbit": {base: self._id}, "inv": {base: self._id}, "gens": []}
-                )
-            self._levels[lvl]["gens"].append(residue)
-            # the new generator is visible at its own level and all shallower ones
+                self._bases.append(base)
+                self._trans.append({base: _PAD})
+                self._invs.append({base: _PAD})
+                self._gens.append([])
             for i in range(lvl, -1, -1):
-                queue.extend((res, i + 1) for res in self._close_incremental(i, residue))
-        if grew:
-            self._order = 1
-            for lv in self._levels:
-                self._order *= len(lv["orbit"])
+                self._gens[i].append(residue)
+                found = self._close(i, residue)
+                if found is None:
+                    return True
+                queue.extend((res, i + 1) for res in found)
         return grew
 
-    def _visible_gens(self, lvl: int) -> List[bytes]:
-        return [g for lv in self._levels[lvl:] for g in lv["gens"]]
-
-    def _close_incremental(self, lvl: int, fresh: bytes) -> List[bytes]:
+    def _close(self, lvl: int, fresh: bytes):
         """Extend the orbit at a level after one new visible generator.
 
         Applies the fresh generator to the whole current orbit, then expands
         any newly reached points under all visible generators.  Returns the
-        Schreier residues that do not sift to the identity.
+        Schreier residues that are not the identity, or None once the order
+        reaches known_order.
         """
-        lv = self._levels[lvl]
-        orbit, inv = lv["orbit"], lv["inv"]
+        trans, inv, gens = self._trans[lvl], self._invs[lvl], self._gens[lvl]
         residues = []
-        new_pts = []
-
-        def edge(x: int, ux: bytes, g: bytes):
-            y = g[x]
-            uy_inv = inv.get(y)
-            if uy_inv is None:
-                # transversal for y is g * u_x (maps base -> y)
-                uy = ux.translate(g)
-                orbit[y] = uy
-                inv[y] = _invert_perm(uy)
-                new_pts.append(y)
-            else:
-                schreier = ux.translate(g).translate(uy_inv)
-                if schreier != self._id:
-                    residues.append(schreier)
-
-        for x in list(orbit.keys()):
-            edge(x, orbit[x], fresh)
-        gens = self._visible_gens(lvl)
-        while new_pts:
-            x = new_pts.pop()
-            ux = orbit[x]
-            for g in gens:
-                edge(x, ux, g)
+        todo = [(x, (fresh,)) for x in trans]
+        while todo:
+            x, applied = todo.pop()
+            ux = trans[x]
+            for g in applied:
+                y = g[x]
+                uy = ux.translate(g)  # maps base -> y
+                uy_inv = inv.get(y)
+                if uy_inv is None:
+                    trans[y] = uy
+                    inv[y] = _invert_perm(uy)
+                    size = len(trans)
+                    self._order = self._order // (size - 1) * size
+                    if self._known is not None and self._order >= self._known:
+                        return None
+                    todo.append((y, gens))
+                else:
+                    schreier = uy.translate(uy_inv)
+                    if schreier != _PAD:
+                        residues.append(schreier)
         return residues
 
 

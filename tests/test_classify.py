@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -132,16 +133,24 @@ def test_orbit_enumerate_quadratic_forms_m5():
 
 @pytest.fixture(scope="module")
 def sweep_spaces():
-    """Boundary spaces of every shape the sweep meets: dimension 1 and 6;
-    the m=6, r=2 top level (four orbits, the largest of 18228 forms); and the
-    two B(3,4,6) level-2 parents with the smallest stabilizers, whose
-    2^15-form spaces split into 562 and 252 small orbits."""
+    """Boundary spaces of every shape the sweep meets: dimension 1, with the
+    three generators S, T, U and with none; dimension 6 (zero and cubic
+    representatives), 7 and 8; the m=6, r=2 top level (four orbits, the
+    largest of 18228 forms); and the two B(3,4,6) level-2 parents with the
+    smallest stabilizers, whose 2^15-form spaces split into 562 and 252
+    small orbits."""
+    parents = sorted(classify_space(3, 4, 6), key=lambda rec: rec.stab_order)[:2]
+    [(_idx, _parent, children)] = list(descend_iter(parents[:1], 4))
+    child = max(children, key=lambda rec: len(rec.stab_gens))
     ctxs = [
         BoundaryAction(BooleanFunction.zero(3), 3, generators_stu(3)),
+        BoundaryAction(BooleanFunction.zero(3), 0, []),
         BoundaryAction(BooleanFunction.zero(4), 2, generators_stu(4)),
+        BoundaryAction(child.rep, child.level, child.stab_gens),
+        BoundaryAction(BooleanFunction.zero(7), 6, generators_stu(7)),
+        BoundaryAction(BooleanFunction.zero(8), 1, generators_stu(8)),
         BoundaryAction(BooleanFunction.zero(6), 2, generators_stu(6)),
     ]
-    parents = sorted(classify_space(3, 4, 6), key=lambda rec: rec.stab_order)[:2]
     ctxs += [BoundaryAction(rec.rep, rec.level, rec.stab_gens) for rec in parents]
     return ctxs
 
@@ -149,16 +158,19 @@ def sweep_spaces():
 def test_orbit_seeds_are_minima(sweep_spaces):
     # exact (seed, size) lists against the one-orbit-at-a-time reference,
     # whose seeds are the orbit minima by construction
-    assert [ctx.dim for ctx in sweep_spaces] == [1, 6, 15, 15, 15]
+    assert [ctx.dim for ctx in sweep_spaces] == [1, 1, 6, 6, 7, 8, 15, 15, 15]
+    assert [len(ctx.gens) for ctx in sweep_spaces[:2]] == [3, 0]
     for ctx in sweep_spaces:
         got = [(o.seed, o.size) for o in orbit_enumerate(ctx)]
         assert got == orbit_partition_by_action(ctx)
 
 
 def test_orbit_sweep_batches(sweep_spaces, monkeypatch):
-    # the spaces above drive the batched sweep through full 253-seed batches,
-    # batches whose seeds merge into fewer orbits, and the fall back to one
-    # seed after a batch that found an orbit of more than 4096 forms
+    # a space of at most 253 forms is one batch with every form as a seed.
+    # The larger spaces drive the doubling rule through full 253-seed
+    # batches, batches whose seeds merge into fewer orbits, and the fall
+    # back to one seed after a batch that found an orbit of more than 4096
+    # forms
     from rmclass import classify
 
     batches = []
@@ -167,11 +179,18 @@ def test_orbit_sweep_batches(sweep_spaces, monkeypatch):
     def spy(ctx, labels, seeds):
         found = real(ctx, labels, seeds)
         batches.append((seeds.size, len(found), max(o.size for o in found)))
+        if ctx.dim <= 7:
+            assert seeds.tolist() == list(range(1 << ctx.dim))
         return found
 
     monkeypatch.setattr(classify, "_sweep_batch", spy)
+    calls = []
     for ctx in sweep_spaces:
+        before = len(batches)
         orbit_enumerate(ctx)
+        calls.append(len(batches) - before)
+    assert calls[:5] == [1] * 5
+    assert min(calls[5:]) > 1 and batches[sum(calls[:5])][0] == 1  # dim 8 starts at k = 1
     assert any(k == 253 for k, _, _ in batches)
     assert any(n < k for k, n, _ in batches)
     after_big = [b[0] for a, b in zip(batches, batches[1:]) if a[2] > 4096]
@@ -219,7 +238,7 @@ def test_orbit_memory_refusal():
     with pytest.raises(ResourceRefusedError) as err:
         check_memory(5, 4, 1, need - 1)
     assert str(err.value).startswith(
-        f"level 3 needs a 2^10-element form space (~{need >> 20} MiB > limit "
+        f"level 3 needs a 2^10-element form space (~{-(-need >> 20)} MiB > limit "
     )
     check_memory(5, 4, 1, need)
     check_memory(5, 1, 1, 0)  # no level to descend through
@@ -227,6 +246,18 @@ def test_orbit_memory_refusal():
         next(classify_levels(2, 4, 5, mem_limit=need - 1))
     with pytest.raises(ResourceRefusedError):
         classify_space(2, 2, 5, mem_limit=need - 1)
+
+
+def test_memory_refusal_prints_estimate_above_limit():
+    # the estimate is rounded up and the limit down to whole MiB, so a limit
+    # one byte short, or one MiB short, never reads as "~76 MiB > limit 76 MiB"
+    need = estimate_orbit_bytes(10)
+    for limit in (need - 1, need - (1 << 20), (need >> 20) << 20):
+        with pytest.raises(ResourceRefusedError) as err:
+            check_memory(5, 2, 1, limit)
+        shown, cap = re.search(r"~(\d+) MiB > limit (\d+) MiB", str(err.value)).groups()
+        assert int(shown) > int(cap)
+        assert int(shown) << 20 >= need
 
 
 # -- class formula and generator harvesting ---------------------------------------
@@ -360,6 +391,45 @@ def test_generator_set_full_descent_m5():
     records = classify_space(2, 4, 5)
     for rec in records:
         assert subgroup_order(rec.stab_gens) == rec.stab_order
+
+
+def test_understated_parent_order_is_caught():
+    # the harvest's chain stops closing once its orbit lengths multiply to
+    # the order it is told.  That product never exceeds the order of the
+    # group harvested, so on a true order the stop changes nothing; on an
+    # understated one the descent must still fail, in the harvest or, if it
+    # stops there unnoticed, in the mass check of the children
+    records = classify_space(3, 4, 5)
+    halved = 0
+    for i, rec in enumerate(records):
+        if rec.stab_order % 2:
+            continue
+        bad = ClassRecord(rec.level, rec.rep, rec.stab_order // 2, rec.stab_gens)
+        with pytest.raises(InternalConsistencyError):
+            descend(records[:i] + [bad] + records[i + 1 :], 4)
+        halved += 1
+    assert halved == len(records) > 1
+
+
+def test_top_record_is_certified_by_one_chain_per_m(monkeypatch):
+    import rmclass.classify as classify
+
+    built = Counter()
+
+    class CountingOracle(classify.SubgroupOracle):
+        def __init__(self, m, known_order=None):
+            built[m] += 1
+            super().__init__(m, known_order)
+
+    monkeypatch.setattr(classify, "SubgroupOracle", CountingOracle)
+    classify._stu_generates_agl.cache_clear()
+    for _ in range(2):
+        for m in (2, 3, 5, 7):
+            for t in range(m + 1):
+                rec = top_record(m, t)
+                assert rec.certified and rec.stab_order == group_order(m)
+    assert built == {2: 1, 3: 1, 5: 1, 7: 1}
+    assert subgroup_order(top_record(5, 2).stab_gens) == group_order(5)
 
 
 # -- descend / classify_space -------------------------------------------------------

@@ -186,6 +186,19 @@ def test_nearbent_reps_from_file(tmp_path, capsys):
     assert "nearbent-total 14054656" in capsys.readouterr().out
 
 
+def test_nearbent_refuses_reps_of_another_m(tmp_path, capsys):
+    # a level-2 file of m=3 passed as the m=5 classification: exit 2,
+    # naming both values, not a census weighted by |AGL(5,2)|
+    out = tmp_path / "cls"
+    assert run("classify", "--m", 3, "--s", 3, "--t", 3, "--out", out) == 0
+    capsys.readouterr()
+    code = run("nearbent", "--m", 5, "--reps", out / "level_2.txt", "--out", tmp_path)
+    assert code == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert "nearbent-total" not in captured.out
+    assert "m=3" in captured.err and "m=5" in captured.err
+
+
 def test_distance_cli(tmp_path, capsys):
     assert run("distance", "--m", 5, "--r", 2, "--s", 3, "--t", 3,
                "--threshold", 6, "--seed", 11, "--out", tmp_path) == 0
