@@ -40,14 +40,12 @@ from .classify import (
     stab_order_from_class_formula,
 )
 from .census import (
-    ClassCountTable,
     burnside_count,
     duality_check,
     near_bent_census,
     table_render,
 )
 from .covrad import (
-    GeneratorMatrix,
     TrialReport,
     covering_radius_bound,
     distance,

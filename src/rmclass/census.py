@@ -12,7 +12,7 @@ group element is enumerated, and nothing is shared with the descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -152,56 +152,25 @@ def burnside_count(s: int, t: int, m: int) -> int:
 # -- the class-number table and duality ---------------------------------------
 
 
-@dataclass
-class ClassCountTable:
-    """Upper-triangular table of class numbers n(s,t,m); missing = not computed."""
+def duality_check(m: int, counts: Dict[Tuple[int, int], int]) -> Tuple[list, list]:
+    """n(s,t,m) = n(m-t,m-s,m) on every pair of cells of counts, {(s, t): n}.
 
-    m: int
-    entries: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    def set(self, s: int, t: int, value: int) -> None:
-        if not (0 <= s <= t <= self.m):
-            raise InvalidInputError(f"cell ({s},{t}) outside the m={self.m} triangle")
-        self.entries[(s, t)] = value
-
-    def get(self, s: int, t: int) -> Optional[int]:
-        return self.entries.get((s, t))
-
-    def dual_cell(self, s: int, t: int) -> Tuple[int, int]:
-        return (self.m - t, self.m - s)
-
-
-@dataclass
-class DualityReport:
-    checked_pairs: List[Tuple[Tuple[int, int], Tuple[int, int]]]
-    violations: List[Tuple[Tuple[int, int], int, Tuple[int, int], int]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def duality_check(table: ClassCountTable) -> DualityReport:
-    """Verify n(s,t,m) = n(m-t,m-s,m) on every pair of computed cells."""
-    checked = []
-    violations = []
-    seen = set()
-    for (s, t), value in sorted(table.entries.items()):
-        ds, dt = table.dual_cell(s, t)
-        if (ds, dt) not in table.entries or frozenset(((s, t), (ds, dt))) in seen:
+    Returns the pairs checked, ((s, t), (m-t, m-s)) once each, and the
+    violations, ((s, t), n, (m-t, m-s), n') with n != n'."""
+    checked, violations = [], []
+    for (s, t), n in sorted(counts.items()):
+        dual = (m - t, m - s)
+        if dual not in counts or dual < (s, t):
             continue
-        seen.add(frozenset(((s, t), (ds, dt))))
-        dual_value = table.entries[(ds, dt)]
-        checked.append(((s, t), (ds, dt)))
-        if value != dual_value:
-            violations.append(((s, t), value, (ds, dt), dual_value))
-    return DualityReport(checked, violations)
+        checked.append(((s, t), dual))
+        if n != counts[dual]:
+            violations.append(((s, t), n, dual, counts[dual]))
+    return checked, violations
 
 
-def table_render(table: ClassCountTable) -> str:
-    """Render the triangle; entries of 10^6 and above appear as rounded
-    powers of ten."""
-    m = table.m
+def table_render(m: int, counts: Dict[Tuple[int, int], int]) -> str:
+    """Render the triangle of counts, {(s, t): n}; entries of 10^6 and above
+    appear as rounded powers of ten."""
     cols = list(range(1, m + 1))
     width = 10
     lines = ["s\\t |" + "".join(f"{t:>{width}}" for t in cols)]
@@ -209,7 +178,7 @@ def table_render(table: ClassCountTable) -> str:
     for s in range(0, m + 1):
         cells = []
         for t in cols:
-            v = table.get(s, t)
+            v = counts.get((s, t))
             if v is None or s > t:
                 cells.append(f"{'':>{width}}")
             elif v >= 10**6:

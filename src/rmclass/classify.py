@@ -14,14 +14,15 @@ level r-1.  For each representative f with stabilizer generators L:
 
 Forms of degree r are ints over the C(m,r) monomial coefficients, monomial
 masks ascending.  The boundary action of one generator is applied through
-byte-sliced XOR lookup tables, forward only: the Schreier transversal walks
-stored parent pointers instead of inverting the action.  Phase 1 is one
-sweep over a 1-byte label per form: a batched multi-seed BFS that expands up
-to 253 seeds' waves together, a few array operations per generator and BFS
-level, and joins waves that meet in a union-find over the batch.  A space of
-at most 253 forms is a single batch with every form as a seed, closed in one
-BFS level.  Phase 2's stabilizer chain knows the order it is building, and
-stops closing once its orbits reach it.
+byte-sliced XOR lookup tables, forward only: the Schreier transversal keeps
+each visited form's group element and its inverse instead of inverting the
+action.  Phase 1 is one sweep over a 1-byte label per form: a batched
+multi-seed BFS that expands up to 253 seeds' waves together, a few array
+operations per generator and BFS level, and joins waves that meet in a
+union-find over the batch.  A space of at most 253 forms is a single batch
+with every form as a seed, closed in one BFS level.  Phase 2's stabilizer
+chain knows the order it is building, and stops closing once its orbits
+reach it.
 """
 
 from __future__ import annotations
@@ -362,7 +363,9 @@ def generator_set(
     given the stabilizer order.
 
     Breadth-first sweep of the orbit of u carrying a transversal R, stored
-    as (generator index, parent form) per visited form.  Every already-seen
+    as R[y] and R[y]^-1 per visited form y, set when y is first reached
+    from x by lam: R[y] = R[x] * lam and R[y]^-1 = lam^-1 * R[x]^-1, where
+    a.compose(b) is b.table.translate(a.table).  Every already-seen
     edge (x, lam) yields the candidate R[x] * lam * R[x o lam]^-1, which
     fixes u; candidates not already inside the harvested subgroup are kept,
     and the sweep stops as soon as the subgroup order matches s_u.  The
@@ -376,51 +379,25 @@ def generator_set(
     m = ctx.m
     oracle = SubgroupOracle(m, s_u)
     harvested: List[AffineMap] = []
-    visited: Dict[int, Tuple[int, int]] = {u: (-1, u)}  # the walk stops at u
-    queue = deque([u])
     ident = AffineMap.identity(m).table
-    elem_cache: Dict[int, Tuple[bytes, bytes]] = {u: (ident, ident)}
-
-    def elem_of(x: int) -> Tuple[bytes, bytes]:
-        # R[x] and R[x]^-1 as padded permutation tables; R[child] = R[parent]
-        # * lam and R[child]^-1 = lam^-1 * R[parent]^-1, where a.compose(b)
-        # is b.table.translate(a.table).
-        got = elem_cache.get(x)
-        if got is None:
-            rev = []
-            y = x
-            while y != u:
-                gi, y = visited[y]
-                rev.append(gi)
-                cached = elem_cache.get(y)
-                if cached is not None:
-                    break
-            else:
-                cached = elem_cache[u]
-            fwd, inv = cached
-            for gi in reversed(rev):
-                fwd = ctx.gens[gi].table.translate(fwd)
-                inv = inv.translate(ctx.inv_tables[gi])
-            got = elem_cache[x] = (fwd, inv)
-        return got
-
+    visited: Dict[int, Tuple[bytes, bytes]] = {u: (ident, ident)}  # padded tables
+    queue = deque([u])
     while oracle.order() < s_u:
         if not queue:
             raise InternalConsistencyError(
                 f"Schreier sweep exhausted at order {oracle.order()} < {s_u}"
             )
         x = queue.popleft()
-        rx = None
+        rx, rx_inv = visited[x]
         for gi, lam in enumerate(ctx.gens):
             y = ctx.apply(x, gi)
-            if y not in visited:
-                visited[y] = (gi, x)
+            t = lam.table.translate(rx)  # R[x] * lam
+            ry = visited.get(y)
+            if ry is None:
+                visited[y] = (t, rx_inv.translate(ctx.inv_tables[gi]))
                 queue.append(y)
             else:
-                if rx is None:
-                    rx = elem_of(x)[0]
-                t = lam.table.translate(rx)  # R[x] * lam
-                cand = elem_of(y)[1].translate(t)  # (R[x] * lam) * R[y]^-1
+                cand = ry[1].translate(t)  # (R[x] * lam) * R[y]^-1
                 if not oracle.contains_perm(cand):
                     oracle._add_perm(cand)
                     harvested.append(AffineMap(m, cand[: 1 << m]))

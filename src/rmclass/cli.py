@@ -11,7 +11,6 @@ representative and can be resumed with --resume.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,13 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .bfcore import BooleanFunction
-from .census import (
-    ClassCountTable,
-    burnside_count,
-    duality_check,
-    near_bent_census,
-    table_render,
-)
+from .census import burnside_count, duality_check, near_bent_census, table_render
 from .classify import (
     ClassRecord,
     check_memory,
@@ -43,8 +36,7 @@ from .errors import InternalConsistencyError, InvalidInputError, RmclassError
 
 
 def _out_dir(args) -> Path:
-    base = args.out or os.environ.get("RMCLASS_OUT") or "rmclass-runs"
-    path = Path(base)
+    path = Path(args.out or "rmclass-runs")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -89,7 +81,8 @@ class _Checkpoint:
 
     def load(self):
         """Returns (level, parents_done, children of each parent done) from
-        complete parent blocks.
+        complete parent blocks, or None if there is no file or a complete
+        line of it does not parse: that level then restarts.
 
         Cuts the file back to its last complete block, so that appends go on
         from there: records after it, and an unterminated last line left by
@@ -108,21 +101,23 @@ class _Checkpoint:
             pos += len(raw)
             if not raw.endswith(b"\n"):
                 break
-            line = raw.decode().strip()
-            if not line:
-                continue
-            if line.startswith("# checkpoint"):
-                fields = dict(kv.split("=") for kv in line.split()[2:])
-                level = int(fields["level"])
-                m = int(fields["m"])
-                keep = pos
-            elif line.startswith("# parent-done"):
-                done = int(line.split()[2]) + 1
-                blocks.append(pending)
-                pending = []
-                keep = pos
-            else:
-                pending.append(ClassRecord.from_line(m, line))
+            try:
+                line = raw.decode().strip()
+                if not line:
+                    continue
+                if line.startswith("# checkpoint"):
+                    fields = dict(kv.split("=") for kv in line.split()[2:])
+                    level, m = int(fields["level"]), int(fields["m"])
+                    keep = pos
+                elif line.startswith("# parent-done"):
+                    done = int(line.split()[2]) + 1
+                    blocks.append(pending)
+                    pending = []
+                    keep = pos
+                else:
+                    pending.append(ClassRecord.from_line(m, line))
+            except (KeyError, ValueError, IndexError, TypeError, InvalidInputError):
+                return None
         if level is None:
             return None
         if keep < len(data):
@@ -158,9 +153,7 @@ def cmd_classify(args) -> int:
     m, s, t = args.m, args.s, args.t
     if not (0 <= s <= t <= m):
         raise InvalidInputError(f"need 0 <= s <= t <= m, got s={s} t={t} m={m}")
-    target = args.to_level if args.to_level is not None else s - 1
-    if not (s - 1 <= target <= t):
-        raise InvalidInputError(f"--to-level must lie in [{s - 1}, {t}]")
+    target = s - 1
     check_memory(m, t, target, args.mem_limit << 20)
     out = _out_dir(args)
     manifest_path = out / "manifest.txt"
@@ -169,7 +162,7 @@ def cmd_classify(args) -> int:
     settings = {
         "artifact": f"rmclass {__version__}",
         "command": "classify",
-        "m": m, "s": s, "t": t, "to_level": target,
+        "m": m, "s": s, "t": t,
         "mem_limit_mib": args.mem_limit,
     }
     records = [top_record(m, t)]
@@ -178,7 +171,7 @@ def cmd_classify(args) -> int:
     manifest = dict(settings)
     if args.resume and manifest_path.exists():
         old = _read_manifest(manifest_path)
-        for key in ("command", "m", "s", "t", "to_level"):
+        for key in ("command", "m", "s", "t"):
             if old.get(key) != str(settings[key]):
                 raise InvalidInputError(
                     f"--resume: manifest mismatch on {key} ({old.get(key)} vs {settings[key]})"
@@ -259,55 +252,49 @@ def _count_inherited(parent: ClassRecord, children: Sequence[ClassRecord]) -> in
 # -- count / dual-check --------------------------------------------------------
 
 
-def _class_counts(cells, m: int, mem_limit: int) -> Dict[Tuple[int, int], int]:
-    """n(s,t,m) of every cell by classification: one descent per t, down to
-    the lowest s asked for at that t.  Every descent's memory is checked
-    before the first one starts."""
+def _print_counts(m: int, cells, methods, mem_limit: int) -> Dict[Tuple[int, int], int]:
+    """Print `count s t m n method` for every cell and method, and return
+    {(s, t): n}.  Every cell must satisfy 0 <= s <= t <= m, and every
+    descent's memory is checked, before the first descent starts;
+    classification descends once per t, down to the lowest s asked for."""
     lowest: Dict[int, int] = {}
     for s, t in cells:
-        if not (0 <= s and t <= m):
-            raise InvalidInputError(f"cell ({s},{t}) needs 0 <= s and t <= m={m}")
-        if s > t + 1:
-            raise InvalidInputError(f"B({s},{t},{m}) with s > t+1 has no canonical start")
-        lowest[t] = min(s, lowest.get(t, s))
+        if not (0 <= s <= t <= m):
+            raise InvalidInputError(f"cell ({s},{t}) outside the m={m} triangle")
+        if "classify" in methods:
+            lowest[t] = min(s, lowest.get(t, s))
     for t, s_low in lowest.items():
         check_memory(m, t, s_low - 1, mem_limit)
-    counts = {}
+    classified = {}
     for t, s_low in lowest.items():
         for s, records in classify_levels(s_low, t, m, mem_limit):
-            counts[s, t] = len(records)
+            classified[s, t] = len(records)
+    counts = {}
+    for s, t in cells:
+        by = {}
+        if "classify" in methods:
+            by["classify"] = classified[s, t]
+        if "burnside" in methods:
+            by["burnside"] = burnside_count(s, t, m)
+        if len(set(by.values())) > 1:
+            raise InternalConsistencyError(f"methods disagree at ({s},{t},{m}): {by}")
+        for method, n in by.items():
+            print(f"count {s} {t} {m} {n} {method}")
+        counts[s, t] = n
     return counts
 
 
 def cmd_count(args) -> int:
-    cells = [(args.s, args.t)] if not args.all_cells else [
-        (s, t) for s in range(args.m + 1) for t in range(s, args.m + 1)
-    ]
-    if not args.all_cells and (args.s is None or args.t is None):
-        raise InvalidInputError("count needs --s and --t (or --all-cells)")
-    classified = None
-    if args.method in ("classify", "both"):
-        classified = _class_counts(cells, args.m, args.mem_limit << 20)
-    rows = []
-    for s, t in cells:
-        by = {}
-        if classified is not None:
-            by["classify"] = classified[s, t]
-        if args.method in ("burnside", "both"):
-            by["burnside"] = burnside_count(s, t, args.m)
-        if args.method == "both" and by["classify"] != by["burnside"]:
-            raise InternalConsistencyError(
-                f"methods disagree at ({s},{t},{args.m}): {by}"
-            )
-        value = by.get("classify", by.get("burnside"))
-        rows.append((s, t, value, by))
-        for method, v in by.items():
-            print(f"count {s} {t} {args.m} {v} {method}")
     if args.all_cells:
-        table = ClassCountTable(args.m)
-        for s, t, value, _ in rows:
-            table.set(s, t, value)
-        print(table_render(table))
+        cells = [(s, t) for s in range(args.m + 1) for t in range(s, args.m + 1)]
+    elif args.s is None or args.t is None:
+        raise InvalidInputError("count needs --s and --t (or --all-cells)")
+    else:
+        cells = [(args.s, args.t)]
+    methods = ("classify", "burnside") if args.method == "both" else (args.method,)
+    counts = _print_counts(args.m, cells, methods, args.mem_limit << 20)
+    if args.all_cells:
+        print(table_render(args.m, counts))
     return 0
 
 
@@ -340,17 +327,13 @@ def cmd_dual_check(args) -> int:
                 ) from None
     else:
         cells = dual_default_cells(args.m)
-    classified = _class_counts(cells, args.m, args.mem_limit << 20)
-    table = ClassCountTable(args.m)
-    for s, t in cells:
-        table.set(s, t, classified[s, t])
-        print(f"count {s} {t} {args.m} {table.get(s, t)} classify")
-    report = duality_check(table)
-    print(table_render(table))
-    print(f"duality pairs checked: {len(report.checked_pairs)}")
-    for (c1, v1, c2, v2) in report.violations:
+    counts = _print_counts(args.m, cells, ("classify",), args.mem_limit << 20)
+    checked, violations = duality_check(args.m, counts)
+    print(table_render(args.m, counts))
+    print(f"duality pairs checked: {len(checked)}")
+    for (c1, v1, c2, v2) in violations:
         print(f"VIOLATION n{c1}={v1} but n{c2}={v2}")
-    if not report.ok:
+    if violations:
         return 1
     print("duality holds on all computed pairs")
     return 0
@@ -442,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, seed_required=False):
-        sp.add_argument("--out", help="output directory (default $RMCLASS_OUT or ./rmclass-runs)")
+        sp.add_argument("--out", help="output directory (default ./rmclass-runs)")
         sp.add_argument("--mem-limit", type=int, default=2048, help="memory budget in MiB")
         if seed_required:
             sp.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
@@ -451,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--to-level", type=int, default=None)
     sp.add_argument("--resume", action="store_true")
     sp.add_argument("--verbose", action="store_true", help="progress lines on stderr")
     common(sp)

@@ -10,7 +10,7 @@ of trials proves nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -24,46 +24,20 @@ from .rng import stream
 MAX_ITER_DEFAULT = 2048
 
 
-@dataclass
-class GeneratorMatrix:
-    """k x n generator matrix over GF(2), rows as n-bit ints.
-
-    After pivoting, pivots[i] is the column where row i is the only 1; every
-    row then has weight at most n-k+1.
-    """
-
-    m: int
-    r: int
-    rows: List[int]
-    pivots: Optional[List[int]] = None
-
-    @property
-    def n(self) -> int:
-        return 1 << self.m
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    def copy(self) -> "GeneratorMatrix":
-        return GeneratorMatrix(self.m, self.r, list(self.rows),
-                               list(self.pivots) if self.pivots else None)
-
-
-def rm_generator_matrix(r: int, m: int) -> GeneratorMatrix:
-    """Generator matrix of RM(r,m): truth tables of the monomials of degree
-    <= r, ordered by (degree, mask)."""
+def rm_generator_matrix(r: int, m: int) -> List[int]:
+    """Rows of a generator matrix of RM(r,m) as 2^m-bit ints: the truth
+    tables of the monomials of degree <= r, ordered by (degree, mask)."""
     if not 0 <= r <= m:
         raise InvalidInputError(f"need 0 <= r <= m, got r={r} m={m}")
     masks = sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
-    rows = [monomial_truth_table(s, m) for s in masks if s.bit_count() <= r]
-    return GeneratorMatrix(m, r, rows)
+    return [monomial_truth_table(s, m) for s in masks if s.bit_count() <= r]
 
 
-def pivoting(G: GeneratorMatrix, rng: np.random.Generator) -> None:
+def pivoting(rows: List[int], rng: np.random.Generator) -> List[int]:
     """In-place Gauss-Jordan elimination choosing a uniformly random pivot
-    column on every row; preserves the row space."""
-    rows = G.rows
+    column on every row; preserves the row space.  Returns the pivots:
+    pivots[i] is the column where row i is the only 1, so every row then has
+    weight at most n-k+1."""
     k = len(rows)
     pivots = []
     for i in range(k):
@@ -80,15 +54,13 @@ def pivoting(G: GeneratorMatrix, rng: np.random.Generator) -> None:
         for j in range(k):
             if j != i and ((rows[j] >> p) & 1):
                 rows[j] ^= row
-    G.pivots = pivots
+    return pivots
 
 
-def reduce(g: int, G: GeneratorMatrix) -> int:
+def reduce(g: int, rows: Sequence[int], pivots: Sequence[int]) -> int:
     """Add to g the row of each pivot position where g has a 1; the result is
     in the same coset and vanishes on every pivot, so weight <= n-k."""
-    if G.pivots is None:
-        raise InvalidInputError("matrix must be pivoted before reducing")
-    for row, p in zip(G.rows, G.pivots):
+    for row, p in zip(rows, pivots):
         if (g >> p) & 1:
             g ^= row
     return g
@@ -104,7 +76,7 @@ class TrialReport:
 
 def distance(
     f: BooleanFunction,
-    G: GeneratorMatrix,
+    rows: List[int],
     threshold: int,
     max_iter: int = MAX_ITER_DEFAULT,
     *,
@@ -113,17 +85,17 @@ def distance(
     """Randomized search for a word of weight <= threshold in the coset f+C,
     drawing every random choice from rng.
 
-    Each trial substitutes a random affine map into f, re-pivots G at random
-    and reduces; the best weight seen certifies an upper bound on the coset
+    Each trial substitutes a random affine map into f, re-pivots the rows
+    in place at random and reduces; the best weight seen certifies an upper bound on the coset
     minimum weight of f's whole orbit.  Never a lower bound.
     """
     m = f.m
-    score = G.n
+    score = 1 << m
     trials = 0
     while score > threshold and trials < max_iter:
         g = act(f, random_affine(m, rng)).truth_table
-        pivoting(G, rng)
-        w = reduce(g, G).bit_count()
+        pivots = pivoting(rows, rng)
+        w = reduce(g, rows, pivots).bit_count()
         if w < score:
             score = w
         trials += 1
@@ -141,7 +113,7 @@ def exact_coset_min_weight(f: BooleanFunction, r: int, m: int) -> int:
         raise ResourceRefusedError(
             f"RM({r},{m}) has dimension {k} > 28; full coset enumeration refused"
         )
-    rows = rm_generator_matrix(r, m).rows
+    rows = rm_generator_matrix(r, m)
     words = ((1 << m) + 63) // 64
     lo_rows, hi_rows = rows[:20], rows[20:]
 
@@ -230,9 +202,7 @@ def covering_radius_bound(
     base = rm_generator_matrix(r, m)
     reports = []
     for i, rec in enumerate(records):
-        G = base.copy()
-        rng = stream(seed, i)
-        reports.append(distance(rec.rep, G, threshold, max_iter, rng=rng))
+        reports.append(distance(rec.rep, list(base), threshold, max_iter, rng=stream(seed, i)))
     trials = np.array([rep.trials for rep in reports], dtype=np.float64)
     certified = all(rep.hit for rep in reports)
     return CoverReport(

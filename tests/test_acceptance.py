@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from rmclass.bfcore import BooleanFunction, is_near_bent
-from rmclass.census import burnside_count, duality_check, near_bent_census, ClassCountTable
+from rmclass.census import burnside_count, duality_check, near_bent_census
 from rmclass.classify import (
     classify_space,
     descend,
@@ -60,7 +60,7 @@ def m7_shallow():
 
 @pytest.fixture(scope="session")
 def m5_table():
-    table = ClassCountTable(5)
+    table = {}
     levels_by_run = {}
     for s in range(6):
         for t in range(s, 6):
@@ -69,7 +69,7 @@ def m5_table():
             for r in range(t, s - 1, -1):
                 records = descend(records, t)
                 per_level[r - 1] = records
-            table.set(s, t, len(records))
+            table[s, t] = len(records)
             levels_by_run[(s, t)] = per_level
     return table, levels_by_run
 
@@ -125,39 +125,33 @@ def test_burnside_pins_paper_counts(m5_table):
     }
     assert {cell: burnside_count(*cell) for cell in pinned} == pinned
     table5, _ = m5_table
-    assert len(table5.entries) == 21
-    for (s, t), n in table5.entries.items():
+    assert len(table5) == 21
+    for (s, t), n in table5.items():
         assert burnside_count(s, t, 5) == n, (s, t)
 
 
 def test_criterion_4_duality(m5_table, m6_levels, m7_shallow):
     table5, _ = m5_table
-    rep5 = duality_check(table5)
+    checked5, bad5 = duality_check(5, table5)
 
     levels6, _ = m6_levels
-    table6 = ClassCountTable(6)
-    for level, records in levels6.items():
-        table6.set(level + 1, 6, len(records))
+    table6 = {(level + 1, 6): len(records) for level, records in levels6.items()}
     for t in range(5):
-        table6.set(0, t, len(classify_space(0, t, 6)))
-    rep6 = duality_check(table6)
+        table6[0, t] = len(classify_space(0, t, 6))
+    checked6, bad6 = duality_check(6, table6)
 
-    table7 = ClassCountTable(7)
-    for (s, t), (recs, _) in m7_shallow.items():
-        table7.set(s, t, len(recs))
+    table7 = {cell: len(recs) for cell, (recs, _) in m7_shallow.items()}
     for s, t in [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2)]:
-        table7.set(s, t, len(classify_space(s, t, 7)))
-    rep7 = duality_check(table7)
+        table7[s, t] = len(classify_space(s, t, 7))
+    checked7, bad7 = duality_check(7, table7)
 
-    ok = rep5.ok and rep6.ok and rep7.ok and all(
-        len(r.checked_pairs) > 0 for r in (rep5, rep6, rep7)
-    )
+    ok = not (bad5 or bad6 or bad7) and all(len(c) > 0 for c in (checked5, checked6, checked7))
     report(
         "4 (duality cell-for-cell)",
         ok,
-        f"m=5: {len(rep5.checked_pairs)} pairs, m=6: {len(rep6.checked_pairs)} pairs "
-        f"(includes (2,6)<->(0,4) at 150357), m=7: {len(rep7.checked_pairs)} pairs; "
-        f"violations: {rep5.violations + rep6.violations + rep7.violations}",
+        f"m=5: {len(checked5)} pairs, m=6: {len(checked6)} pairs "
+        f"(includes (2,6)<->(0,4) at 150357), m=7: {len(checked7)} pairs; "
+        f"violations: {bad5 + bad6 + bad7}",
     )
 
 
@@ -261,8 +255,8 @@ def test_criterion_8_coset_search():
     below = 0
     for i, rec in enumerate(records):
         for seed in seeds:
-            G = rm_generator_matrix(2, 5)
-            rep = distance(rec.rep, G, exact[i], max_iter=2048, rng=stream(seed, i))
+            rows = rm_generator_matrix(2, 5)
+            rep = distance(rec.rep, rows, exact[i], max_iter=2048, rng=stream(seed, i))
             total_runs += 1
             if rep.best == exact[i]:
                 attained += 1

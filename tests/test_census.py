@@ -3,7 +3,6 @@ import pytest
 from rmclass.bfcore import BooleanFunction, is_near_bent
 import rmclass.census as census
 from rmclass.census import (
-    ClassCountTable,
     burnside_count,
     count_near_bent_completions,
     duality_check,
@@ -119,41 +118,27 @@ def test_burnside_equals_classification_m3():
 
 
 def test_duality_check_reports_violation():
-    table = ClassCountTable(4)
-    table.set(0, 1, 3)
-    table.set(3, 4, 99)
-    report = duality_check(table)
-    assert not report.ok
-    assert report.violations[0][1] != report.violations[0][3]
+    checked, violations = duality_check(4, {(0, 1): 3, (3, 4): 99})
+    assert checked == [((0, 1), (3, 4))]
+    assert violations
+    assert violations[0][1] != violations[0][3]
 
 
 def test_duality_check_m4_classification():
-    table = ClassCountTable(4)
-    for s in range(5):
-        for t in range(s, 5):
-            table.set(s, t, len(classify_space(s, t, 4)))
-    report = duality_check(table)
-    assert report.ok
-    assert len(report.checked_pairs) > 0
-
-
-def test_table_cells_validation():
-    table = ClassCountTable(4)
-    with pytest.raises(InvalidInputError):
-        table.set(3, 2, 1)
+    counts = {(s, t): len(classify_space(s, t, 4)) for s in range(5) for t in range(s, 5)}
+    checked, violations = duality_check(4, counts)
+    assert not violations
+    assert len(checked) > 0
 
 
 # -- table rendering -----------------------------------------------------------------
 
 
 def test_table_render_published_row():
-    table = ClassCountTable(7)
-    for (s, t), v in {
+    text = table_render(7, {
         (4, 4): 12, (4, 5): 179, (4, 6): 1890, (4, 7): 3486,
         (7, 7): 2, (2, 4): 118140881980,
-    }.items():
-        table.set(s, t, v)
-    text = table_render(table)
+    })
     row4 = next(line for line in text.splitlines() if line.startswith("  4 |"))
     for v in ("12", "179", "1890", "3486"):
         assert v in row4
@@ -164,7 +149,7 @@ def test_table_render_published_row():
 
 
 def test_table_render_empty():
-    text = table_render(ClassCountTable(5))
+    text = table_render(5, {})
     lines = text.splitlines()
     assert lines[0].startswith("s\\t")
     assert len(lines) == 2 + 6  # header, rule, six s-rows

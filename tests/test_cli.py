@@ -83,11 +83,18 @@ def test_classify_resume_after_interrupt(tmp_path, monkeypatch):
     assert levels[0] == levels[1]
 
 
-def test_classify_to_level_stops_early(tmp_path):
-    out = tmp_path / "run"
-    assert run("classify", "--m", 6, "--s", 2, "--t", 6, "--to-level", 4, "--out", out) == 0
-    assert (out / "level_4.txt").exists()
-    assert not (out / "level_1.txt").exists()
+def test_classify_levels_do_not_depend_on_s(tmp_path):
+    # a level file depends on (m, t, level) only, so a run with a higher s
+    # stops early and writes the same bytes for the levels it reaches
+    short, full = tmp_path / "short", tmp_path / "full"
+    assert run("classify", "--m", 5, "--s", 3, "--t", 5, "--out", short) == 0
+    assert run("classify", "--m", 5, "--s", 1, "--t", 5, "--out", full) == 0
+    assert sorted(p.name for p in short.glob("level_*.txt")) == [
+        "level_2.txt", "level_3.txt", "level_4.txt"]
+    for r in (4, 3, 2):
+        assert (short / f"level_{r}.txt").read_bytes() == (full / f"level_{r}.txt").read_bytes()
+    out = tmp_path / "b566"
+    assert run("classify", "--m", 6, "--s", 5, "--t", 6, "--out", out) == 0
     assert len(read_level_file(out / "level_5.txt")) == 2
 
 
@@ -161,6 +168,25 @@ def test_count_burnside_m7_and_no_allow_long(tmp_path, capsys):
 def test_dual_check_m4(tmp_path, capsys):
     assert run("dual-check", "--m", 4, "--out", tmp_path) == 0
     assert "duality holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual-check", "--m", 5, "--cells", "2,3;3,2"],
+    ["count", "--m", 4, "--s", 3, "--t", 2],
+    ["count", "--m", 4, "--s", 3, "--t", 2, "--method", "burnside"],
+], ids=["dual-check", "count", "count-burnside"])
+def test_count_cells_are_checked_before_any_descent(tmp_path, capsys, monkeypatch, argv):
+    # one rule, 0 <= s <= t <= m, for every cell and method, before a sweep
+    import rmclass.classify as classify
+
+    def no_sweep(ctx):
+        raise AssertionError("swept before the cells were checked")
+
+    monkeypatch.setattr(classify, "orbit_enumerate", no_sweep)
+    assert run(*argv, "--out", tmp_path) == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell (3,2) outside the m=" in captured.err
 
 
 def test_dual_check_explicit_cells(tmp_path, capsys):
@@ -295,11 +321,32 @@ def test_resume_redoes_a_corrupt_level_file(tmp_path):
         assert (out / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()
 
 
-def test_env_var_output_dir(tmp_path, monkeypatch, capsys):
+def test_classify_default_output_dir(tmp_path, monkeypatch, capsys):
+    # without --out, classify writes ./rmclass-runs; no environment variable
+    # moves it
     monkeypatch.setenv("RMCLASS_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)
     assert run("classify", "--m", 3, "--s", 2, "--t", 2) == 0
-    assert (tmp_path / "envout" / "manifest.txt").exists()
+    assert (tmp_path / "rmclass-runs" / "manifest.txt").exists()
+    assert not (tmp_path / "envout").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "# checkpoint level=0\n# parent-done 0\n",  # no m=
+    "# checkpoint level=x m=4\n",
+    "# checkpoint level=0 m=4\n# parent-done x\n",
+    "# checkpoint level=0 m=4\n0 zz 2 0\n# parent-done 0\n",  # a record that does not parse
+], ids=["no-m", "level-x", "parent-done-x", "bad-record"])
+def test_resume_restarts_a_level_whose_checkpoint_does_not_parse(tmp_path, text):
+    fresh = tmp_path / "fresh"
+    assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", fresh) == 0
+    out = tmp_path / "run"
+    shutil.copytree(fresh, out)
+    (out / "level_0.txt").unlink()
+    (out / "checkpoint.txt").write_text(text)
+    assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", out, "--resume") == 0
+    assert (out / "level_0.txt").read_bytes() == (fresh / "level_0.txt").read_bytes()
+    assert not (out / "checkpoint.txt").exists()
 
 
 def test_classify_resume_from_torn_checkpoint(tmp_path, monkeypatch):

@@ -4,7 +4,6 @@ from rmclass.bfcore import BooleanFunction, walsh
 from rmclass.bits import rank_gf2
 from rmclass.classify import classify_space
 from rmclass.covrad import (
-    GeneratorMatrix,
     covering_radius_bound,
     distance,
     exact_coset_min_weight,
@@ -28,41 +27,41 @@ BENT_M5 = BooleanFunction(5, anf=(1 << X(1, 2)) ^ (1 << X(3, 4)) ^ (1 << X(5)))
 
 
 def test_rm_generator_matrix_shapes():
-    g = rm_generator_matrix(0, 3)
-    assert g.k == 1 and g.rows == [0xFF]
-    g = rm_generator_matrix(3, 7)
-    assert (g.k, g.n) == (64, 128)
-    g = rm_generator_matrix(1, 5)
-    assert (g.k, g.n) == (6, 32)
+    assert rm_generator_matrix(0, 3) == [0xFF]
+    rows = rm_generator_matrix(3, 7)
+    assert len(rows) == 64 and rows[0] == (1 << 128) - 1 == max(rows)  # n = 128
+    rows = rm_generator_matrix(1, 5)
+    assert len(rows) == 6 and rows[0] == (1 << 32) - 1 == max(rows)
 
 
 def test_pivoting_identity_like_stays_sparse():
     rows = [0b0001, 0b0010, 0b0100, 0b1000]
-    G = GeneratorMatrix(2, 1, list(rows))
-    pivoting(G, stream(50))
-    assert sorted(G.rows) == sorted(rows)  # weight-1 rows can only permute
-    assert sorted(G.pivots) == [0, 1, 2, 3]
+    pivoted = list(rows)
+    pivots = pivoting(pivoted, stream(50))
+    assert sorted(pivoted) == sorted(rows)  # weight-1 rows can only permute
+    assert sorted(pivots) == [0, 1, 2, 3]
 
 
 def test_pivoting_weight_bound_and_rowspace():
     rng = stream(51)
-    G = rm_generator_matrix(1, 3)
-    original_rows = tuple(G.rows)
+    m = 3
+    rows = rm_generator_matrix(1, m)
+    original_rows = tuple(rows)
     for _ in range(1000):
-        pivoting(G, rng)
-        bound = G.n - G.k + 1
-        assert all(r.bit_count() <= bound for r in G.rows)
+        pivots = pivoting(rows, rng)
+        bound = (1 << m) - len(rows) + 1
+        assert all(r.bit_count() <= bound for r in rows)
         # row space preserved: stacking old and new rows does not raise rank
-        assert rank_gf2(original_rows + tuple(G.rows)) == rank_gf2(original_rows)
+        assert rank_gf2(original_rows + tuple(rows)) == rank_gf2(original_rows)
         # reduced echelon: each pivot column is a singleton
-        for i, p in enumerate(G.pivots):
-            assert all(((r >> p) & 1) == (j == i) for j, r in enumerate(G.rows))
+        for i, p in enumerate(pivots):
+            assert all(((r >> p) & 1) == (j == i) for j, r in enumerate(rows))
 
 
 def test_pivoting_rejects_dependent_rows():
-    G = GeneratorMatrix(2, 1, [0b0011, 0b0101, 0b0110])  # row3 = row1 ^ row2
+    rows = [0b0011, 0b0101, 0b0110]  # row3 = row1 ^ row2
     with pytest.raises(InvalidInputError):
-        pivoting(G, stream(52))
+        pivoting(rows, stream(52))
 
 
 # -- reduce ---------------------------------------------------------------------------
@@ -70,35 +69,30 @@ def test_pivoting_rejects_dependent_rows():
 
 def test_reduce_codeword_to_zero():
     rng = stream(53)
-    G = rm_generator_matrix(2, 4)
-    pivoting(G, rng)
-    assert reduce(0, G) == 0
+    rows = rm_generator_matrix(2, 4)
+    pivots = pivoting(rows, rng)
+    assert reduce(0, rows, pivots) == 0
     for _ in range(100):
         word = 0
-        for row in rm_generator_matrix(2, 4).rows:
+        for row in rm_generator_matrix(2, 4):
             if rng.integers(2):
                 word ^= row
-        assert reduce(word, G) == 0
+        assert reduce(word, rows, pivots) == 0
 
 
 def test_reduce_weight_bound_and_coset():
     rng = stream(54)
-    G = rm_generator_matrix(1, 5)
-    plain = rm_generator_matrix(1, 5)
+    rows = rm_generator_matrix(1, 5)
+    plain = tuple(rm_generator_matrix(1, 5))
     for _ in range(500):
-        pivoting(G, rng)
+        pivots = pivoting(rows, rng)
         g = int(rng.integers(0, 1 << 32))
-        red = reduce(g, G)
-        assert red.bit_count() <= G.n - G.k  # zero at every pivot
-        for p in G.pivots:
+        red = reduce(g, rows, pivots)
+        assert red.bit_count() <= (1 << 5) - len(rows)  # zero at every pivot
+        for p in pivots:
             assert not (red >> p) & 1
         # stays in the same coset
-        assert rank_gf2(tuple(plain.rows) + (red ^ g,)) == rank_gf2(tuple(plain.rows))
-
-
-def test_reduce_requires_pivoting():
-    with pytest.raises(InvalidInputError):
-        reduce(1, rm_generator_matrix(1, 3))
+        assert rank_gf2(plain + (red ^ g,)) == rank_gf2(plain)
 
 
 # -- exact oracles ---------------------------------------------------------------------
@@ -106,7 +100,7 @@ def test_reduce_requires_pivoting():
 
 def test_exact_min_weight_of_codewords_is_zero():
     rng = stream(55)
-    rows = rm_generator_matrix(2, 5).rows
+    rows = rm_generator_matrix(2, 5)
     for _ in range(10):
         word = 0
         for row in rows:
@@ -140,10 +134,10 @@ def test_big_enumeration_path_matches_small():
     # the block enumeration against a plain Gray walk over all codewords,
     # for codes of dimension 1 to 16 (all rows in the block)
     rng = stream(61)
-    bent_rows = rm_generator_matrix(1, 5).rows
+    bent_rows = rm_generator_matrix(1, 5)
     assert coset_min_weight_by_gray_walk(BENT_M5.truth_table, bent_rows) == 12
     for r, m in [(0, 3), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5), (1, 6), (1, 7)]:
-        rows = rm_generator_matrix(r, m).rows
+        rows = rm_generator_matrix(r, m)
         for _ in range(3):
             tt = int.from_bytes(rng.bytes(16), "little") >> (128 - (1 << m))
             exact = exact_coset_min_weight(BooleanFunction(m, truth_table=tt), r, m)
@@ -151,7 +145,7 @@ def test_big_enumeration_path_matches_small():
     # RM(2,6) has dimension 22: 2^20 words in the block, a walk over the
     # other 2; a codeword has weight 0, and a codeword with one point
     # flipped weight 1 (the minimum distance is 16)
-    rows = rm_generator_matrix(2, 6).rows
+    rows = rm_generator_matrix(2, 6)
     word = rows[0] ^ rows[5] ^ rows[20] ^ rows[21]
     assert exact_coset_min_weight(BooleanFunction(6, truth_table=word), 2, 6) == 0
     assert exact_coset_min_weight(BooleanFunction(6, truth_table=word ^ (1 << 37)), 2, 6) == 1
@@ -162,7 +156,7 @@ def test_big_enumeration_path_matches_small():
 
 def test_distance_hits_zero_for_codeword():
     rng = stream(57)
-    rows = rm_generator_matrix(2, 5).rows
+    rows = rm_generator_matrix(2, 5)
     word = rows[3] ^ rows[7]
     rep = distance(BooleanFunction(5, truth_table=word), rm_generator_matrix(2, 5), 0, rng=rng)
     assert rep.hit and rep.best == 0
