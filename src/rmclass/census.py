@@ -13,7 +13,6 @@ group element is enumerated, and nothing is shared with the descent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -215,33 +214,29 @@ class NearBentCensus:
     total: int
 
 
-@lru_cache(maxsize=1)
-def _quadratic_sign_matrix(m: int) -> np.ndarray:
-    """Read-only signs (-1)^q(x) of all 2^C(m,2) quadratic forms q; row i is
-    the form whose bit j selects the j-th degree-2 monomial, masks ascending.
-    Built once for the last m asked (256 MiB at m=7)."""
-    out = span_signs([monomial_truth_table(mask, m) for mask in masks_of_degree(m, 2)], m)
-    out.flags.writeable = False
-    return out
-
-
 def count_near_bent_completions(f: BooleanFunction) -> int:
-    """N(f): quadratic forms q with f+q near-bent, by full enumeration.
+    """N(f): quadratic forms q with f+q near-bent, by a split on x_m.
 
-    The spectrum of f+q is (signs(q) * signs(f)) @ H = signs(q) @ H_f with
-    H_f = signs(f)[:, None] * H, so f scales the matrix once.
+    With q = q' + x_m*l, q' quadratic and l linear in x_1..x_{m-1}, and f0,
+    f1 the halves of f on x_m = 0 and 1, W_{f+q}(a', a_m) = X + (-1)^a_m Y
+    for X = W_{f0+q'}(a') and Y = W_{f1+q'}(a' ^ l) (Carlet, Boolean
+    Functions for Cryptography and Coding Theory, 2021).  Both |X +- Y| lie
+    in {0, A}, A = 2^((m+1)/2), iff |X| and |Y| lie in {0, A/2, A} and
+    |X| + |Y| lies in {0, A}.  The 2^C(m-1,2) sign rows of q' take 2 MiB at m=7.
     """
     m = f.m
     if m % 2 == 0:
         raise InvalidInputError("near-bent needs odd m")
-    amp = 1 << ((m + 1) // 2)
-    h_f = signs(f.truth_table, m)[:, None] * hadamard(m)
-    q_signs = _quadratic_sign_matrix(m)
-    count = 0
-    block = 1 << 14
-    for lo in range(0, q_signs.shape[0], block):
-        a = np.abs(q_signs[lo : lo + block] @ h_f)
-        count += int((((a == 0) | (a == amp)).all(axis=1)).sum())
+    amp, half = 1 << ((m + 1) // 2), 1 << (m - 1)
+    q_signs = span_signs([monomial_truth_table(k, m - 1) for k in masks_of_degree(m - 1, 2)], m - 1)
+    halves = (f.truth_table & ((1 << half) - 1), f.truth_table >> half)
+    w = np.abs(np.stack([q_signs @ (signs(g, m - 1)[:, None] * hadamard(m - 1)) for g in halves]))
+    keep = ((w == 0) | (w == amp // 2) | (w == amp)).all(axis=(0, 2))
+    w0, w1 = w.astype(np.int8).compress(keep, axis=1)  # |W| <= 2^(m-1) <= 64
+    idx, count = np.arange(half), 0
+    for lin in range(half):
+        s = w0 + w1[:, idx ^ lin]
+        count += int(((s == 0) | (s == amp)).all(axis=1).sum())
     return count
 
 

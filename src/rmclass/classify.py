@@ -486,9 +486,8 @@ def descend_iter(
 def _check_record_fix(rep: BooleanFunction, level: int, gens: Sequence[AffineMap]) -> None:
     """Every stabilizer generator must fix the representative at its level."""
     high = degree_mask(rep.m, level + 1, rep.m)
-    tt, anf = rep.truth_table, rep.anf
-    for g in gens:
-        if (substitute_anf(tt, g.pmap) ^ anf) & high:
+    for g in gens:  # the truth table is read, and so built, only for a generator
+        if (substitute_anf(rep.truth_table, g.pmap) ^ rep.anf) & high:
             raise InternalConsistencyError(
                 "harvested generator does not fix the representative at its level"
             )

@@ -58,6 +58,12 @@ def _read_manifest(path: Path) -> dict:
     return out
 
 
+def _check_cell(s: int, t: int, m: int) -> None:
+    """The cell rule of every command that takes s and t: 0 <= s <= t <= m."""
+    if not (0 <= s <= t <= m):
+        raise InvalidInputError(f"cell ({s},{t}) outside the m={m} triangle")
+
+
 def _log(args, msg: str) -> None:
     if args.verbose:
         print(msg, file=sys.stderr, flush=True)
@@ -80,9 +86,10 @@ class _Checkpoint:
         self._fh = None
 
     def load(self):
-        """Returns (level, parents_done, children of each parent done) from
-        complete parent blocks, or None if there is no file or a complete
-        line of it does not parse: that level then restarts.
+        """Returns (level, children of each parent done) from complete
+        parent blocks, or None if there is no file, a complete line of it
+        does not parse, or a `# parent-done i` marker is not the (i+1)-th:
+        that level then restarts.
 
         Cuts the file back to its last complete block, so that appends go on
         from there: records after it, and an unterminated last line left by
@@ -92,7 +99,6 @@ class _Checkpoint:
             return None
         level = None
         m = None
-        done = 0
         blocks: List[List[ClassRecord]] = []
         pending: List[ClassRecord] = []
         data = self.path.read_bytes()
@@ -110,7 +116,8 @@ class _Checkpoint:
                     level, m = int(fields["level"]), int(fields["m"])
                     keep = pos
                 elif line.startswith("# parent-done"):
-                    done = int(line.split()[2]) + 1
+                    if int(line.split()[2]) != len(blocks):
+                        return None
                     blocks.append(pending)
                     pending = []
                     keep = pos
@@ -123,7 +130,7 @@ class _Checkpoint:
         if keep < len(data):
             with open(self.path, "r+b") as fh:
                 fh.truncate(keep)
-        return level, done, blocks
+        return level, blocks
 
     def start(self, m: int, level: int) -> None:
         self.close()
@@ -151,8 +158,7 @@ class _Checkpoint:
 
 def cmd_classify(args) -> int:
     m, s, t = args.m, args.s, args.t
-    if not (0 <= s <= t <= m):
-        raise InvalidInputError(f"need 0 <= s <= t <= m, got s={s} t={t} m={m}")
+    _check_cell(s, t, m)
     target = s - 1
     check_memory(m, t, target, args.mem_limit << 20)
     out = _out_dir(args)
@@ -203,7 +209,8 @@ def cmd_classify(args) -> int:
             resumed = ckpt.load() if args.resume else None
             start_at, out_records, inherited = 0, [], 0
             if resumed and resumed[0] == level - 1:
-                start_at, blocks = resumed[1], resumed[2]
+                blocks = resumed[1]
+                start_at = len(blocks)
                 for parent, children in zip(parents, blocks):
                     out_records.extend(children)
                     inherited += _count_inherited(parent, children)
@@ -211,7 +218,8 @@ def cmd_classify(args) -> int:
             else:
                 ckpt.start(m, level - 1)
             t0 = time.time()
-            for idx, parent, children in descend_iter(parents[start_at:], t):
+            todo = parents[start_at:]  # empty once the checkpoint holds every parent
+            for idx, parent, children in descend_iter(todo, t) if todo else ():
                 real_idx = start_at + idx
                 out_records.extend(children)
                 inherited += _count_inherited(parent, children)
@@ -259,8 +267,7 @@ def _print_counts(m: int, cells, methods, mem_limit: int) -> Dict[Tuple[int, int
     classification descends once per t, down to the lowest s asked for."""
     lowest: Dict[int, int] = {}
     for s, t in cells:
-        if not (0 <= s <= t <= m):
-            raise InvalidInputError(f"cell ({s},{t}) outside the m={m} triangle")
+        _check_cell(s, t, m)
         if "classify" in methods:
             lowest[t] = min(s, lowest.get(t, s))
     for t, s_low in lowest.items():
@@ -375,6 +382,7 @@ def cmd_distance(args) -> int:
     elif args.s is not None and args.t is not None:
         if args.m is None:
             raise InvalidInputError("classifying first needs --m")
+        _check_cell(args.s, args.t, args.m)
         records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
         raise InvalidInputError("give --reps FILE, --function ANFHEX, or --s/--t")
@@ -401,6 +409,7 @@ def cmd_stab_hist(args) -> int:
     if args.records:
         records = read_level_file(args.records)
     elif args.s is not None and args.t is not None and args.m is not None:
+        _check_cell(args.s, args.t, args.m)
         records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
         raise InvalidInputError("give --records FILE or --m/--s/--t")

@@ -192,13 +192,19 @@ def covering_radius_bound(
 ) -> CoverReport:
     """Run the randomized search on every orbit representative.
 
-    Coset minimum weight is constant along orbits, so hits on all
-    representatives certify the covering-radius bound over the whole ambient
-    space the classification covers.  A non-hit only means 'not found'.
+    Coset minimum weight modulo RM(r,m) is constant along the orbits of a
+    classification at a level L <= r, so hits on all representatives certify
+    the covering-radius bound over the whole ambient space it covers; records
+    at a level above r are refused.  A non-hit only means 'not found'.
     """
     if not records:
         raise InvalidInputError("no representatives supplied")
-    m = records[0].m
+    m, level = records[0].m, max(rec.level for rec in records)
+    if level > r:
+        raise InvalidInputError(
+            f"records at level {level} are classes modulo RM({level},{m}), on which the "
+            f"coset minimum weight modulo RM({r},{m}) is not constant; need level <= r"
+        )
     base = rm_generator_matrix(r, m)
     reports = []
     for i, rec in enumerate(records):

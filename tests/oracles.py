@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from rmclass.bfcore import BooleanFunction
-from rmclass.bits import hex_of_bits
+import numpy as np
+
+from rmclass.bfcore import BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
+from rmclass.bits import hex_of_bits, masks_of_degree
 from rmclass.errors import InvalidInputError
 from rmclass.group import AffineMap, enumerate_agl
 
@@ -268,3 +270,23 @@ def gl_conjugacy_classes_bruteforce(m: int):
         unseen -= orbit
         orbits.append(orbit)
     return orbits
+
+
+def near_bent_completions_by_enumeration(f: BooleanFunction) -> int:
+    """Quadratic forms q with f+q near-bent (odd m), from the spectrum of
+    f+q for every one of the 2^C(m,2) forms.
+
+    The spectrum is (signs(q) * signs(f)) @ H.  The sign rows of the forms
+    on the first 14 degree-2 monomials are built once, and each form on the
+    rest scales the rows of H instead: (low * tail) @ H = low @ (tail[:, None] * H).
+    """
+    m = f.m
+    amp = 1 << ((m + 1) // 2)
+    forms = [monomial_truth_table(mask, m) for mask in masks_of_degree(m, 2)]
+    low = span_signs(forms[:14], m)
+    h_f = signs(f.truth_table, m)[:, None] * hadamard(m)
+    count = 0
+    for tail in span_signs(forms[14:], m):
+        a = np.abs(low @ (tail[:, None] * h_f))
+        count += int(((a == 0) | (a == amp)).all(axis=1).sum())
+    return count

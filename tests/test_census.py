@@ -17,7 +17,12 @@ from rmclass.group import AffineMap, act, enumerate_agl, group_order, random_aff
 from rmclass.bits import degree_mask, rank_gf2, space_dimension
 from rmclass.rng import stream
 
-from oracles import fixed_function_count_bruteforce, gl_conjugacy_classes_bruteforce
+from oracles import (
+    degree,
+    fixed_function_count_bruteforce,
+    gl_conjugacy_classes_bruteforce,
+    near_bent_completions_by_enumeration,
+)
 
 
 # -- fixed-space sizes -------------------------------------------------------------
@@ -220,14 +225,57 @@ def alternating_count_closed_form(m, rank):
 
 def test_zero_function_completions_are_rank_m_minus_1_alternating_matrices():
     # q is near-bent exactly when its alternating form has the largest odd-m
-    # rank, m-1; m=7 is the census's kernel at the paper's size.  m=7 runs
-    # first so that the cached m=7 sign matrix (256 MiB) is evicted by m=3.
-    expected = {7: 1763776, 5: 868, 3: 7}
+    # rank, m-1; m=7 is the census's kernel at the paper's size
+    expected = {3: 7, 5: 868, 7: 1763776}
     for m in (3, 5):
         assert alternating_count_by_enumeration(m, m - 1) == expected[m]
     for m, count in expected.items():
         assert alternating_count_closed_form(m, m - 1) == count
         assert count_near_bent_completions(BooleanFunction.zero(m)) == count
+
+
+def maiorana_mcfarland_bent(n, rng):
+    """Truth table of x.pi(y) + g(y) in 2n variables, bent: x is the low n
+    bits of the point index, y the high n, pi a random permutation of
+    F_2^n and g a random function of y."""
+    perm, g = rng.permutation(1 << n), rng.integers(0, 2, 1 << n)
+    tt = 0
+    for p in range(1 << (2 * n)):
+        x, y = p & ((1 << n) - 1), p >> n
+        tt |= ((int(x & perm[y]).bit_count() + int(g[y])) & 1) << p
+    return tt
+
+
+def concatenation(b1, b2, n):
+    """(1 + x_m) b1 + x_m b2 in m = n+1 variables: b1 on x_m = 0, b2 on x_m = 1."""
+    return BooleanFunction(n + 1, truth_table=b1 | b2 << (1 << n))
+
+
+def test_completions_match_full_enumeration_m3_m5():
+    # every function at m=3; at m=5 random functions and concatenations of
+    # bent functions in 4 variables, which have many completions
+    funcs = [BooleanFunction(3, truth_table=tt) for tt in range(256)]
+    rng = stream(41)
+    funcs += [BooleanFunction(5, truth_table=int(rng.integers(1 << 32))) for _ in range(60)]
+    concats = [concatenation(maiorana_mcfarland_bent(2, rng), maiorana_mcfarland_bent(2, rng), 4)
+               for _ in range(50)]
+    counts = {}
+    for f in funcs + concats:
+        counts[f] = count_near_bent_completions(f)
+        assert counts[f] == near_bent_completions_by_enumeration(f), f
+    assert min(counts[f] for f in concats) > 0
+    assert len({counts[f] for f in concats}) > 1
+
+
+def test_completions_match_full_enumeration_m7_cubic_concatenations():
+    rng = stream(42)
+    for _ in range(2):
+        b1, b2 = maiorana_mcfarland_bent(3, rng), maiorana_mcfarland_bent(3, rng)
+        assert [degree(BooleanFunction(6, truth_table=b)) for b in (b1, b2)] == [3, 3]
+        f = concatenation(b1, b2, 6)
+        n = count_near_bent_completions(f)
+        assert n > 0
+        assert n == near_bent_completions_by_enumeration(f)
 
 
 def test_census_weights_are_orbit_sizes():

@@ -1,5 +1,6 @@
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -170,13 +171,16 @@ def test_dual_check_m4(tmp_path, capsys):
     assert "duality holds" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [
-    ["dual-check", "--m", 5, "--cells", "2,3;3,2"],
-    ["count", "--m", 4, "--s", 3, "--t", 2],
-    ["count", "--m", 4, "--s", 3, "--t", 2, "--method", "burnside"],
-], ids=["dual-check", "count", "count-burnside"])
-def test_count_cells_are_checked_before_any_descent(tmp_path, capsys, monkeypatch, argv):
-    # one rule, 0 <= s <= t <= m, for every cell and method, before a sweep
+@pytest.mark.parametrize("argv, cell", [
+    (["dual-check", "--m", 5, "--cells", "2,3;3,2"], "(3,2)"),
+    (["count", "--m", 4, "--s", 3, "--t", 2], "(3,2)"),
+    (["count", "--m", 4, "--s", 3, "--t", 2, "--method", "burnside"], "(3,2)"),
+    (["distance", "--m", 5, "--r", 2, "--s", 4, "--t", 3, "--threshold", 0, "--seed", 1],
+     "(4,3)"),
+    (["stab-hist", "--m", 3, "--s", 3, "--t", 2], "(3,2)"),
+], ids=["dual-check", "count", "count-burnside", "distance", "stab-hist"])
+def test_count_cells_are_checked_before_any_descent(tmp_path, capsys, monkeypatch, argv, cell):
+    # one rule, 0 <= s <= t <= m, for every command, cell and method, before a sweep
     import rmclass.classify as classify
 
     def no_sweep(ctx):
@@ -186,7 +190,7 @@ def test_count_cells_are_checked_before_any_descent(tmp_path, capsys, monkeypatc
     assert run(*argv, "--out", tmp_path) == InvalidInputError.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "cell (3,2) outside the m=" in captured.err
+    assert f"cell {cell} outside the m=" in captured.err
 
 
 def test_dual_check_explicit_cells(tmp_path, capsys):
@@ -247,6 +251,16 @@ def test_distance_inconclusive_exit_code(tmp_path):
     code = run("distance", "--m", 5, "--r", 1, "--function", format(anf, "08x"),
                "--threshold", 2, "--max-iter", 8, "--seed", 3, "--out", tmp_path)
     assert code == 1
+
+
+def test_distance_refuses_records_above_r(tmp_path, capsys):
+    # classes modulo RM(2,5) do not have one coset weight modulo RM(1,5):
+    # B(3,5,5) holds a function at distance 12 from RM(1,5), above this bound
+    assert run("distance", "--m", 5, "--r", 1, "--s", 3, "--t", 5, "--threshold", 10,
+               "--seed", 1, "--out", tmp_path) == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "records at level 2 are classes modulo RM(2,5)" in captured.err
 
 
 def test_stab_hist_cli(tmp_path, capsys):
@@ -336,7 +350,8 @@ def test_classify_default_output_dir(tmp_path, monkeypatch, capsys):
     "# checkpoint level=x m=4\n",
     "# checkpoint level=0 m=4\n# parent-done x\n",
     "# checkpoint level=0 m=4\n0 zz 2 0\n# parent-done 0\n",  # a record that does not parse
-], ids=["no-m", "level-x", "parent-done-x", "bad-record"])
+    "# checkpoint level=0 m=4\n# parent-done 3\n",  # a marker that is not the first block's
+], ids=["no-m", "level-x", "parent-done-x", "bad-record", "parent-done-skips"])
 def test_resume_restarts_a_level_whose_checkpoint_does_not_parse(tmp_path, text):
     fresh = tmp_path / "fresh"
     assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", fresh) == 0
@@ -379,7 +394,8 @@ def test_classify_resume_from_torn_checkpoint(tmp_path, monkeypatch):
     assert lines[-1].startswith(b"# parent-done")
     assert block_start < len(data) - len(lines[-1])
 
-    for cut in range(block_start, len(data)):
+    # the last cut keeps the whole file: every parent is done, the level file is not
+    for cut in range(block_start, len(data) + 1):
         trial = tmp_path / f"cut{cut}"
         shutil.copytree(crashed, trial)
         (trial / "checkpoint.txt").write_bytes(data[:cut])
@@ -391,9 +407,9 @@ def test_classify_resume_from_torn_checkpoint(tmp_path, monkeypatch):
     # the torn tail is cut off, so later appends start on a fresh line
     path = crashed / "checkpoint.txt"
     path.write_bytes(data[:-1])
-    level, done, _records = cli._Checkpoint(path).load()
+    level, blocks = cli._Checkpoint(path).load()
     assert path.read_bytes() == data[:block_start]
-    assert level == 0 and done == int(lines[-1].split()[2])
+    assert level == 0 and len(blocks) == int(lines[-1].split()[2])
 
 
 def test_checkpoint_blocks_reach_the_file_as_they_finish(tmp_path):
@@ -413,7 +429,7 @@ def test_checkpoint_blocks_reach_the_file_as_they_finish(tmp_path):
 
     # a resumed level appends after the blocks load kept
     again = cli._Checkpoint(path)
-    assert again.load() == (1, 3, [records[:3], [], records[3:5]])
+    assert again.load() == (1, [records[:3], [], records[3:5]])
     again.parent_done(3, records[5:6])
     expect += (records[5].to_line() + "\n# parent-done 3\n").encode()
     assert path.read_bytes() == expect
@@ -445,3 +461,18 @@ def test_classify_closes_checkpoint_on_every_exit(tmp_path, monkeypatch, error):
         assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", out) == error.exit_code
     assert seen[0]._fh is None
     assert (out / "checkpoint.txt").read_text().endswith("# parent-done 0\n")
+
+
+def test_readme_commands_parse():
+    # every command of the README's command-line block parses, so a doc that
+    # names a removed flag or subcommand fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["rmclass"]]
+    assert {argv[0] for argv in commands} == {
+        "classify", "count", "dual-check", "nearbent", "distance", "stab-hist"
+    }
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
