@@ -148,17 +148,3 @@ def span_signs(tts: Sequence[int], m: int) -> np.ndarray:
     for j, tt in enumerate(tts):
         np.multiply(out[: 1 << j], signs(tt, m), out=out[1 << j : 2 << j])
     return out
-
-
-def walsh(f: BooleanFunction) -> np.ndarray:
-    """Signed spectrum W[a] = sum_x (-1)^(f(x) + a.x) as int32: the sign row
-    of f times the cached Sylvester matrix."""
-    return (signs(f.truth_table, f.m) @ hadamard(f.m)).astype(np.int32)
-
-
-def is_near_bent(f: BooleanFunction) -> bool:
-    """Odd m only: spectrum magnitudes all in {0, 2^((m+1)/2)}."""
-    if f.m % 2 == 0:
-        raise InvalidInputError("near-bent is defined for odd m only")
-    a = np.abs(walsh(f))
-    return bool(((a == 0) | (a == 1 << ((f.m + 1) // 2))).all())

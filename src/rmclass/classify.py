@@ -27,24 +27,17 @@ reach it.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .bits import bits_of_hex, degree_mask, hex_of_bits, masks_of_degree, space_dimension
 from .bfcore import BooleanFunction, monomial_truth_table
-from .errors import (
-    DependencyMissingError,
-    InternalConsistencyError,
-    InvalidInputError,
-    ResourceRefusedError,
-)
+from .errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
 from .group import AffineMap, SubgroupOracle, generators_stu, group_order, substitute_anf
 
 _UNSEEN = 255
@@ -548,56 +541,3 @@ def classify_space(s: int, t: int, m: int, mem_limit: int = 2 << 30) -> List[Cla
 def stab_histogram(records: Sequence[ClassRecord]) -> Dict[int, int]:
     """Multiplicity of each stabilizer order."""
     return dict(sorted(Counter(rec.stab_order for rec in records).items()))
-
-
-# -- record files -------------------------------------------------------------
-
-
-def write_level_file(path, records: Sequence[ClassRecord]) -> None:
-    """One record per line; header carries m and level, trailer the count.
-    Written to a temporary file beside the target and renamed over it, so a
-    crash never leaves a partial level file."""
-    if not records:
-        raise InvalidInputError("refusing to write an empty level file")
-    m = records[0].m
-    level = records[0].level
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(f"# rmclass m={m} level={level}\n")
-        for rec in records:
-            fh.write(rec.to_line() + "\n")
-        fh.write(f"# complete {len(records)}\n")
-    os.replace(tmp, path)
-
-
-def read_level_file(path) -> List[ClassRecord]:
-    """Records of a level file.  A missing file raises DependencyMissingError,
-    a malformed one InvalidInputError naming the file and line."""
-    records: List[ClassRecord] = []
-    complete = None
-    lineno = 1
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("# rmclass m="):
-                raise InvalidInputError("not a level file")
-            fields = dict(kv.split("=", 1) for kv in header[2:].split() if "=" in kv)
-            m = int(fields["m"])
-            for lineno, line in enumerate(fh, 2):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("# complete"):
-                    complete = int(line.split()[2])
-                    break
-                records.append(ClassRecord.from_line(m, line))
-    except FileNotFoundError:
-        raise DependencyMissingError(f"{path}: no such level file") from None
-    except (OSError, ValueError, IndexError, InvalidInputError) as err:
-        raise InvalidInputError(f"{path}:{lineno}: {err}") from None
-    if complete is None:
-        raise InvalidInputError(f"{path}: missing completion marker (truncated run?)")
-    if complete != len(records):
-        raise InvalidInputError(f"{path}: trailer says {complete} records, found {len(records)}")
-    return records

@@ -6,18 +6,26 @@ the other subcommands print their results.  Result files contain no
 timestamps, so re-running with the same manifest settings reproduces them
 byte for byte.  Long classifications checkpoint after every parent
 representative and can be resumed with --resume.
+
+The one writer and the one parser of record files live here.  A level file
+is a `# rmclass m=<m> level=<L>` header, one line per record and a
+`# complete N` trailer; the checkpoint is the level file being written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from itertools import groupby
+from math import comb
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .bfcore import BooleanFunction
+from .bits import degree_mask
 from .census import burnside_count, duality_check, near_bent_census, table_render
 from .classify import (
     ClassRecord,
@@ -25,14 +33,17 @@ from .classify import (
     classify_levels,
     classify_space,
     descend_iter,
-    read_level_file,
     stab_histogram,
     top_record,
     verify_level_mass,
-    write_level_file,
 )
-from .covrad import covering_radius_bound
-from .errors import InternalConsistencyError, InvalidInputError, RmclassError
+from .covrad import check_level, covering_radius_bound
+from .errors import (
+    DependencyMissingError,
+    InternalConsistencyError,
+    InvalidInputError,
+    RmclassError,
+)
 
 
 def _out_dir(args) -> Path:
@@ -42,9 +53,13 @@ def _out_dir(args) -> Path:
 
 
 def _write_manifest(path: Path, pairs: dict) -> None:
-    with open(path, "w") as fh:
+    """Written beside the manifest and renamed over it, so a crash mid-write
+    leaves the previous manifest for --resume."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
         for k, v in pairs.items():
             fh.write(f"{k}={v}\n")
+    os.replace(tmp, path)
 
 
 def _read_manifest(path: Path) -> dict:
@@ -72,12 +87,22 @@ def _log(args, msg: str) -> None:
 # -- classify ------------------------------------------------------------------
 
 
-class _Checkpoint:
-    """Append-only progress file for the level currently being descended.
+def _header(m: int, level: int) -> str:
+    return f"# rmclass m={m} level={level}\n"
 
-    One handle stays open per level.  Each parent's block is one write and a
-    flush, so it reaches the OS before the next parent starts: a crash of the
-    process loses at most the block being written, which load cuts off.
+
+def _record_lines(records: Sequence[ClassRecord]) -> Iterator[str]:
+    return (rec.to_line() + "\n" for rec in records)
+
+
+class _Checkpoint:
+    """The level file being written: its header, then each parent's children
+    as the parent finishes; when the level is done, the `# complete N`
+    trailer and a rename onto the level file.
+
+    One handle stays open per level.  Each parent's block is flushed as it is
+    written, so it reaches the OS before the next parent starts: a crash of
+    the process loses at most the block being written, which load cuts off.
     There is no fsync, so a power cut is not covered.
     """
 
@@ -85,64 +110,65 @@ class _Checkpoint:
         self.path = path
         self._fh = None
 
-    def load(self):
-        """Returns (level, children of each parent done) from complete
-        parent blocks, or None if there is no file, a complete line of it
-        does not parse, or a `# parent-done i` marker is not the (i+1)-th:
-        that level then restarts.
+    def load(self, parents: Sequence[ClassRecord]) -> Optional[List[List[ClassRecord]]]:
+        """The children of parents[0], parents[1], ... that the file holds
+        complete; None, and the level restarts, if the file is missing, its
+        header is not the level below the parents', a complete line does not
+        parse, or a block's parent is not the next parent.
 
-        Cuts the file back to its last complete block, so that appends go on
-        from there: records after it, and an unterminated last line left by
-        a crash mid-append, are dropped.
+        A child's part above degree r is its parent's representative, which
+        groups the lines into blocks.  A block is complete when its mass, the
+        sum of parent order / child order, is 2^C(m,r); the first one short
+        of it is the torn tail.  The file is cut after the last complete
+        block, trailer and all, so that appends go on from there.
         """
-        if not self.path.exists():
+        m, r = parents[0].m, parents[0].level
+        header = _header(m, r - 1).encode()
+        data = self.path.read_bytes() if self.path.exists() else b""
+        if not data.startswith(header):
             return None
-        level = None
-        m = None
-        blocks: List[List[ClassRecord]] = []
-        pending: List[ClassRecord] = []
-        data = self.path.read_bytes()
-        keep = pos = 0
-        for raw in data.splitlines(keepends=True):
-            pos += len(raw)
-            if not raw.endswith(b"\n"):
+        lines, pos = [], len(header)  # (record, file offset after its line)
+        for raw in data[pos:].splitlines(keepends=True):
+            if not raw.endswith(b"\n") or raw.startswith(b"# complete"):
                 break
+            pos += len(raw)
             try:
-                line = raw.decode().strip()
-                if not line:
-                    continue
-                if line.startswith("# checkpoint"):
-                    fields = dict(kv.split("=") for kv in line.split()[2:])
-                    level, m = int(fields["level"]), int(fields["m"])
-                    keep = pos
-                elif line.startswith("# parent-done"):
-                    if int(line.split()[2]) != len(blocks):
-                        return None
-                    blocks.append(pending)
-                    pending = []
-                    keep = pos
-                else:
-                    pending.append(ClassRecord.from_line(m, line))
-            except (KeyError, ValueError, IndexError, TypeError, InvalidInputError):
+                lines.append((ClassRecord.from_line(m, raw.decode()), pos))
+            except (ValueError, InvalidInputError):
                 return None
-        if level is None:
-            return None
+        blocks, keep = [], len(header)
+        high, mass = degree_mask(m, r + 1, m), 1 << comb(m, r)
+        for j, (part, block) in enumerate(groupby(lines, lambda ln: ln[0].rep.anf & high)):
+            block = list(block)
+            if j == len(parents) or part != parents[j].rep.anf:
+                return None
+            if sum(parents[j].stab_order // rec.stab_order for rec, _ in block) != mass:
+                break
+            blocks.append([rec for rec, _ in block])
+            keep = block[-1][1]
         if keep < len(data):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(keep)
-        return level, blocks
+            os.truncate(self.path, keep)
+        return blocks
 
     def start(self, m: int, level: int) -> None:
         self.close()
         self._fh = open(self.path, "w")
-        self._fh.write(f"# checkpoint level={level} m={m}\n")
-        self._fh.flush()
+        self._write([_header(m, level)])
 
     def parent_done(self, idx: int, children: Sequence[ClassRecord]) -> None:
+        # idx is not written: load finds each block's parent from its records
+        self._write(_record_lines(children))
+
+    def finish(self, count: int, path: Path) -> None:
+        """Append the trailer and rename the file onto path."""
+        self._write([f"# complete {count}\n"])
+        self.close()
+        os.replace(self.path, path)
+
+    def _write(self, lines: Iterable[str]) -> None:
         if self._fh is None:  # resuming: load has cut the file to its last block
             self._fh = open(self.path, "a")
-        block = "".join([rec.to_line() + "\n" for rec in children])
-        self._fh.write(f"{block}# parent-done {idx}\n")
+        self._fh.writelines(lines)
         self._fh.flush()
 
     def close(self) -> None:
@@ -150,10 +176,44 @@ class _Checkpoint:
             self._fh.close()
             self._fh = None
 
-    def clear(self) -> None:
-        self.close()
-        if self.path.exists():
-            self.path.unlink()
+
+def write_level_file(path, records: Sequence[ClassRecord]) -> None:
+    """Records at one level, written beside path as a checkpoint is and
+    renamed onto it, so a crash never leaves a partial level file."""
+    if not records:
+        raise InvalidInputError("refusing to write an empty level file")
+    path = Path(path)
+    tmp = _Checkpoint(path.with_name(path.name + ".tmp"))
+    try:
+        tmp.start(records[0].m, records[0].level)
+        tmp._write(_record_lines(records))
+        tmp.finish(len(records), path)
+    finally:
+        tmp.close()
+
+
+def read_level_file(path) -> List[ClassRecord]:
+    """Records of a level file.  A missing file raises DependencyMissingError,
+    a malformed one InvalidInputError naming the file and line."""
+    records: List[ClassRecord] = []
+    lineno = 1
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            if not header.startswith("# rmclass m="):
+                raise InvalidInputError("not a level file")
+            m = int(header.split()[2][2:])
+            for lineno, line in enumerate(fh, 2):
+                if line.startswith("# complete"):
+                    if int(line.split()[2]) == len(records):
+                        return records
+                    raise InvalidInputError(f"{line.strip()!r} after {len(records)} records")
+                records.append(ClassRecord.from_line(m, line))
+    except FileNotFoundError:
+        raise DependencyMissingError(f"{path}: no such level file") from None
+    except (OSError, ValueError, IndexError, InvalidInputError) as err:
+        raise InvalidInputError(f"{path}:{lineno}: {err}") from None
+    raise InvalidInputError(f"{path}: missing completion marker (truncated run?)")
 
 
 def cmd_classify(args) -> int:
@@ -206,21 +266,18 @@ def cmd_classify(args) -> int:
     try:
         while level > target:
             parents = records
-            resumed = ckpt.load() if args.resume else None
-            start_at, out_records, inherited = 0, [], 0
-            if resumed and resumed[0] == level - 1:
-                blocks = resumed[1]
-                start_at = len(blocks)
-                for parent, children in zip(parents, blocks):
-                    out_records.extend(children)
-                    inherited += _count_inherited(parent, children)
-                _log(args, f"checkpoint: level {level - 1} resumes at parent {start_at}")
-            else:
+            blocks = ckpt.load(parents) if args.resume else None
+            if blocks:
+                _log(args, f"checkpoint: level {level - 1} resumes at parent {len(blocks)}")
+            elif blocks is None:
+                blocks = []
                 ckpt.start(m, level - 1)
+            out_records = [rec for children in blocks for rec in children]
+            inherited = sum(map(_count_inherited, parents, blocks))
             t0 = time.time()
-            todo = parents[start_at:]  # empty once the checkpoint holds every parent
+            todo = parents[len(blocks):]  # empty once the checkpoint holds every parent
             for idx, parent, children in descend_iter(todo, t) if todo else ():
-                real_idx = start_at + idx
+                real_idx = len(blocks) + idx
                 out_records.extend(children)
                 inherited += _count_inherited(parent, children)
                 ckpt.parent_done(real_idx, children)
@@ -232,13 +289,13 @@ def cmd_classify(args) -> int:
             verify_level_mass(out_records, t)
             records = out_records
             level -= 1
-            write_level_file(out / f"level_{level}.txt", records)
-            ckpt.clear()
             done_levels[level] = len(records)
             manifest[f"level_{level}_parents"] = len(parents)
             manifest[f"level_{level}_count"] = len(records)
             manifest[f"level_{level}_inherited"] = inherited
+            # the manifest first, so that every level file in place has its keys
             _write_manifest(manifest_path, manifest)
+            ckpt.finish(len(records), out / f"level_{level}.txt")
     finally:
         ckpt.close()  # an unfinished level keeps its file for --resume
 
@@ -383,6 +440,7 @@ def cmd_distance(args) -> int:
         if args.m is None:
             raise InvalidInputError("classifying first needs --m")
         _check_cell(args.s, args.t, args.m)
+        check_level(args.s - 1, args.r, args.m)
         records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
         raise InvalidInputError("give --reps FILE, --function ANFHEX, or --s/--t")

@@ -1,5 +1,5 @@
 """Randomized small-weight coset-word search for Reed-Muller codes, plus the
-exact brute-force oracles that validate it at small m.
+exact coset minimum weight by enumeration that validates it at small m.
 
 The search is one-sided: a found word of weight w certifies that the coset
 minimum weight is <= w (for the whole level orbit of the input function,
@@ -15,7 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .bits import space_dimension
-from .bfcore import BooleanFunction, hadamard, monomial_truth_table, span_signs
+from .bfcore import BooleanFunction, monomial_truth_table
 from .classify import ClassRecord
 from .errors import InvalidInputError, ResourceRefusedError
 from .group import act, random_affine
@@ -136,30 +136,6 @@ def exact_coset_min_weight(f: BooleanFunction, r: int, m: int) -> int:
     return best
 
 
-def exact_covering_radius_rm1(m: int) -> int:
-    """Covering radius of RM(1,m) by sweeping one representative per coset
-    and reading the distance off the Walsh spectrum; m <= 5.
-
-    The representatives are the functions that vanish on the independent
-    points 0 and e_i.  Each is a low part on the first 16 free points plus a
-    tail on the rest; the tail's signs scale the rows of the Sylvester
-    matrix, (low * tail) @ H = low @ (tail[:, None] * H), so the low sign
-    rows are built once.
-    """
-    if m > 5:
-        raise ResourceRefusedError("full coset sweep of RM(1,m) is limited to m <= 5")
-    n = 1 << m
-    piv = [0] + [1 << i for i in range(m)]  # independent columns of [1; x_i]
-    free = [1 << x for x in range(n) if x not in piv]  # truth tables of single points
-    low = span_signs(free[:16], m).astype(np.float32)
-    h = hadamard(m)
-    peak = n  # smallest max |W| over the representatives
-    for tail in span_signs(free[16:], m):
-        w = low @ (tail[:, None] * h)
-        peak = min(peak, int(np.abs(w).max(axis=1).min()))
-    return (n - peak) // 2
-
-
 @dataclass
 class CoverReport:
     m: int
@@ -183,6 +159,15 @@ class CoverReport:
         )
 
 
+def check_level(level: int, r: int, m: int) -> None:
+    """Refuse records at a level above r: the search certifies nothing there."""
+    if level > r:
+        raise InvalidInputError(
+            f"records at level {level} are classes modulo RM({level},{m}), on which the "
+            f"coset minimum weight modulo RM({r},{m}) is not constant; need level <= r"
+        )
+
+
 def covering_radius_bound(
     records: Sequence[ClassRecord],
     r: int,
@@ -199,12 +184,8 @@ def covering_radius_bound(
     """
     if not records:
         raise InvalidInputError("no representatives supplied")
-    m, level = records[0].m, max(rec.level for rec in records)
-    if level > r:
-        raise InvalidInputError(
-            f"records at level {level} are classes modulo RM({level},{m}), on which the "
-            f"coset minimum weight modulo RM({r},{m}) is not constant; need level <= r"
-        )
+    m = records[0].m
+    check_level(max(rec.level for rec in records), r, m)
     base = rm_generator_matrix(r, m)
     reports = []
     for i, rec in enumerate(records):

@@ -14,7 +14,7 @@ import numpy as np
 
 from rmclass.bfcore import BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
 from rmclass.bits import hex_of_bits, masks_of_degree
-from rmclass.errors import InvalidInputError
+from rmclass.errors import InvalidInputError, ResourceRefusedError
 from rmclass.group import AffineMap, enumerate_agl
 
 
@@ -290,3 +290,41 @@ def near_bent_completions_by_enumeration(f: BooleanFunction) -> int:
         a = np.abs(low @ (tail[:, None] * h_f))
         count += int(((a == 0) | (a == amp)).all(axis=1).sum())
     return count
+
+
+def walsh(f: BooleanFunction) -> np.ndarray:
+    """Signed spectrum W[a] = sum_x (-1)^(f(x) + a.x) as int32: the sign row
+    of f times the cached Sylvester matrix."""
+    return (signs(f.truth_table, f.m) @ hadamard(f.m)).astype(np.int32)
+
+
+def is_near_bent(f: BooleanFunction) -> bool:
+    """Odd m only: spectrum magnitudes all in {0, 2^((m+1)/2)}."""
+    if f.m % 2 == 0:
+        raise InvalidInputError("near-bent is defined for odd m only")
+    a = np.abs(walsh(f))
+    return bool(((a == 0) | (a == 1 << ((f.m + 1) // 2))).all())
+
+
+def exact_covering_radius_rm1(m: int) -> int:
+    """Covering radius of RM(1,m) by sweeping one representative per coset
+    and reading the distance off the Walsh spectrum; m <= 5.
+
+    The representatives are the functions that vanish on the independent
+    points 0 and e_i.  Each is a low part on the first 16 free points plus a
+    tail on the rest; the tail's signs scale the rows of the Sylvester
+    matrix, (low * tail) @ H = low @ (tail[:, None] * H), so the low sign
+    rows are built once.
+    """
+    if m > 5:
+        raise ResourceRefusedError("full coset sweep of RM(1,m) is limited to m <= 5")
+    n = 1 << m
+    piv = [0] + [1 << i for i in range(m)]  # independent columns of [1; x_i]
+    free = [1 << x for x in range(n) if x not in piv]  # truth tables of single points
+    low = span_signs(free[:16], m).astype(np.float32)
+    h = hadamard(m)
+    peak = n  # smallest max |W| over the representatives
+    for tail in span_signs(free[16:], m):
+        w = low @ (tail[:, None] * h)
+        peak = min(peak, int(np.abs(w).max(axis=1).min()))
+    return (n - peak) // 2

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from rmclass.bfcore import BooleanFunction, is_near_bent
+from rmclass.bfcore import BooleanFunction
 from rmclass.census import burnside_count, duality_check, near_bent_census
 from rmclass.classify import (
     classify_space,
@@ -21,14 +21,13 @@ from rmclass.covrad import (
     covering_radius_bound,
     distance,
     exact_coset_min_weight,
-    exact_covering_radius_rm1,
     rm_generator_matrix,
 )
 from rmclass.bits import degree_mask
 from rmclass.group import act, group_order, subgroup_order
 from rmclass.rng import stream
 
-from oracles import orbit_partition_bruteforce
+from oracles import exact_covering_radius_rm1, is_near_bent, orbit_partition_bruteforce
 
 
 def report(criterion, ok, detail):

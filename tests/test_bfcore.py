@@ -6,12 +6,10 @@ import pytest
 from rmclass.bfcore import (
     BooleanFunction,
     hadamard,
-    is_near_bent,
     mobius,
     monomial_truth_table,
     signs,
     span_signs,
-    walsh,
 )
 from rmclass.bits import degree_mask, masks_in_range, space_dimension
 from rmclass.errors import InvalidInputError
@@ -22,8 +20,10 @@ from oracles import (
     complement_transform,
     degree,
     inner_product,
+    is_near_bent,
     reduce_anf,
     valuation,
+    walsh,
     walsh_by_definition,
 )
 

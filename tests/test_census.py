@@ -1,6 +1,6 @@
 import pytest
 
-from rmclass.bfcore import BooleanFunction, is_near_bent
+from rmclass.bfcore import BooleanFunction
 import rmclass.census as census
 from rmclass.census import (
     burnside_count,
@@ -21,6 +21,7 @@ from oracles import (
     degree,
     fixed_function_count_bruteforce,
     gl_conjugacy_classes_bruteforce,
+    is_near_bent,
     near_bent_completions_by_enumeration,
 )
 

@@ -22,13 +22,13 @@ from rmclass.classify import (
     estimate_orbit_bytes,
     generator_set,
     orbit_enumerate,
-    read_level_file,
     stab_histogram,
     stab_order_from_class_formula,
     top_record,
     verify_level_mass,
-    write_level_file,
 )
+from rmclass.cli import read_level_file, write_level_file
+
 from rmclass.errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
 from rmclass.group import (
     act,

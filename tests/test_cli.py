@@ -1,11 +1,14 @@
 import os
 import shutil
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
 import rmclass.cli as cli
-from rmclass.classify import BoundaryAction, classify_space, read_level_file, top_record
+from rmclass.bits import degree_mask
+from rmclass.classify import BoundaryAction, classify_space, descend_iter, top_record
+from rmclass.cli import read_level_file
 from rmclass.errors import (
     DependencyMissingError,
     InternalConsistencyError,
@@ -171,16 +174,19 @@ def test_dual_check_m4(tmp_path, capsys):
     assert "duality holds" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv, cell", [
-    (["dual-check", "--m", 5, "--cells", "2,3;3,2"], "(3,2)"),
-    (["count", "--m", 4, "--s", 3, "--t", 2], "(3,2)"),
-    (["count", "--m", 4, "--s", 3, "--t", 2, "--method", "burnside"], "(3,2)"),
+@pytest.mark.parametrize("argv, refusal", [
+    (["dual-check", "--m", 5, "--cells", "2,3;3,2"], "cell (3,2) outside the m="),
+    (["count", "--m", 4, "--s", 3, "--t", 2], "cell (3,2) outside the m="),
+    (["count", "--m", 4, "--s", 3, "--t", 2, "--method", "burnside"], "cell (3,2) outside the m="),
     (["distance", "--m", 5, "--r", 2, "--s", 4, "--t", 3, "--threshold", 0, "--seed", 1],
-     "(4,3)"),
-    (["stab-hist", "--m", 3, "--s", 3, "--t", 2], "(3,2)"),
-], ids=["dual-check", "count", "count-burnside", "distance", "stab-hist"])
-def test_count_cells_are_checked_before_any_descent(tmp_path, capsys, monkeypatch, argv, cell):
-    # one rule, 0 <= s <= t <= m, for every command, cell and method, before a sweep
+     "cell (4,3) outside the m="),
+    (["stab-hist", "--m", 3, "--s", 3, "--t", 2], "cell (3,2) outside the m="),
+    (["distance", "--m", 5, "--r", 1, "--s", 3, "--t", 5, "--threshold", 10, "--seed", 1],
+     "records at level 2 "),
+], ids=["dual-check", "count", "count-burnside", "distance", "stab-hist", "distance-level"])
+def test_count_cells_are_checked_before_any_descent(tmp_path, capsys, monkeypatch, argv, refusal):
+    # one rule, 0 <= s <= t <= m, for every command, cell and method, and
+    # distance's level s-1 <= r, before a sweep
     import rmclass.classify as classify
 
     def no_sweep(ctx):
@@ -190,7 +196,7 @@ def test_count_cells_are_checked_before_any_descent(tmp_path, capsys, monkeypatc
     assert run(*argv, "--out", tmp_path) == InvalidInputError.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"cell {cell} outside the m=" in captured.err
+    assert refusal in captured.err
 
 
 def test_dual_check_explicit_cells(tmp_path, capsys):
@@ -345,99 +351,142 @@ def test_classify_default_output_dir(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "envout").exists()
 
 
+def _blocks_of(level_file: bytes, m: int):
+    """(header line, each parent's block of record lines) of a level file or
+    checkpoint: a child's part above degree level+1 is its parent's
+    representative, so consecutive lines sharing it are one block."""
+    header, *lines = level_file.decode().splitlines(keepends=True)
+    high = degree_mask(m, int(header.split("level=")[1]) + 2, m)
+    records = [ln for ln in lines if not ln.startswith("# complete")]
+    return header, ["".join(block) for _part, block in
+                    groupby(records, lambda ln: int(ln.split()[1], 16) & high)]
+
+
 @pytest.mark.parametrize("text", [
     "# checkpoint level=0\n# parent-done 0\n",  # no m=
     "# checkpoint level=x m=4\n",
     "# checkpoint level=0 m=4\n# parent-done x\n",
     "# checkpoint level=0 m=4\n0 zz 2 0\n# parent-done 0\n",  # a record that does not parse
     "# checkpoint level=0 m=4\n# parent-done 3\n",  # a marker that is not the first block's
-], ids=["no-m", "level-x", "parent-done-x", "bad-record", "parent-done-skips"])
-def test_resume_restarts_a_level_whose_checkpoint_does_not_parse(tmp_path, text):
+    lambda head, blocks: head + blocks[0] + "2 zz 2 0\n",
+    lambda head, blocks: head + blocks[1] + blocks[0],
+    lambda head, blocks: head.replace("level=2", "level=1") + "".join(blocks),
+], ids=["no-m", "level-x", "parent-done-x", "bad-record", "parent-done-skips",
+        "bad-record-line", "swapped-parents", "other-level"])
+def test_resume_restarts_a_level_whose_checkpoint_does_not_parse(tmp_path, capsys, text):
+    # the checkpoint of level 2 below the two level-3 parents of B(3,4,4):
+    # old-format files, a record line that does not parse, the blocks of
+    # two parents of equal stabilizer order (so equal block masses) swapped,
+    # and another level's header all restart the level
     fresh = tmp_path / "fresh"
-    assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", fresh) == 0
+    assert run("classify", "--m", 4, "--s", 3, "--t", 4, "--out", fresh) == 0
+    parents = read_level_file(fresh / "level_3.txt")
+    assert len(parents) == 2 and parents[0].stab_order == parents[1].stab_order
+    expect = (fresh / "level_2.txt").read_bytes()
+    if callable(text):
+        text = text(*_blocks_of(expect, 4))
     out = tmp_path / "run"
     shutil.copytree(fresh, out)
-    (out / "level_0.txt").unlink()
+    (out / "level_2.txt").unlink()
     (out / "checkpoint.txt").write_text(text)
-    assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", out, "--resume") == 0
-    assert (out / "level_0.txt").read_bytes() == (fresh / "level_0.txt").read_bytes()
+    capsys.readouterr()
+    assert run("classify", "--m", 4, "--s", 3, "--t", 4, "--out", out, "--resume",
+               "--verbose") == 0
+    assert "resumes at parent" not in capsys.readouterr().err
+    assert (out / "level_2.txt").read_bytes() == expect
     assert not (out / "checkpoint.txt").exists()
 
 
 def test_classify_resume_from_torn_checkpoint(tmp_path, monkeypatch):
-    # crash at every byte of the last parent block of checkpoint.txt: the
-    # resumed run writes the same level file as an uninterrupted one
+    # crash after the trailer of level 0, and of level -1, is written but
+    # before the rename, then resume from every byte cut of checkpoint.txt,
+    # the whole file with its trailer included: each resume writes the level
+    # files of an uninterrupted run
+    argv = ["classify", "--m", 4, "--s", 0, "--t", 3]
     fresh = tmp_path / "fresh"
-    assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", fresh) == 0
-    expect = (fresh / "level_0.txt").read_bytes()
+    assert run(*argv, "--out", fresh) == 0
+    real_replace = os.replace
+    for level in (0, -1):
+        crashed = tmp_path / f"crashed{level}"
 
-    crashed = tmp_path / "crashed"
-    real_write = cli.write_level_file
+        def crash_before_rename(src, dst):
+            if Path(dst).name == f"level_{level}.txt":
+                raise KeyboardInterrupt
+            real_replace(src, dst)
 
-    def crash_before_level_0(path, records):
-        if records[0].level == 0:
-            raise KeyboardInterrupt
-        real_write(path, records)
+        monkeypatch.setattr(os, "replace", crash_before_rename)
+        with pytest.raises(KeyboardInterrupt):
+            run(*argv, "--out", crashed)
+        monkeypatch.setattr(os, "replace", real_replace)
+        _resume_from_every_cut(argv, fresh, crashed, level)
 
-    monkeypatch.setattr(cli, "write_level_file", crash_before_level_0)
-    with pytest.raises(KeyboardInterrupt):
-        run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", crashed)
-    monkeypatch.setattr(cli, "write_level_file", real_write)
+
+def _resume_from_every_cut(argv, fresh, crashed, level):
+    # the checkpoint is the level file being written
     data = (crashed / "checkpoint.txt").read_bytes()
-    lines = data.splitlines(keepends=True)
-    # the last block: the records after the previous marker line, and its own marker
-    block_start = len(data) - len(lines[-1])
-    for ln in reversed(lines[:-1]):
-        if ln.startswith(b"# "):
-            break
-        block_start -= len(ln)
-    assert lines[-1].startswith(b"# parent-done")
-    assert block_start < len(data) - len(lines[-1])
+    assert data == (fresh / f"level_{level}.txt").read_bytes()
+    parents = read_level_file(crashed / f"level_{level + 1}.txt")
+    header, blocks = _blocks_of(data, 4)
+    assert len(blocks) == len(parents)
+    ends = [len(header) + sum(map(len, blocks[:j])) for j in range(len(blocks) + 1)]
 
-    # the last cut keeps the whole file: every parent is done, the level file is not
-    for cut in range(block_start, len(data) + 1):
-        trial = tmp_path / f"cut{cut}"
+    # load at every cut keeps the complete blocks before it and cuts the file
+    # after them.  The resume depends on the cut only through what load
+    # leaves, so it runs once for each distinct outcome, at its longest cut:
+    # the whole file, and otherwise each block torn before its last newline
+    resumed = set()
+    path = crashed.with_name(crashed.name + "-cut.txt")
+    for cut in reversed(range(len(data) + 1)):
+        path.write_bytes(data[:cut])
+        kept = cli._Checkpoint(path).load(parents)
+        if cut < len(header):
+            assert kept is None and path.read_bytes() == data[:cut]
+        else:
+            done = max(j for j, end in enumerate(ends) if end <= cut)
+            assert len(kept) == done and path.read_bytes() == data[: ends[done]]
+        outcome = None if kept is None else len(kept)
+        if outcome in resumed:
+            continue
+        resumed.add(outcome)
+        trial = crashed.with_name(f"{crashed.name}-cut{cut}")
         shutil.copytree(crashed, trial)
         (trial / "checkpoint.txt").write_bytes(data[:cut])
-        assert run("classify", "--m", 4, "--s", 1, "--t", 3, "--out", trial, "--resume") == 0
-        assert (trial / "level_0.txt").read_bytes() == expect
+        assert run(*argv, "--out", trial, "--resume") == 0
+        for r in (2, 1, 0, -1):
+            assert (trial / f"level_{r}.txt").read_bytes() == (
+                fresh / f"level_{r}.txt").read_bytes()
         assert not (trial / "checkpoint.txt").exists()
-        shutil.rmtree(trial)
-
-    # the torn tail is cut off, so later appends start on a fresh line
-    path = crashed / "checkpoint.txt"
-    path.write_bytes(data[:-1])
-    level, blocks = cli._Checkpoint(path).load()
-    assert path.read_bytes() == data[:block_start]
-    assert level == 0 and len(blocks) == int(lines[-1].split()[2])
+    assert resumed == {None, *range(len(parents) + 1)}
 
 
 def test_checkpoint_blocks_reach_the_file_as_they_finish(tmp_path):
     # one handle per level, read here through a separate one
-    records = classify_space(2, 4, 4)
+    parents = classify_space(3, 4, 4)
+    blocks = [children for _idx, _parent, children in descend_iter(parents, 4)]
+    assert len(blocks) == 3
     path = tmp_path / "checkpoint.txt"
     ckpt = cli._Checkpoint(path)
     ckpt.start(4, 2)
     ckpt.start(4, 1)  # a new level replaces the file, header and all
-    expect = b"# checkpoint level=1 m=4\n"
+    expect = b"# rmclass m=4 level=1\n"
     assert path.read_bytes() == expect
-    for idx, children in enumerate([records[:3], [], records[3:5]]):
+    for idx, children in enumerate(blocks[:2]):
         ckpt.parent_done(idx, children)
-        block = "".join(rec.to_line() + "\n" for rec in children) + f"# parent-done {idx}\n"
-        expect += block.encode()
+        expect += "".join(rec.to_line() + "\n" for rec in children).encode()
         assert path.read_bytes() == expect
 
-    # a resumed level appends after the blocks load kept
+    # a resumed level appends after the blocks load kept, and the finished
+    # file, renamed into place, is the level file
     again = cli._Checkpoint(path)
-    assert again.load() == (1, [records[:3], [], records[3:5]])
-    again.parent_done(3, records[5:6])
-    expect += (records[5].to_line() + "\n# parent-done 3\n").encode()
-    assert path.read_bytes() == expect
-
+    assert again.load(parents) == blocks[:2]
+    again.parent_done(2, blocks[2])
     handles = [ckpt._fh, again._fh]
     ckpt.close()
-    again.clear()
+    records = [rec for children in blocks for rec in children]
+    again.finish(len(records), tmp_path / "level_1.txt")
     assert not path.exists()
+    cli.write_level_file(tmp_path / "direct.txt", records)
+    assert (tmp_path / "level_1.txt").read_bytes() == (tmp_path / "direct.txt").read_bytes()
     assert all(fh.closed for fh in handles) and ckpt._fh is None and again._fh is None
 
 
@@ -449,7 +498,7 @@ def test_classify_closes_checkpoint_on_every_exit(tmp_path, monkeypatch, error):
 
     def stop(self, idx, children):
         real_parent_done(self, idx, children)
-        seen.append(self)
+        seen.append((self, children))
         raise error("stopped")
 
     monkeypatch.setattr(cli._Checkpoint, "parent_done", stop)
@@ -459,13 +508,52 @@ def test_classify_closes_checkpoint_on_every_exit(tmp_path, monkeypatch, error):
             run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", out)
     else:
         assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", out) == error.exit_code
-    assert seen[0]._fh is None
-    assert (out / "checkpoint.txt").read_text().endswith("# parent-done 0\n")
+    ckpt, children = seen[0]
+    assert ckpt._fh is None
+    block = "".join(rec.to_line() + "\n" for rec in children)
+    assert (out / "checkpoint.txt").read_text() == "# rmclass m=4 level=3\n" + block
+
+
+class _TornManifest(dict):
+    """A manifest whose rewrite stops after its first two lines."""
+
+    def items(self):
+        for i, item in enumerate(super().items()):
+            if i == 2:
+                raise KeyboardInterrupt
+            yield item
+
+
+def test_resume_after_a_crash_mid_manifest_rewrite(tmp_path, monkeypatch):
+    # the manifest is written beside itself and renamed, so a crash while it
+    # is rewritten leaves the previous one for --resume
+    argv = ["classify", "--m", 4, "--s", 1, "--t", 3]
+    fresh = tmp_path / "fresh"
+    assert run(*argv, "--out", fresh) == 0
+    real_write = cli._write_manifest
+
+    def torn_after_level_1(path, pairs):
+        if "level_1_count" in pairs and "level_0_count" not in pairs:
+            pairs = _TornManifest(pairs)
+        real_write(path, pairs)
+
+    monkeypatch.setattr(cli, "_write_manifest", torn_after_level_1)
+    out = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        run(*argv, "--out", out)
+    monkeypatch.setattr(cli, "_write_manifest", real_write)
+    assert run(*argv, "--out", out, "--resume") == 0
+    for r in (2, 1, 0):
+        assert (out / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()
+    manifests = [cli._read_manifest(d / "manifest.txt") for d in (fresh, out)]
+    for keys in manifests:
+        del keys["started"], keys["finished"]
+    assert manifests[0] == manifests[1]
 
 
 def test_readme_commands_parse():
-    # every command of the README's command-line block parses, so a doc that
-    # names a removed flag or subcommand fails here
+    # every command of the README's command-line block and of its results
+    # table parses, so a doc that names a removed flag or subcommand fails here
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
     lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
@@ -473,6 +561,10 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == {
         "classify", "count", "dual-check", "nearbent", "distance", "stab-hist"
     }
+    table = [cell.strip("`").split()[1:] for line in readme.splitlines()
+             if line.startswith("| ") for cell in line.split(" | ")
+             if cell.startswith("`rmclass ")]
+    assert len(table) >= 5
     parser = cli.build_parser()
-    for argv in commands:
+    for argv in commands + table:
         parser.parse_args(argv)

@@ -1,13 +1,12 @@
 import pytest
 
-from rmclass.bfcore import BooleanFunction, walsh
+from rmclass.bfcore import BooleanFunction
 from rmclass.bits import rank_gf2
 from rmclass.classify import classify_space
 from rmclass.covrad import (
     covering_radius_bound,
     distance,
     exact_coset_min_weight,
-    exact_covering_radius_rm1,
     pivoting,
     reduce,
     rm_generator_matrix,
@@ -16,7 +15,7 @@ from rmclass.errors import InvalidInputError, ResourceRefusedError
 from rmclass.group import act, random_affine
 from rmclass.rng import stream
 
-from oracles import coset_min_weight_by_gray_walk
+from oracles import coset_min_weight_by_gray_walk, exact_covering_radius_rm1, walsh
 
 X = lambda *vars_: sum(1 << (v - 1) for v in vars_)
 

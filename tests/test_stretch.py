@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from rmclass.census import near_bent_census
-from rmclass.classify import classify_space, read_level_file, stab_histogram
+from rmclass.classify import classify_space, stab_histogram
+from rmclass.cli import read_level_file
 from rmclass.covrad import covering_radius_bound
 
 STRETCH = os.environ.get("RMCLASS_STRETCH") == "1"

@@ -20,9 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rmclass"
 
 TEST_REFERENCES = {
-    "is_near_bent": "the Walsh-spectrum reference the near-bent census is checked against",
     "subgroup_order": "the chain order that certifies a stored generator set",
-    "exact_covering_radius_rm1": "the README's covering radius of RM(1,5), swept exhaustively",
 }
 
 
