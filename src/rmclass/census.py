@@ -12,7 +12,6 @@ group element is enumerated, and nothing is shared with the descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -191,29 +190,6 @@ def table_render(m: int, counts: Dict[Tuple[int, int], int]) -> str:
 # -- near-bent census ----------------------------------------------------------
 
 
-@dataclass
-class NearBentPerRep:
-    rep: BooleanFunction
-    n_quadratics: int
-    orbit_size: int
-
-
-@dataclass
-class NearBentCensus:
-    """Count of near-bent functions in m variables.
-
-    weighted_sum counts the near-bent functions of valuation >= 2 (each
-    level-2 orbit representative contributes N(f) quadratic completions times
-    its orbit size); total multiplies by 2^(m+1) for the affine part, which
-    near-bentness ignores.
-    """
-
-    m: int
-    per_rep: List[NearBentPerRep]
-    weighted_sum: int
-    total: int
-
-
 def count_near_bent_completions(f: BooleanFunction) -> int:
     """N(f): quadratic forms q with f+q near-bent, by a split on x_m.
 
@@ -244,10 +220,13 @@ def near_bent_census(
     m: int,
     records: Optional[Sequence[ClassRecord]] = None,
     mem_limit: int = 2 << 30,
-) -> NearBentCensus:
-    """Weighted count of near-bent functions from the level-2 classification
-    of B(3,(m+1)/2,m), classified here (within mem_limit bytes) unless
-    given."""
+) -> List[Tuple[BooleanFunction, int, int]]:
+    """(rep, N(rep), orbit size) for each level-2 orbit of B(3,(m+1)/2,m),
+    classified here (within mem_limit bytes) unless given.
+
+    The sum of N(rep) times orbit size counts the near-bent functions of
+    valuation >= 2; times 2^(m+1), for the affine part, which near-bentness
+    ignores, it counts every near-bent function in m variables."""
     if m % 2 == 0:
         raise InvalidInputError("near-bent census needs odd m")
     d = (m + 1) // 2
@@ -259,15 +238,11 @@ def near_bent_census(
             )
         records = classify_space(3, d, m, mem_limit)
     order = group_order(m)
-    per_rep = []
-    weighted = 0
+    rows = []
     for rec in records:
         if rec.m != m:
             raise InvalidInputError(f"records are for m={rec.m}, not m={m}")
         if rec.level != 2:
             raise InvalidInputError("records are not a level-2 classification")
-        n_q = count_near_bent_completions(rec.rep)
-        orbit = order // rec.stab_order
-        per_rep.append(NearBentPerRep(rec.rep, n_q, orbit))
-        weighted += n_q * orbit
-    return NearBentCensus(m, per_rep, weighted, weighted << (m + 1))
+        rows.append((rec.rep, count_near_bent_completions(rec.rep), order // rec.stab_order))
+    return rows

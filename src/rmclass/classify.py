@@ -182,14 +182,6 @@ _MAX_BATCH = 253  # labels 0..252 name one batch's seeds; 255 marks unseen
 _SMALL_ORBIT = 4096  # batches keep doubling while no orbit found is larger
 
 
-@dataclass(slots=True)
-class OrbitSet:
-    """One orbit: seed (the numerically smallest member) and size."""
-
-    seed: int
-    size: int
-
-
 def estimate_orbit_bytes(dim: int) -> int:
     """Peak memory of orbit_enumerate over 2^dim forms.
 
@@ -218,8 +210,9 @@ def check_memory(m: int, t: int, target: int, mem_limit: int) -> None:
             )
 
 
-def orbit_enumerate(ctx: BoundaryAction) -> List[OrbitSet]:
-    """Partition the form space into orbits under the boundary action.
+def orbit_enumerate(ctx: BoundaryAction) -> List[Tuple[int, int]]:
+    """Partition the form space into orbits under the boundary action:
+    (seed, size) per orbit, the seed its numerically smallest member.
 
     One batched multi-seed BFS over a uint8 label array (255 = unseen).
     Each batch labels the next k unseen forms, in increasing order, with
@@ -240,7 +233,7 @@ def orbit_enumerate(ctx: BoundaryAction) -> List[OrbitSet]:
     """
     space = 1 << ctx.dim
     labels = np.full(space, _UNSEEN, dtype=np.uint8)
-    orbits: List[OrbitSet] = []
+    orbits: List[Tuple[int, int]] = []
     scan, total = 0, 0
     k = space if space <= _MAX_BATCH else 1
     while total < space:
@@ -250,7 +243,7 @@ def orbit_enumerate(ctx: BoundaryAction) -> List[OrbitSet]:
         scan = int(seeds[-1]) + 1
         found = _sweep_batch(ctx, labels, seeds)
         orbits.extend(found)
-        sizes = [o.size for o in found]
+        sizes = [size for _seed, size in found]
         total += sum(sizes)
         k = min(2 * k, _MAX_BATCH) if max(sizes) <= _SMALL_ORBIT else 1
     if total != space:
@@ -273,8 +266,10 @@ def _next_unseen(labels: np.ndarray, start: int, k: int) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def _sweep_batch(ctx: BoundaryAction, labels: np.ndarray, seeds: np.ndarray) -> List[OrbitSet]:
-    """Close the orbits of one batch of seeds; returns them by seed."""
+def _sweep_batch(
+    ctx: BoundaryAction, labels: np.ndarray, seeds: np.ndarray
+) -> List[Tuple[int, int]]:
+    """Close the orbits of one batch of seeds; returns (seed, size) by seed."""
     k = seeds.size
     # union-find over the batch, kept fully compressed: rep[i] is the
     # smallest seed index joined to i so far
@@ -313,7 +308,7 @@ def _sweep_batch(ctx: BoundaryAction, labels: np.ndarray, seeds: np.ndarray) -> 
     sizes = [0] * k
     for r, c in zip(roots, counts.tolist()):
         sizes[r] += c
-    return [OrbitSet(s, sizes[i]) for i, s in enumerate(seeds.tolist()) if roots[i] == i]
+    return [(s, sizes[i]) for i, s in enumerate(seeds.tolist()) if roots[i] == i]
 
 
 def _join(rep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -358,7 +353,7 @@ def generator_set(
     Breadth-first sweep of the orbit of u carrying a transversal R, stored
     as R[y] and R[y]^-1 per visited form y, set when y is first reached
     from x by lam: R[y] = R[x] * lam and R[y]^-1 = lam^-1 * R[x]^-1, where
-    a.compose(b) is b.table.translate(a.table).  Every already-seen
+    the product a * b is b.table.translate(a.table).  Every already-seen
     edge (x, lam) yields the candidate R[x] * lam * R[x o lam]^-1, which
     fixes u; candidates not already inside the harvested subgroup are kept,
     and the sweep stops as soon as the subgroup order matches s_u.  The
@@ -404,21 +399,30 @@ def generator_set(
 # -- the descent -------------------------------------------------------------
 
 
-def verify_level_mass(records: Sequence[ClassRecord], k: int) -> None:
-    """Orbit masses must partition the acted-on space exactly."""
+def level_mass(records: Sequence[ClassRecord]) -> int:
+    """The mass of one level's records, the sum of |AGL(m,2)| / stab_order:
+    the number of elements of the space that their orbits cover."""
     if not records:
         raise InternalConsistencyError("empty classification level")
-    m = records[0].m
     level = records[0].level
+    order = group_order(records[0].m)
     total = 0
-    order = group_order(m)
     for rec in records:
         if rec.level != level:
             raise InternalConsistencyError("records from mixed levels")
-        if order % rec.stab_order:
-            raise InternalConsistencyError("stabilizer order does not divide the group order")
+        if rec.stab_order < 1 or order % rec.stab_order:
+            raise InternalConsistencyError(
+                f"stabilizer order {rec.stab_order} does not divide the group order"
+            )
         total += order // rec.stab_order
-    dim = space_dimension(m, level + 1, k)
+    return total
+
+
+def verify_level_mass(records: Sequence[ClassRecord], k: int) -> None:
+    """Orbit masses must partition the acted-on space exactly."""
+    total = level_mass(records)
+    level = records[0].level
+    dim = space_dimension(records[0].m, level + 1, k)
     if total != 1 << dim:
         raise InternalConsistencyError(f"mass check failed at level {level}: {total} != 2^{dim}")
 
@@ -457,15 +461,15 @@ def descend_iter(
         fixed_gens = list(rec.stab_gens) if rec.certified else None
         try:
             children = []
-            for orb in orbit_enumerate(ctx):
-                child_order = stab_order_from_class_formula(rec.stab_order, orb.size)
-                if orb.size == 1 and fixed_gens is not None:
+            for seed, size in orbit_enumerate(ctx):
+                child_order = stab_order_from_class_formula(rec.stab_order, size)
+                if size == 1 and fixed_gens is not None:
                     gens = list(fixed_gens)
                 else:
-                    gens = generator_set(orb.seed, rec.stab_gens, child_order, ctx)
-                    if orb.size == 1:
+                    gens = generator_set(seed, rec.stab_gens, child_order, ctx)
+                    if size == 1:
                         fixed_gens = gens
-                child_rep = BooleanFunction(rec.m, anf=rec.rep.anf ^ ctx.form_to_anf(orb.seed))
+                child_rep = BooleanFunction(rec.m, anf=rec.rep.anf ^ ctx.form_to_anf(seed))
                 _check_record_fix(child_rep, r - 1, gens)
                 child = ClassRecord(r - 1, child_rep, child_order, gens)
                 child.certified = True

@@ -23,9 +23,11 @@ from math import comb
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .bfcore import BooleanFunction
-from .bits import degree_mask
+from .bits import degree_mask, space_dimension
 from .census import burnside_count, duality_check, near_bent_census, table_render
 from .classify import (
     ClassRecord,
@@ -33,6 +35,7 @@ from .classify import (
     classify_levels,
     classify_space,
     descend_iter,
+    level_mass,
     stab_histogram,
     top_record,
     verify_level_mass,
@@ -193,8 +196,14 @@ def write_level_file(path, records: Sequence[ClassRecord]) -> None:
 
 
 def read_level_file(path) -> List[ClassRecord]:
-    """Records of a level file.  A missing file raises DependencyMissingError,
-    a malformed one InvalidInputError naming the file and line."""
+    """Records of a level file.  A missing file raises DependencyMissingError;
+    a malformed one, or one whose records do not cover a whole space,
+    InvalidInputError naming the file and line.
+
+    The records of a complete level L cover all of B(L+1,t,m): their mass,
+    the sum of |AGL(m,2)| / stab_order, is 2^dim B(L+1,t,m) for some t.  A
+    file with a record missing, or an order changed, fails that check unless
+    the change happens to keep the mass."""
     records: List[ClassRecord] = []
     lineno = 1
     try:
@@ -205,13 +214,20 @@ def read_level_file(path) -> List[ClassRecord]:
             m = int(header.split()[2][2:])
             for lineno, line in enumerate(fh, 2):
                 if line.startswith("# complete"):
-                    if int(line.split()[2]) == len(records):
-                        return records
-                    raise InvalidInputError(f"{line.strip()!r} after {len(records)} records")
+                    if int(line.split()[2]) != len(records):
+                        raise InvalidInputError(f"{line.strip()!r} after {len(records)} records")
+                    mass, level = level_mass(records), records[0].level
+                    if all(mass != 1 << space_dimension(m, level + 1, t)
+                           for t in range(level + 1, m + 1)):
+                        raise InvalidInputError(
+                            f"mass {mass} of the level-{level} records is not 2^dim "
+                            f"B({level + 1},t,{m}) for any t (records missing?)"
+                        )
+                    return records
                 records.append(ClassRecord.from_line(m, line))
     except FileNotFoundError:
         raise DependencyMissingError(f"{path}: no such level file") from None
-    except (OSError, ValueError, IndexError, InvalidInputError) as err:
+    except (OSError, ValueError, IndexError, InvalidInputError, InternalConsistencyError) as err:
         raise InvalidInputError(f"{path}:{lineno}: {err}") from None
     raise InvalidInputError(f"{path}: missing completion marker (truncated run?)")
 
@@ -247,7 +263,8 @@ def cmd_classify(args) -> int:
             if path.exists():
                 try:
                     loaded = read_level_file(path)
-                except InvalidInputError:
+                    verify_level_mass(loaded, t)  # this run's t, not just some t
+                except (InvalidInputError, InternalConsistencyError):
                     break
                 records = loaded
                 level = r
@@ -408,14 +425,16 @@ def cmd_dual_check(args) -> int:
 
 def cmd_nearbent(args) -> int:
     records = read_level_file(args.reps) if args.reps else None
-    census = near_bent_census(args.m, records, args.mem_limit << 20)
-    for pr in census.per_rep:
-        print(f"nearbent-rep {pr.rep.anf_hex()} {pr.n_quadratics} {pr.orbit_size}")
-    print(f"nearbent-valuation2-count {census.weighted_sum}")
-    print(f"nearbent-total {census.total}")
+    rows = near_bent_census(args.m, records, args.mem_limit << 20)
+    for rep, n_q, orbit in rows:
+        print(f"nearbent-rep {rep.anf_hex()} {n_q} {orbit}")
+    weighted = sum(n_q * orbit for _rep, n_q, orbit in rows)
+    total = weighted << (args.m + 1)
+    print(f"nearbent-valuation2-count {weighted}")
+    print(f"nearbent-total {total}")
     print(
-        f"near-bent functions in {args.m} variables: {census.total} "
-        f"(of which {census.weighted_sum} have valuation >= 2)"
+        f"near-bent functions in {args.m} variables: {total} "
+        f"(of which {weighted} have valuation >= 2)"
     )
     return 0
 
@@ -426,6 +445,8 @@ def cmd_nearbent(args) -> int:
 def cmd_distance(args) -> int:
     if args.reps:
         records = read_level_file(args.reps)
+        if args.m is not None and records[0].m != args.m:
+            raise InvalidInputError(f"records are for m={records[0].m}, not m={args.m}")
     elif args.function is not None:
         if args.m is None:
             raise InvalidInputError("--function needs --m")
@@ -444,20 +465,26 @@ def cmd_distance(args) -> int:
         records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
         raise InvalidInputError("give --reps FILE, --function ANFHEX, or --s/--t")
-    report = covering_radius_bound(
+    reports = covering_radius_bound(
         records, args.r, args.threshold, args.max_iter, seed=args.seed
     )
-    for rec, tr in zip(records, report.reports):
+    for rec, tr in zip(records, reports):
         print(
             f"distance {rec.rep.anf_hex()} {tr.best} {tr.trials} "
             f"{'hit' if tr.hit else 'miss'} {args.seed}"
         )
-    print(
-        f"aggregate {len(report.reports)} {report.mean_trials:.2f} "
-        f"{report.stddev_trials:.2f}"
+    trials = np.array([tr.trials for tr in reports], dtype=np.float64)
+    mean, stddev = float(trials.mean()), float(trials.std())  # population formula
+    print(f"aggregate {len(reports)} {mean:.2f} {stddev:.2f}")
+    certified = all(tr.hit for tr in reports)
+    verdict = (
+        f"covering radius of RM({args.r},{records[0].m}) within the classified space "
+        f"<= {args.threshold} CERTIFIED"
+        if certified
+        else "INCONCLUSIVE (at least one representative never hit the threshold)"
     )
-    print(report.summary())
-    return 0 if report.certified else 1
+    print(f"{verdict}; {len(reports)} representatives, mean trials {mean:.1f}, stddev {stddev:.2f}")
+    return 0 if certified else 1
 
 
 # -- stab-hist -------------------------------------------------------------------

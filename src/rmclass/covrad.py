@@ -68,6 +68,10 @@ def reduce(g: int, rows: Sequence[int], pivots: Sequence[int]) -> int:
 
 @dataclass
 class TrialReport:
+    """One search: trials run, best weight seen, the threshold and whether
+    best <= threshold.  The threshold is the caller's; it stays a field
+    because perfbench/selftest.py builds reports from all four."""
+
     trials: int
     best: int
     threshold: int
@@ -136,29 +140,6 @@ def exact_coset_min_weight(f: BooleanFunction, r: int, m: int) -> int:
     return best
 
 
-@dataclass
-class CoverReport:
-    m: int
-    r: int
-    threshold: int
-    reports: List[TrialReport]
-    certified: bool
-    mean_trials: float
-    stddev_trials: float
-
-    def summary(self) -> str:
-        verdict = (
-            f"covering radius of RM({self.r},{self.m}) within the classified space "
-            f"<= {self.threshold} CERTIFIED"
-            if self.certified
-            else "INCONCLUSIVE (at least one representative never hit the threshold)"
-        )
-        return (
-            f"{verdict}; {len(self.reports)} representatives, "
-            f"mean trials {self.mean_trials:.1f}, stddev {self.stddev_trials:.2f}"
-        )
-
-
 def check_level(level: int, r: int, m: int) -> None:
     """Refuse records at a level above r: the search certifies nothing there."""
     if level > r:
@@ -174,8 +155,9 @@ def covering_radius_bound(
     threshold: int,
     max_iter: int = MAX_ITER_DEFAULT,
     seed: int = 0,
-) -> CoverReport:
-    """Run the randomized search on every orbit representative.
+) -> List[TrialReport]:
+    """Run the randomized search on every orbit representative, with stream
+    i of seed for record i; returns their reports in order.
 
     Coset minimum weight modulo RM(r,m) is constant along the orbits of a
     classification at a level L <= r, so hits on all representatives certify
@@ -187,17 +169,7 @@ def covering_radius_bound(
     m = records[0].m
     check_level(max(rec.level for rec in records), r, m)
     base = rm_generator_matrix(r, m)
-    reports = []
-    for i, rec in enumerate(records):
-        reports.append(distance(rec.rep, list(base), threshold, max_iter, rng=stream(seed, i)))
-    trials = np.array([rep.trials for rep in reports], dtype=np.float64)
-    certified = all(rep.hit for rep in reports)
-    return CoverReport(
-        m,
-        r,
-        threshold,
-        reports,
-        certified,
-        float(trials.mean()),
-        float(trials.std()),  # population formula
-    )
+    return [
+        distance(rec.rep, list(base), threshold, max_iter, rng=stream(seed, i))
+        for i, rec in enumerate(records)
+    ]

@@ -6,12 +6,13 @@ single C-level bytes.translate, which is what keeps the Schreier machinery
 cheap.  The matrix rows and the translation are recovered from the
 permutation when needed.
 
-Composition convention: s.compose(t) (also s * t) is "s then t" in the
+Composition convention: the product st of two maps is "s then t" in the
 sense of the right action on functions,
 
-    act(f, s.compose(t)) = act(act(f, s), t),
+    act(f, st) = act(act(f, s), t),
 
-equivalently s.compose(t).pmap[x] = s.pmap[t.pmap[x]].
+equivalently st.pmap[x] = s.pmap[t.pmap[x]], which is
+t.pmap.translate(s.table).
 """
 
 from __future__ import annotations
@@ -109,13 +110,6 @@ class AffineMap:
     def rows(self) -> List[int]:
         b = self.pmap[0]
         return [self.pmap[1 << i] ^ b for i in range(self.m)]
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        if self.m != other.m:
-            raise InvalidInputError("cannot compose maps on different m")
-        return AffineMap(self.m, other.pmap.translate(self.table))
-
-    __mul__ = compose
 
     def inverse(self) -> "AffineMap":
         return AffineMap(self.m, _invert_perm(self.pmap)[: 1 << self.m])

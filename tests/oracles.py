@@ -48,6 +48,14 @@ def walsh_by_definition(f: BooleanFunction):
     return out
 
 
+def compose(a: AffineMap, b: AffineMap) -> AffineMap:
+    """The product "a then b" of the right action: act(f, compose(a, b)) =
+    act(act(f, a), b), so its point map is x -> a.pmap[b.pmap[x]]."""
+    if a.m != b.m:
+        raise InvalidInputError("cannot compose maps on different m")
+    return AffineMap(a.m, bytes(a.pmap[b.pmap[x]] for x in range(1 << a.m)))
+
+
 def act_by_definition(f: BooleanFunction, s: AffineMap) -> BooleanFunction:
     """Evaluate f(sigma(x)) pointwise through coordinates."""
     m = f.m

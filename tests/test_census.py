@@ -170,9 +170,9 @@ def test_near_bent_census_m3_exhaustive():
     exhaustive = sum(
         1 for tt in range(256) if is_near_bent(BooleanFunction(3, truth_table=tt))
     )
-    census = near_bent_census(3)
-    assert census.total == exhaustive == 112
-    assert census.weighted_sum == 7  # the seven rank-2 quadratic forms
+    weighted = sum(n_q * orbit for _rep, n_q, orbit in near_bent_census(3))
+    assert weighted << 4 == exhaustive == 112  # times 2^(m+1) for the affine part
+    assert weighted == 7  # the seven rank-2 quadratic forms
 
 
 def test_near_bent_census_requires_odd_m():
@@ -280,8 +280,9 @@ def test_completions_match_full_enumeration_m7_cubic_concatenations():
 
 
 def test_census_weights_are_orbit_sizes():
-    census = near_bent_census(5)
+    rows = near_bent_census(5)
     records = classify_space(3, 3, 5)
-    assert [pr.orbit_size for pr in census.per_rep] == [
+    assert [rep for rep, _n_q, _orbit in rows] == [rec.rep for rec in records]
+    assert [orbit for _rep, _n_q, orbit in rows] == [
         group_order(5) // rec.stab_order for rec in records
     ]

@@ -269,6 +269,47 @@ def test_distance_refuses_records_above_r(tmp_path, capsys):
     assert "records at level 2 are classes modulo RM(2,5)" in captured.err
 
 
+_GOLDEN_STDOUT = {
+    "nearbent-m5": (["nearbent", "--m", 5], 0, """\
+nearbent-rep 00000000 868 1
+nearbent-rep 00000080 336 155
+nearbent-rep 00082000 192 868
+nearbent-valuation2-count 219604
+nearbent-total 14054656
+near-bent functions in 5 variables: 14054656 (of which 219604 have valuation >= 2)
+"""),
+    "distance-certified": (
+        ["distance", "--m", 5, "--r", 2, "--s", 3, "--t", 3, "--threshold", 6, "--seed", 11],
+        0, """\
+distance 00000000 0 1 hit 11
+distance 00000080 4 1 hit 11
+distance 00082000 6 4 hit 11
+aggregate 3 2.00 1.41
+covering radius of RM(2,5) within the classified space <= 6 CERTIFIED; 3 representatives, \
+mean trials 2.0, stddev 1.41
+"""),
+    # x1x2 + x3x4 + x5, the function of test_distance_inconclusive_exit_code
+    "distance-inconclusive": (
+        ["distance", "--m", 5, "--r", 1, "--function", "00011008", "--threshold", 2,
+         "--max-iter", 8, "--seed", 3],
+        1, """\
+distance 00011008 12 8 miss 3
+aggregate 1 8.00 0.00
+INCONCLUSIVE (at least one representative never hit the threshold); 1 representatives, \
+mean trials 8.0, stddev 0.00
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_STDOUT))
+def test_golden_stdout(tmp_path, capsys, name):
+    # the exact bytes and exit code: totals, mean and deviation and the
+    # verdict line are all formed in the command line front end
+    argv, code, stdout = _GOLDEN_STDOUT[name]
+    assert run(*argv, "--out", tmp_path) == code
+    assert capsys.readouterr().out == stdout
+
+
 def test_stab_hist_cli(tmp_path, capsys):
     assert run("stab-hist", "--m", 4, "--s", 2, "--t", 4, "--out", tmp_path) == 0
     out = capsys.readouterr().out
@@ -293,6 +334,17 @@ _BAD_LEVEL_FILES = {
     "order": "# rmclass m=4 level=1\n1 0080 x 0\n# complete 1\n",
 }
 
+# the level-2 file of `classify --m 5 --s 3 --t 3`: the three classes of B(3,3,5)
+_B335_LEVEL_2 = """\
+# rmclass m=5 level=2
+2 00000000 319979520 3 1:10:8:4:2:0 10:8:4:3:1:0 10:8:4:2:1:1
+2 00000080 2064384 10 10:8:4:3:1:0 10:8:4:2:1:1 10:8:6:2:1:0 10:8:4:2:1:2 10:8:4:2:1:4 \
+18:8:4:2:1:0 10:8:4:2:1:8 10:8:4:2:11:0 10:8:4:2:1d:0 18:10:9:5:3:0
+2 00082000 368640 9 10:8:4:2:1:1 10:8:4:2:1:2 10:c:4:2:1:0 10:8:4:2:1:4 10:8:4:2:1:8 \
+18:8:6:2:1:0 10:8:4:2:11:0 10:8:4:12:11:0 1e:a:6:2:1:0
+# complete 3
+"""
+
 
 @pytest.mark.parametrize("argv, code", [
     (["dual-check", "--m", 5, "--cells", "2"], InvalidInputError.exit_code),
@@ -308,34 +360,96 @@ _BAD_LEVEL_FILES = {
      DependencyMissingError.exit_code),
     (["nearbent", "--m", 5, "--reps", "{missing}"], DependencyMissingError.exit_code),
     (["stab-hist", "--records", "{missing}"], DependencyMissingError.exit_code),
+    (["distance", "--m", 6, "--r", 2, "--reps", "{b335}", "--threshold", 6, "--seed", 1],
+     InvalidInputError.exit_code),
 ])
 def test_outside_input_exits_without_traceback(tmp_path, capsys, argv, code):
     # malformed arguments and level files exit 2, a missing file 3, each
-    # with a one-line error; a level file's error names the file and line
-    paths = {"missing": tmp_path / "absent.txt"}
+    # with a one-line error; a level file's error names the file and line,
+    # and a file of another m than --m names both values
+    paths = {"missing": tmp_path / "absent.txt", "b335": tmp_path / "b335.txt"}
+    paths["b335"].write_text(_B335_LEVEL_2)
     for name, text in _BAD_LEVEL_FILES.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
     argv = [str(a).format(**paths) for a in argv] + ["--out", str(tmp_path)]
     assert cli.main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error (")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (")
     for name in _BAD_LEVEL_FILES:
         if str(paths[name]) in argv:
-            assert f"{paths[name]}:2: " in err
+            assert f"{paths[name]}:2: " in captured.err
+    if str(paths["b335"]) in argv:
+        assert "m=5" in captured.err and "m=6" in captured.err
+
+
+def _drop_last_record(path: Path) -> None:
+    """Remove a level file's last record and make its trailer count agree."""
+    *lines, _last, _trailer = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines) + f"# complete {len(lines) - 1}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nearbent", "--m", 5, "--reps", "{short}"],
+    ["distance", "--r", 2, "--reps", "{short}", "--threshold", 6, "--seed", 1],
+    ["stab-hist", "--records", "{short}"],
+], ids=["nearbent", "distance", "stab-hist"])
+def test_level_file_with_a_record_missing_is_refused(tmp_path, capsys, argv):
+    # the classes of a whole level cover the space: their mass, the sum of
+    # |AGL| / stabilizer order, is 2^dim B(level+1,t,m) for some t.  Read
+    # without that check, the B(3,3,5) file short of its last record gives
+    # nearbent 3388672, not 14054656
+    cls = tmp_path / "cls"
+    assert run("classify", "--m", 5, "--s", 3, "--t", 3, "--out", cls) == 0
+    assert (cls / "level_2.txt").read_text() == _B335_LEVEL_2
+    short = tmp_path / "short.txt"
+    shutil.copy(cls / "level_2.txt", short)
+    _drop_last_record(short)
+    assert short.read_text().endswith("# complete 2\n")
+    capsys.readouterr()
+    argv = [str(a).format(short=short) for a in argv]
+    assert run(*argv, "--out", tmp_path) == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(short) in captured.err and "records missing" in captured.err
+
+
+def test_level_file_with_an_order_not_dividing_agl_is_refused(tmp_path, capsys):
+    path = tmp_path / "b335.txt"
+    path.write_text(_B335_LEVEL_2.replace(" 368640 ", " 368641 "))
+    assert run("stab-hist", "--records", path, "--out", tmp_path) == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:" in captured.err and "368641 does not divide" in captured.err
 
 
 def test_resume_redoes_a_corrupt_level_file(tmp_path):
     # a level file whose record does not parse is treated as absent
+    _resume_redoes_level_2_of_b244(tmp_path, _corrupt_first_anf)
+
+
+def test_resume_redoes_a_level_file_with_a_record_missing(tmp_path):
+    # and so is one whose records do not cover the space of this run's t:
+    # without its last record the level-2 file of B(2,4,4) has the mass of
+    # B(3,3,4), which the check for some t alone would let through
+    _resume_redoes_level_2_of_b244(tmp_path, _drop_last_record)
+
+
+def _corrupt_first_anf(path: Path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[1].split(" ")
+    fields[1] = "zz"  # the representative's ANF
+    lines[1] = " ".join(fields)
+    path.write_text("".join(lines))
+
+
+def _resume_redoes_level_2_of_b244(tmp_path, corrupt):
     fresh = tmp_path / "fresh"
     assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", fresh) == 0
     out = tmp_path / "run"
     shutil.copytree(fresh, out)
-    lines = (out / "level_2.txt").read_text().splitlines(keepends=True)
-    fields = lines[1].split(" ")
-    fields[1] = "zz"  # the representative's ANF
-    lines[1] = " ".join(fields)
-    (out / "level_2.txt").write_text("".join(lines))
+    corrupt(out / "level_2.txt")
     assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", out, "--resume") == 0
     for r in (3, 2, 1):
         assert (out / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()

@@ -55,17 +55,17 @@ def test_b477_class_number_and_histogram():
 def test_covering_radius_rm37():
     records = _records("b447_level3.txt", lambda: classify_space(4, 4, 7, BIG))
     assert len(records) == 12
-    report = covering_radius_bound(records, 3, 20, max_iter=2048, seed=1)
-    assert report.certified  # covering radius of RM(3,7) <= 20
+    reports = covering_radius_bound(records, 3, 20, max_iter=2048, seed=1)
+    assert all(tr.hit for tr in reports)  # covering radius of RM(3,7) <= 20
     # published trial statistics (mean 538.6, stddev 806.17) are order-of-
     # magnitude targets: unspecified RNG details make them irreproducible
-    assert report.mean_trials < 5386
+    assert sum(tr.trials for tr in reports) / len(reports) < 5386
 
 
 def test_near_bent_count_m7():
     records = _records("b347_level2.txt", lambda: classify_space(3, 4, 7, BIG))
-    census = near_bent_census(7, records)
+    weighted = sum(n_q * orbit for _rep, n_q, orbit in near_bent_census(7, records))
     # the published figure counts the near-bent functions of valuation >= 2
     # (the weighted orbit sum); the all-functions total is 2^8 times it
-    assert census.weighted_sum == 88624918554694407235840
-    assert census.total == 88624918554694407235840 << 8
+    assert weighted == 88624918554694407235840
+    assert weighted << 8 == 22687979150001768252375040  # what `nearbent --m 7` prints

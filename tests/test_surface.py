@@ -1,16 +1,19 @@
 """Every public name of the library has a caller outside the tests.
 
-A top-level public definition of src/rmclass, or a name the package's
+A top-level public definition of src/rmclass, a public method or property
+of a class defined there (listed as Class.name), or a name the package's
 __init__ exports, passes if one of these holds:
 
-  * another top-level statement of the library references it: a statement
+  * another statement of the library references it: a top-level statement
     of another module, or of its own module other than its own definition
-    (__init__'s re-exports do not count);
+    (__init__'s re-exports do not count); for a member, a statement other
+    than its definition and the aliases `alias = member` beside it;
   * a file of the benchmark in perfbench/ names it;
   * TEST_REFERENCES lists it, with the reason it stays although only the
     tests call it.
 
-A name nothing calls is deleted, not kept.
+Names are matched as identifiers, so a member passes if any attribute of
+that name is read anywhere.  A name nothing calls is deleted, not kept.
 """
 
 import ast
@@ -41,6 +44,21 @@ def _defines(stmt):
     return {n for n in names if not n.startswith("_")}
 
 
+def _member_statements(cls):
+    """(members defined, statement) for each statement of a class body: a
+    public method or property defines itself, and `alias = member`, as in
+    `__mul__ = compose`, is part of the member it names."""
+    methods = {s.name for s in cls.body
+               if isinstance(s, ast.FunctionDef) and not s.name.startswith("_")}
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in methods:
+            yield {stmt.name}, stmt
+        elif isinstance(stmt, ast.Assign) and getattr(stmt.value, "id", None) in methods:
+            yield {stmt.value.id}, stmt
+        else:
+            yield set(), stmt
+
+
 def _references(tree):
     """Identifiers a subtree uses: names, attributes, imported names and
     identifier-like strings (the benchmark patches attributes by name)."""
@@ -60,7 +78,7 @@ def _references(tree):
 
 def _surface():
     """(exported names, {name: module}, names without a library or
-    benchmark caller)."""
+    benchmark caller); a member's name is Class.member."""
     exported, defined, statements = set(), {}, []
     for path in sorted(SRC.glob("*.py")):
         tree = _parse(path)
@@ -71,13 +89,21 @@ def _surface():
         for stmt in tree.body:
             names = _defines(stmt)
             defined.update(dict.fromkeys(names, path.stem))
-            statements.append((names, _references(stmt)))
+            if not isinstance(stmt, ast.ClassDef):
+                statements.append((names, _references(stmt)))
+                continue
+            # the class's own name stays excluded in every part of it
+            head = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+            statements.append(({stmt.name}, set().union(*map(_references, head))))
+            for members, part in _member_statements(stmt):
+                defined.update((f"{stmt.name}.{n}", path.stem) for n in members)
+                statements.append((members | {stmt.name}, _references(part)))
     called = set()
     for names, refs in statements:
         called |= refs - names
     for path in (ROOT / "perfbench").glob("*.py"):
         called |= _references(_parse(path))
-    return exported, defined, set(defined) - called
+    return exported, defined, {n for n in defined if n.rsplit(".", 1)[-1] not in called}
 
 
 def test_every_public_name_has_a_caller():
@@ -96,4 +122,4 @@ def test_test_references_are_current():
     for name, reason in TEST_REFERENCES.items():
         assert reason and name in defined, name
         assert name in uncalled, f"{name} has a library caller; drop its entry"
-        assert name in tests, f"no test calls {name}"
+        assert name.rsplit(".", 1)[-1] in tests, f"no test calls {name}"
