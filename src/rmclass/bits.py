@@ -27,8 +27,17 @@ def echelon_gf2(rows: Sequence[int]) -> List[int]:
 
 
 def rank_gf2(rows: Sequence[int]) -> int:
-    """Rank of a GF(2) matrix given as a sequence of row ints."""
-    return len(echelon_gf2(rows))
+    """Rank of a GF(2) matrix given as a sequence of row ints: each row is
+    reduced by the pivot of its leading bit until it has none, and joins
+    the pivots then, or reaches zero."""
+    pivots = {}
+    for row in rows:
+        while row:
+            pivot = pivots.setdefault(row.bit_length(), row)
+            if pivot == row:
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bits import degree_mask, echelon_gf2, masks_in_range, masks_of_degree, rank_gf2
+from .bits import space_dimension
 from .bfcore import MAX_M, BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
-from .classify import ClassRecord, classify_space
+from .classify import ClassRecord, classify_space, level_mass
 from .errors import (
     DependencyMissingError,
     InternalConsistencyError,
@@ -226,7 +227,11 @@ def near_bent_census(
 
     The sum of N(rep) times orbit size counts the near-bent functions of
     valuation >= 2; times 2^(m+1), for the affine part, which near-bentness
-    ignores, it counts every near-bent function in m variables."""
+    ignores, it counts every near-bent function in m variables.
+
+    Records given must cover B(3,t,m) for some t >= (m+1)/2, by their mass:
+    near-bent functions have degree at most (m+1)/2, so a larger t only
+    adds classes with no completion, but a smaller one misses some."""
     if m % 2 == 0:
         raise InvalidInputError("near-bent census needs odd m")
     d = (m + 1) // 2
@@ -237,12 +242,21 @@ def near_bent_census(
                 f"B(3,{d},{m}) passed in as records (long-run artifact)"
             )
         records = classify_space(3, d, m, mem_limit)
+    else:
+        for rec in records:
+            if rec.m != m:
+                raise InvalidInputError(f"records are for m={rec.m}, not m={m}")
+            if rec.level != 2:
+                raise InvalidInputError("records are not a level-2 classification")
+        mass = level_mass(records)
+        t = next((t for t in range(3, m + 1) if mass == 1 << space_dimension(m, 3, t)), None)
+        if t is None or t < d:
+            covers = f"no B(3,t,{m})" if t is None else f"B(3,{t},{m}), t={t}"
+            raise InvalidInputError(
+                f"the level-2 records cover {covers}; the census needs t >= {d}"
+            )
     order = group_order(m)
-    rows = []
-    for rec in records:
-        if rec.m != m:
-            raise InvalidInputError(f"records are for m={rec.m}, not m={m}")
-        if rec.level != 2:
-            raise InvalidInputError("records are not a level-2 classification")
-        rows.append((rec.rep, count_near_bent_completions(rec.rep), order // rec.stab_order))
-    return rows
+    return [
+        (rec.rep, count_near_bent_completions(rec.rep), order // rec.stab_order)
+        for rec in records
+    ]

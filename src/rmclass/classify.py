@@ -230,8 +230,13 @@ def orbit_enumerate(ctx: BoundaryAction) -> List[Tuple[int, int]]:
     after one that is, so spaces of many tiny orbits run in wide batches and
     spaces of a few huge ones as single-seed BFS.  Memory is not checked
     here: check_memory refuses a run up front.
+
+    A space with no generator, whose every form is its own orbit, is not
+    swept.
     """
     space = 1 << ctx.dim
+    if not ctx.gens:
+        return [(u, 1) for u in range(space)]
     labels = np.full(space, _UNSEEN, dtype=np.uint8)
     orbits: List[Tuple[int, int]] = []
     scan, total = 0, 0

@@ -337,8 +337,12 @@ def _count_inherited(parent: ClassRecord, children: Sequence[ClassRecord]) -> in
 def _print_counts(m: int, cells, methods, mem_limit: int) -> Dict[Tuple[int, int], int]:
     """Print `count s t m n method` for every cell and method, and return
     {(s, t): n}.  Every cell must satisfy 0 <= s <= t <= m, and every
-    descent's memory is checked, before the first descent starts;
-    classification descends once per t, down to the lowest s asked for."""
+    descent's memory is checked, before the first descent starts.
+
+    AGL(m,2) preserves degree, so the classes of B(s,t,m) are those of
+    B(s,t',m), t' > t, whose representative has degree <= t.  From the
+    largest t down, a t joins the descent of the first larger t' whose
+    lowest s asked for is at most its own, or else descends itself."""
     lowest: Dict[int, int] = {}
     for s, t in cells:
         _check_cell(s, t, m)
@@ -346,10 +350,16 @@ def _print_counts(m: int, cells, methods, mem_limit: int) -> Dict[Tuple[int, int
             lowest[t] = min(s, lowest.get(t, s))
     for t, s_low in lowest.items():
         check_memory(m, t, s_low - 1, mem_limit)
+    groups: Dict[int, List[int]] = {}
+    for t in sorted(lowest, reverse=True):
+        top = next((u for u in groups if lowest[u] <= lowest[t]), t)
+        groups.setdefault(top, []).append(t)
     classified = {}
-    for t, s_low in lowest.items():
-        for s, records in classify_levels(s_low, t, m, mem_limit):
-            classified[s, t] = len(records)
+    for top, members in groups.items():
+        for s, records in classify_levels(lowest[top], top, m, mem_limit):
+            for t in members:
+                high = degree_mask(m, t + 1, m)
+                classified[s, t] = sum(not rec.rep.anf & high for rec in records)
     counts = {}
     for s, t in cells:
         by = {}

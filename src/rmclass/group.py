@@ -41,14 +41,16 @@ def _invert_perm(perm: bytes) -> bytes:
 
 
 def _affine_pmap(rows: Sequence[int], translation: int) -> bytes:
-    """Point map of x -> xA + b, A given by its rows (row i = image of e_i)."""
-    n = 1 << len(rows)
-    pmap = bytearray(n)
-    pmap[0] = translation
-    for x in range(1, n):
-        low = x & -x
-        pmap[x] = pmap[x ^ low] ^ rows[low.bit_length() - 1]
-    return bytes(pmap)
+    """Point map of x -> xA + b, A given by its rows (row i = image of e_i,
+    each below 256), by doubling: the images of the points below 2^(i+1)
+    are those below 2^i followed by the same XOR row i.  The map is kept as
+    a little-endian int of bytes, so that XOR is one product by the int of
+    n bytes 0x01 and one int XOR."""
+    pmap, n = translation, 1
+    for row in rows:
+        pmap |= (pmap ^ row * ((1 << 8 * n) // 255)) << 8 * n
+        n <<= 1
+    return pmap.to_bytes(n, "little")
 
 
 def substitute(tt: int, pmap: bytes) -> int:
@@ -94,8 +96,8 @@ class AffineMap:
             raise InvalidInputError(f"expected {m} matrix rows, got {len(rows)}")
         if rank_gf2(rows) != m:
             raise InvalidInputError("matrix is singular over GF(2)")
-        if translation >> m:
-            raise InvalidInputError("translation does not fit in m bits")
+        if any(v >> m for v in (*rows, translation)):
+            raise InvalidInputError("a matrix row or the translation does not fit in m bits")
         return cls(m, _affine_pmap(rows, translation))
 
     @classmethod

@@ -56,19 +56,22 @@ def compose(a: AffineMap, b: AffineMap) -> AffineMap:
     return AffineMap(a.m, bytes(a.pmap[b.pmap[x]] for x in range(1 << a.m)))
 
 
+def affine_image(rows, b: int, x: int) -> int:
+    """xA + b through coordinates: b plus row i for every bit i of x."""
+    y = b
+    for i, row in enumerate(rows):
+        if (x >> i) & 1:
+            y ^= row
+    return y
+
+
 def act_by_definition(f: BooleanFunction, s: AffineMap) -> BooleanFunction:
     """Evaluate f(sigma(x)) pointwise through coordinates."""
-    m = f.m
-    rows = s.rows
-    b = s.translation
+    rows, b = s.rows, s.translation
     tt = 0
-    for x in range(1 << m):
-        y = b
-        for i in range(m):
-            if (x >> i) & 1:
-                y ^= rows[i]
-        tt |= ((f.truth_table >> y) & 1) << x
-    return BooleanFunction(m, truth_table=tt)
+    for x in range(1 << f.m):
+        tt |= ((f.truth_table >> affine_image(rows, b, x)) & 1) << x
+    return BooleanFunction(f.m, truth_table=tt)
 
 
 def affine_text_by_formula(s: AffineMap) -> str:

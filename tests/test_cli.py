@@ -15,6 +15,7 @@ from rmclass.errors import (
     InvalidInputError,
     ResourceRefusedError,
 )
+from rmclass.group import group_order
 
 
 def run(*argv):
@@ -141,8 +142,8 @@ def test_count_both_methods(tmp_path, capsys):
 
 
 def test_counts_descend_once_per_t(tmp_path, capsys):
-    # count and dual-check descend once per t and print, cell by cell, what
-    # one classification per cell gives; Burnside gives the same at m=4.
+    # count and dual-check print, cell by cell, what one classification per
+    # cell gives; Burnside gives the same at m=4.
     def per_cell(s, t, m):
         return len(classify_space(s, t, m))
 
@@ -158,6 +159,54 @@ def test_counts_descend_once_per_t(tmp_path, capsys):
     expect = [f"count {s} {t} 5 {per_cell(s, t, 5)} classify"
               for s, t in cli.dual_default_cells(5)]
     assert capsys.readouterr().out.splitlines()[: len(expect)] == expect
+
+
+@pytest.mark.parametrize("argv, descents", [
+    (["count", "--m", 4, "--all-cells"], 1),
+    (["dual-check", "--m", 5, "--cells", "1,1;1,2;0,3"], 1),
+    # t=3's lowest s, 2, is above t=2's 0: t=2 descends on its own
+    (["dual-check", "--m", 5, "--cells", "2,3;0,2"], 2),
+], ids=["count-m4", "dual-one-top", "dual-two-tops"])
+def test_counts_descend_once_per_group_of_cells(tmp_path, capsys, monkeypatch, argv, descents):
+    # a t joins the descent of a larger t whose lowest s is at most its own;
+    # its counts are the records of degree <= t, as one classification per
+    # cell counts them
+    calls = []
+    real = cli.classify_levels
+
+    def spy(s, t, m, mem_limit):
+        calls.append((s, t))
+        return real(s, t, m, mem_limit)
+
+    monkeypatch.setattr(cli, "classify_levels", spy)
+    assert run(*argv, "--out", tmp_path) == 0
+    assert len(calls) == descents
+    lines = [ln.split() for ln in capsys.readouterr().out.splitlines() if ln.startswith("count ")]
+    assert lines and all(
+        int(n) == len(classify_space(int(s), int(t), int(m))) for _, s, t, m, n, _ in lines
+    )
+
+
+def test_nearbent_refuses_reps_of_a_smaller_t(tmp_path, capsys, monkeypatch):
+    # 128 level-2 records of orbit size 2^28 have the mass 2^35 of B(3,3,7),
+    # which read_level_file accepts; but near-bent functions in 7 variables
+    # reach degree 4, so a census of them would undercount.  No kernel runs.
+    import rmclass.census as census
+
+    def no_kernel(f):
+        raise AssertionError("a kernel ran before the refusal")
+
+    monkeypatch.setattr(census, "count_near_bent_completions", no_kernel)
+    order = group_order(7) >> 28
+    lines = ["# rmclass m=7 level=2", *(f"2 {i:032x} {order} 0" for i in range(128))]
+    path = tmp_path / "level_2.txt"
+    path.write_text("\n".join([*lines, "# complete 128", ""]))
+    assert len(read_level_file(path)) == 128
+    code = run("nearbent", "--m", 7, "--reps", path, "--out", tmp_path)
+    assert code == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "B(3,3,7), t=3" in captured.err and "needs t >= 4" in captured.err
 
 
 def test_count_burnside_m7_and_no_allow_long(tmp_path, capsys):

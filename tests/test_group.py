@@ -1,13 +1,15 @@
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
 
 from rmclass.bfcore import BooleanFunction
-from rmclass.bits import degree_mask, masks_in_range
+from rmclass.bits import degree_mask, echelon_gf2, masks_in_range, rank_gf2
 from rmclass.errors import InvalidInputError
 from rmclass.group import (
     AffineMap,
+    _affine_pmap,
     SubgroupOracle,
     act,
     enumerate_agl,
@@ -18,7 +20,7 @@ from rmclass.group import (
 )
 from rmclass.rng import stream
 
-from oracles import act_by_definition, affine_text_by_formula, compose, degree
+from oracles import act_by_definition, affine_image, affine_text_by_formula, compose, degree
 
 
 def test_group_order_values():
@@ -130,9 +132,31 @@ def test_enumerate_agl_sizes():
     assert sum(1 for _ in enumerate_agl(3)) == group_order(3)
 
 
-def test_random_affine_invertible_and_rate():
-    from rmclass.bits import rank_gf2
+def test_rank_gf2_matches_echelon():
+    # every 3x3 matrix, then random square ones at m = 6 and 7
+    for rows in product(range(8), repeat=3):
+        assert rank_gf2(rows) == len(echelon_gf2(rows))
+    rng = stream(30)
+    for m in (6, 7):
+        ranks = set()
+        for _ in range(300):
+            rows = [int(v) for v in rng.integers(0, 1 << m, size=m)]
+            ranks.add(rank_gf2(rows))
+            assert rank_gf2(rows) == len(echelon_gf2(rows))
+        assert {m - 2, m - 1, m} <= ranks
 
+
+def test_affine_pmap_is_the_point_formula():
+    # singular matrices too: the point map does not rely on invertibility
+    rng = stream(29)
+    for m in range(1, 9):
+        for _ in range(20):
+            rows = [int(v) for v in rng.integers(0, 1 << m, size=m)]
+            b = int(rng.integers(0, 1 << m))
+            assert _affine_pmap(rows, b) == bytes(affine_image(rows, b, x) for x in range(1 << m))
+
+
+def test_random_affine_invertible_and_rate():
     rng = stream(24)
     m = 4
     for _ in range(200):
@@ -221,3 +245,5 @@ def test_serialization_round_trip_and_format():
 def test_from_matrix_rejects_singular():
     with pytest.raises(InvalidInputError):
         AffineMap.from_matrix(3, [1, 2, 3], 0)  # row3 = row1 ^ row2
+    with pytest.raises(InvalidInputError):
+        AffineMap.from_matrix(3, [1, 2, 12], 0)  # a row wider than m bits
