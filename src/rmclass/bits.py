@@ -9,35 +9,24 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import List, Sequence
+from typing import Dict, Sequence
 
 from .errors import InvalidInputError
 
 
-def echelon_gf2(rows: Sequence[int]) -> List[int]:
-    """A basis of the row span with distinct leading bits, largest first."""
-    basis: List[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return basis
-
-
-def rank_gf2(rows: Sequence[int]) -> int:
-    """Rank of a GF(2) matrix given as a sequence of row ints: each row is
-    reduced by the pivot of its leading bit until it has none, and joins
+def pivots_gf2(rows: Sequence[int]) -> Dict[int, int]:
+    """An echelon basis of the row span of a GF(2) matrix given as row ints,
+    keyed by leading bit (its bit_length); the rank is its length.  Each row
+    is reduced by the pivot of its leading bit until it has none, and joins
     the pivots then, or reaches zero."""
-    pivots = {}
+    pivots: Dict[int, int] = {}
     for row in rows:
         while row:
             pivot = pivots.setdefault(row.bit_length(), row)
             if pivot == row:
                 break
             row ^= pivot
-    return len(pivots)
+    return pivots
 
 
 @lru_cache(maxsize=None)

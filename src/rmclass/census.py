@@ -16,10 +16,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bits import degree_mask, echelon_gf2, masks_in_range, masks_of_degree, rank_gf2
-from .bits import space_dimension
+from .bits import degree_mask, masks_in_range, masks_of_degree, pivots_gf2
 from .bfcore import MAX_M, BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
-from .classify import ClassRecord, classify_space, level_mass
+from .classify import ClassRecord, classify_space, level_cell
 from .errors import (
     DependencyMissingError,
     InternalConsistencyError,
@@ -123,7 +122,7 @@ def fix_dimension(s: int, t: int, m: int, pmap: bytes) -> int:
         (substitute_anf(monomial_truth_table(mask, m), pmap) ^ (1 << mask)) & high
         for mask in masks_in_range(m, s, t)
     ]
-    return len(rows) - rank_gf2(rows)
+    return len(rows) - len(pivots_gf2(rows))
 
 
 def burnside_count(s: int, t: int, m: int) -> int:
@@ -133,9 +132,9 @@ def burnside_count(s: int, t: int, m: int) -> int:
         raise InvalidInputError(f"need 0 <= s <= t <= m, 1 <= m <= {MAX_M}; got s={s} t={t} m={m}")
     total = 0
     for rows, size in gl_classes(m):
-        image = echelon_gf2([r ^ (1 << i) for i, r in enumerate(rows)])
-        leads = sum(1 << (v.bit_length() - 1) for v in image)
-        # the b without a leading bit of the image's echelon basis: one per coset
+        image = pivots_gf2([r ^ (1 << i) for i, r in enumerate(rows)])
+        leads = sum(1 << (n - 1) for n in image)
+        # the b without a leading bit of the image's pivots: one per coset
         fixed = sum(
             1 << fix_dimension(s, t, m, _affine_pmap(rows, b))
             for b in range(1 << m)
@@ -243,17 +242,14 @@ def near_bent_census(
             )
         records = classify_space(3, d, m, mem_limit)
     else:
-        for rec in records:
-            if rec.m != m:
-                raise InvalidInputError(f"records are for m={rec.m}, not m={m}")
-            if rec.level != 2:
-                raise InvalidInputError("records are not a level-2 classification")
-        mass = level_mass(records)
-        t = next((t for t in range(3, m + 1) if mass == 1 << space_dimension(m, 3, t)), None)
-        if t is None or t < d:
-            covers = f"no B(3,t,{m})" if t is None else f"B(3,{t},{m}), t={t}"
+        rec_m, level, t = level_cell(records)
+        if rec_m != m:
+            raise InvalidInputError(f"records are for m={rec_m}, not m={m}")
+        if level != 2:
+            raise InvalidInputError("records are not a level-2 classification")
+        if t < d:
             raise InvalidInputError(
-                f"the level-2 records cover {covers}; the census needs t >= {d}"
+                f"the level-2 records cover B(3,{t},{m}), t={t}; the census needs t >= {d}"
             )
     order = group_order(m)
     return [

@@ -404,32 +404,38 @@ def generator_set(
 # -- the descent -------------------------------------------------------------
 
 
-def level_mass(records: Sequence[ClassRecord]) -> int:
-    """The mass of one level's records, the sum of |AGL(m,2)| / stab_order:
-    the number of elements of the space that their orbits cover."""
+def level_cell(records: Sequence[ClassRecord]) -> Tuple[int, int, int]:
+    """(m, L, t) of the space B(L+1,t,m) whose orbits one level's records are:
+    they share m and L, every stab_order divides |AGL(m,2)|, and their mass,
+    the sum of |AGL(m,2)| / stab_order, is 2^dim B(L+1,t,m) for a t >= L+1.
+    The dimension grows with t, so at most one t matches."""
     if not records:
         raise InternalConsistencyError("empty classification level")
-    level = records[0].level
-    order = group_order(records[0].m)
-    total = 0
+    m, level = records[0].m, records[0].level
+    order = group_order(m)
+    mass = 0
     for rec in records:
-        if rec.level != level:
-            raise InternalConsistencyError("records from mixed levels")
+        if rec.level != level or rec.rep.m != m:
+            raise InternalConsistencyError("records from mixed levels or m")
         if rec.stab_order < 1 or order % rec.stab_order:
             raise InternalConsistencyError(
                 f"stabilizer order {rec.stab_order} does not divide the group order"
             )
-        total += order // rec.stab_order
-    return total
+        mass += order // rec.stab_order
+    for t in range(level + 1, m + 1):
+        if mass == 1 << space_dimension(m, level + 1, t):
+            return m, level, t
+    raise InternalConsistencyError(
+        f"mass {mass} of the level-{level} records is not 2^dim "
+        f"B({level + 1},t,{m}) for any t (records missing?)"
+    )
 
 
 def verify_level_mass(records: Sequence[ClassRecord], k: int) -> None:
-    """Orbit masses must partition the acted-on space exactly."""
-    total = level_mass(records)
-    level = records[0].level
-    dim = space_dimension(records[0].m, level + 1, k)
-    if total != 1 << dim:
-        raise InternalConsistencyError(f"mass check failed at level {level}: {total} != 2^{dim}")
+    """Orbit masses must partition the acted-on space B(L+1,k,m) exactly."""
+    _m, level, t = level_cell(records)
+    if t != k:
+        raise InternalConsistencyError(f"mass check failed at level {level}: t={t}, not {k}")
 
 
 def descend_iter(

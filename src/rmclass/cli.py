@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bfcore import BooleanFunction
-from .bits import degree_mask, space_dimension
+from .bits import degree_mask
 from .census import burnside_count, duality_check, near_bent_census, table_render
 from .classify import (
     ClassRecord,
@@ -35,7 +35,7 @@ from .classify import (
     classify_levels,
     classify_space,
     descend_iter,
-    level_mass,
+    level_cell,
     stab_histogram,
     top_record,
     verify_level_mass,
@@ -117,7 +117,8 @@ class _Checkpoint:
         """The children of parents[0], parents[1], ... that the file holds
         complete; None, and the level restarts, if the file is missing, its
         header is not the level below the parents', a complete line does not
-        parse, or a block's parent is not the next parent.
+        parse or holds a record of another level, or a block's parent is not
+        the next parent.
 
         A child's part above degree r is its parent's representative, which
         groups the lines into blocks.  A block is complete when its mass, the
@@ -139,6 +140,8 @@ class _Checkpoint:
                 lines.append((ClassRecord.from_line(m, raw.decode()), pos))
             except (ValueError, InvalidInputError):
                 return None
+        if any(rec.level != r - 1 for rec, _ in lines):
+            return None
         blocks, keep = [], len(header)
         high, mass = degree_mask(m, r + 1, m), 1 << comb(m, r)
         for j, (part, block) in enumerate(groupby(lines, lambda ln: ln[0].rep.anf & high)):
@@ -197,13 +200,13 @@ def write_level_file(path, records: Sequence[ClassRecord]) -> None:
 
 def read_level_file(path) -> List[ClassRecord]:
     """Records of a level file.  A missing file raises DependencyMissingError;
-    a malformed one, or one whose records do not cover a whole space,
+    a malformed one, or one whose records are not a whole level,
     InvalidInputError naming the file and line.
 
-    The records of a complete level L cover all of B(L+1,t,m): their mass,
-    the sum of |AGL(m,2)| / stab_order, is 2^dim B(L+1,t,m) for some t.  A
-    file with a record missing, or an order changed, fails that check unless
-    the change happens to keep the mass."""
+    Every record must be at the header's level L, and level_cell must find
+    the t whose B(L+1,t,m) the records' mass covers.  A file with a record
+    missing, or an order changed, fails that check unless what is left
+    happens to have the mass of another t."""
     records: List[ClassRecord] = []
     lineno = 1
     try:
@@ -211,20 +214,17 @@ def read_level_file(path) -> List[ClassRecord]:
             header = fh.readline()
             if not header.startswith("# rmclass m="):
                 raise InvalidInputError("not a level file")
-            m = int(header.split()[2][2:])
+            m, level = (int(field.split("=")[1]) for field in header.split()[2:4])
             for lineno, line in enumerate(fh, 2):
                 if line.startswith("# complete"):
                     if int(line.split()[2]) != len(records):
                         raise InvalidInputError(f"{line.strip()!r} after {len(records)} records")
-                    mass, level = level_mass(records), records[0].level
-                    if all(mass != 1 << space_dimension(m, level + 1, t)
-                           for t in range(level + 1, m + 1)):
-                        raise InvalidInputError(
-                            f"mass {mass} of the level-{level} records is not 2^dim "
-                            f"B({level + 1},t,{m}) for any t (records missing?)"
-                        )
+                    level_cell(records)
                     return records
-                records.append(ClassRecord.from_line(m, line))
+                rec = ClassRecord.from_line(m, line)
+                if rec.level != level:
+                    raise InvalidInputError(f"a level-{rec.level} record in a level-{level} file")
+                records.append(rec)
     except FileNotFoundError:
         raise DependencyMissingError(f"{path}: no such level file") from None
     except (OSError, ValueError, IndexError, InvalidInputError, InternalConsistencyError) as err:
@@ -259,18 +259,14 @@ def cmd_classify(args) -> int:
                     f"--resume: manifest mismatch on {key} ({old.get(key)} vs {settings[key]})"
                 )
         for r in range(t - 1, target - 1, -1):
-            path = out / f"level_{r}.txt"
-            if path.exists():
-                try:
-                    loaded = read_level_file(path)
-                    verify_level_mass(loaded, t)  # this run's t, not just some t
-                except (InvalidInputError, InternalConsistencyError):
-                    break
-                records = loaded
-                level = r
-                done_levels[r] = len(loaded)
-            else:
+            try:
+                loaded = read_level_file(out / f"level_{r}.txt")
+            except (InvalidInputError, DependencyMissingError):
                 break
+            if level_cell(loaded) != (m, r, t):  # a file of another m, level or t is redone
+                break
+            records, level = loaded, r
+            done_levels[r] = len(loaded)
         # the counts of the levels loaded back come from the run that made them
         loaded_keys = tuple(f"level_{r}_" for r in done_levels)
         manifest.update((k, v) for k, v in old.items() if k.startswith(loaded_keys))

@@ -18,11 +18,11 @@ t.pmap.translate(s.table).
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .bits import rank_gf2
+from .bits import pivots_gf2
 from .errors import InvalidInputError
 from .bfcore import BooleanFunction, mobius
 
@@ -94,7 +94,7 @@ class AffineMap:
         """Build from m row masks (row i = image of basis point e_i minus b)."""
         if len(rows) != m:
             raise InvalidInputError(f"expected {m} matrix rows, got {len(rows)}")
-        if rank_gf2(rows) != m:
+        if len(pivots_gf2(rows)) != m:
             raise InvalidInputError("matrix is singular over GF(2)")
         if any(v >> m for v in (*rows, translation)):
             raise InvalidInputError("a matrix row or the translation does not fit in m bits")
@@ -174,7 +174,7 @@ def random_affine(m: int, rng: np.random.Generator) -> AffineMap:
     n = 1 << m
     while True:
         rows = [int(v) for v in rng.integers(0, n, size=m)]
-        if rank_gf2(rows) == m:
+        if len(pivots_gf2(rows)) == m:
             break
     return AffineMap(m, _affine_pmap(rows, int(rng.integers(0, n))))
 
@@ -197,17 +197,16 @@ class SubgroupOracle:
     first l base points, so it joins the lists of levels 0..l.  Orbits grow
     incrementally under each new visible generator.
 
-    known_order, if given, is the order of a group known to contain every
-    generator added.  Each orbit found is part of a basic orbit of H, so the
-    product P of the orbit lengths is at most |H| <= known_order.  When P
-    reaches known_order, H is that group, the orbits are its basic orbits and
-    sifting decides membership exactly, so _add_perm stops closing there:
-    the known-order Schreier-Sims of Seress, Permutation Group Algorithms
-    (2003), ch. 4.  Without known_order, as in subgroup_order, every
-    closure is full.
+    known_order is the order of a group known to contain every generator
+    added; |AGL(m,2)| always is one.  Each orbit found is part of a basic
+    orbit of H, so the product P of the orbit lengths is at most
+    |H| <= known_order.  When P reaches known_order, H is that group, the
+    orbits are its basic orbits and sifting decides membership exactly, so
+    _add_perm stops closing there: the known-order Schreier-Sims of Seress,
+    Permutation Group Algorithms (2003), ch. 4.
     """
 
-    def __init__(self, m: int, known_order: Optional[int] = None):
+    def __init__(self, m: int, known_order: int):
         self.m = m
         self.n = 1 << m
         self._known = known_order
@@ -287,7 +286,7 @@ class SubgroupOracle:
                     inv[y] = _invert_perm(uy)
                     size = len(trans)
                     self._order = self._order // (size - 1) * size
-                    if self._known is not None and self._order >= self._known:
+                    if self._order >= self._known:
                         return None
                     todo.append((y, gens))
                 else:
@@ -303,7 +302,7 @@ def subgroup_order(maps: Iterable[AffineMap]) -> int:
     if not maps:
         return 1
     m = maps[0].m
-    oracle = SubgroupOracle(m)
+    oracle = SubgroupOracle(m, group_order(m))
     for s in maps:
         if s.m != m:
             raise InvalidInputError("generators live on different m")
@@ -317,6 +316,6 @@ def enumerate_agl(m: int):
     if m > 5:
         raise InvalidInputError("full group enumeration is limited to m <= 5")
     for rows in product(range(1 << m), repeat=m):
-        if rank_gf2(rows) == m:
+        if len(pivots_gf2(rows)) == m:
             for b in range(1 << m):
                 yield AffineMap(m, _affine_pmap(rows, b))

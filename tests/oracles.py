@@ -18,6 +18,23 @@ from rmclass.errors import InvalidInputError, ResourceRefusedError
 from rmclass.group import AffineMap, enumerate_agl
 
 
+def echelon_gf2(rows) -> list:
+    """A basis of the row span with distinct leading bits, largest first."""
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return basis
+
+
+def rank_gf2(rows) -> int:
+    """Rank of a GF(2) matrix given as row ints: the size of its echelon basis."""
+    return len(echelon_gf2(rows))
+
+
 def point_bits(x: int, m: int):
     return [(x >> j) & 1 for j in range(m)]
 

@@ -14,7 +14,7 @@ from rmclass.census import (
 from rmclass.classify import classify_space
 from rmclass.errors import DependencyMissingError, InternalConsistencyError, InvalidInputError
 from rmclass.group import AffineMap, act, enumerate_agl, group_order, random_affine
-from rmclass.bits import degree_mask, rank_gf2, space_dimension
+from rmclass.bits import degree_mask, space_dimension
 from rmclass.rng import stream
 
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     gl_conjugacy_classes_bruteforce,
     is_near_bent,
     near_bent_completions_by_enumeration,
+    rank_gf2,
 )
 
 

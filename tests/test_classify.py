@@ -21,6 +21,7 @@ from rmclass.classify import (
     descend_iter,
     estimate_orbit_bytes,
     generator_set,
+    level_cell,
     orbit_enumerate,
     stab_histogram,
     stab_order_from_class_formula,
@@ -418,7 +419,7 @@ def test_top_record_is_certified_by_one_chain_per_m(monkeypatch):
     built = Counter()
 
     class CountingOracle(classify.SubgroupOracle):
-        def __init__(self, m, known_order=None):
+        def __init__(self, m, known_order):
             built[m] += 1
             super().__init__(m, known_order)
 
@@ -498,6 +499,23 @@ def test_mass_check_every_level():
     for r in range(t, s - 1, -1):
         records = descend(records, t)
         verify_level_mass(records, t)
+
+
+def test_level_cell_finds_the_cell_of_every_level():
+    levels = list(classify_levels(0, 4, 5))
+    # the top record covers B(5,4,5) = {0}: its mass 1 is no t >= L+1's,
+    # as it is that of a level file cut down to its zero class
+    with pytest.raises(InternalConsistencyError, match="records missing"):
+        level_cell(levels[0][1])
+    for s, records in levels[1:]:
+        assert level_cell(records) == (5, s - 1, 4)
+    # the level-2 records of B(2,4,4) without the last have the mass of B(3,3,4)
+    assert level_cell(classify_space(3, 4, 4)[:-1]) == (4, 2, 3)
+    records = classify_space(3, 4, 4)
+    with pytest.raises(InternalConsistencyError, match="mixed levels or m"):
+        level_cell(records[:1] + classify_space(2, 4, 4)[:1])
+    with pytest.raises(InternalConsistencyError, match="mass check failed at level 2: t=4, not 3"):
+        verify_level_mass(records, 3)
 
 
 def test_rerun_with_different_work_order_matches():

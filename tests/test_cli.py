@@ -8,7 +8,7 @@ import pytest
 import rmclass.cli as cli
 from rmclass.bits import degree_mask
 from rmclass.classify import BoundaryAction, classify_space, descend_iter, top_record
-from rmclass.cli import read_level_file
+from rmclass.cli import read_level_file, write_level_file
 from rmclass.errors import (
     DependencyMissingError,
     InternalConsistencyError,
@@ -378,11 +378,6 @@ def test_verbose_is_a_classify_flag(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-_BAD_LEVEL_FILES = {
-    "anf": "# rmclass m=4 level=1\n1 zz 2 0\n# complete 1\n",
-    "order": "# rmclass m=4 level=1\n1 0080 x 0\n# complete 1\n",
-}
-
 # the level-2 file of `classify --m 5 --s 3 --t 3`: the three classes of B(3,3,5)
 _B335_LEVEL_2 = """\
 # rmclass m=5 level=2
@@ -393,6 +388,13 @@ _B335_LEVEL_2 = """\
 18:8:6:2:1:0 10:8:4:2:11:0 10:8:4:12:11:0 1e:a:6:2:1:0
 # complete 3
 """
+
+_BAD_LEVEL_FILES = {
+    "anf": "# rmclass m=4 level=1\n1 zz 2 0\n# complete 1\n",
+    "order": "# rmclass m=4 level=1\n1 0080 x 0\n# complete 1\n",
+    # whole as records of level 2, but under a level-1 header
+    "level": _B335_LEVEL_2.replace("level=2", "level=1"),
+}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -411,6 +413,7 @@ _B335_LEVEL_2 = """\
     (["stab-hist", "--records", "{missing}"], DependencyMissingError.exit_code),
     (["distance", "--m", 6, "--r", 2, "--reps", "{b335}", "--threshold", 6, "--seed", 1],
      InvalidInputError.exit_code),
+    (["stab-hist", "--records", "{level}"], InvalidInputError.exit_code),
 ])
 def test_outside_input_exits_without_traceback(tmp_path, capsys, argv, code):
     # malformed arguments and level files exit 2, a missing file 3, each
@@ -485,6 +488,20 @@ def test_resume_redoes_a_level_file_with_a_record_missing(tmp_path):
     _resume_redoes_level_2_of_b244(tmp_path, _drop_last_record)
 
 
+def test_resume_redoes_a_level_file_of_another_level(tmp_path):
+    # the level-1 file copied over level 2 covers B(2,4,4), this run's
+    # space of level 1, so only the level it is at tells it apart
+    _resume_redoes_level_2_of_b244(
+        tmp_path, lambda path: shutil.copy(path.with_name("level_1.txt"), path))
+
+
+def test_resume_redoes_a_level_file_of_another_m(tmp_path):
+    # the level-2 records of B(3,4,5) have the mass 2^15 of B(3,4,5), which
+    # is the mass the check against this run's t=4 alone looks for
+    _resume_redoes_level_2_of_b244(
+        tmp_path, lambda path: write_level_file(path, classify_space(3, 4, 5)))
+
+
 def _corrupt_first_anf(path: Path) -> None:
     lines = path.read_text().splitlines(keepends=True)
     fields = lines[1].split(" ")
@@ -534,13 +551,14 @@ def _blocks_of(level_file: bytes, m: int):
     lambda head, blocks: head + blocks[0] + "2 zz 2 0\n",
     lambda head, blocks: head + blocks[1] + blocks[0],
     lambda head, blocks: head.replace("level=2", "level=1") + "".join(blocks),
+    lambda head, blocks: head + "1" + "".join(blocks)[1:],  # first record at level 1
 ], ids=["no-m", "level-x", "parent-done-x", "bad-record", "parent-done-skips",
-        "bad-record-line", "swapped-parents", "other-level"])
+        "bad-record-line", "swapped-parents", "other-level", "record-of-other-level"])
 def test_resume_restarts_a_level_whose_checkpoint_does_not_parse(tmp_path, capsys, text):
     # the checkpoint of level 2 below the two level-3 parents of B(3,4,4):
     # old-format files, a record line that does not parse, the blocks of
     # two parents of equal stabilizer order (so equal block masses) swapped,
-    # and another level's header all restart the level
+    # and another level's header or record all restart the level
     fresh = tmp_path / "fresh"
     assert run("classify", "--m", 4, "--s", 3, "--t", 4, "--out", fresh) == 0
     parents = read_level_file(fresh / "level_3.txt")

@@ -1,7 +1,6 @@
 import pytest
 
 from rmclass.bfcore import BooleanFunction
-from rmclass.bits import rank_gf2
 from rmclass.classify import classify_space
 from rmclass.covrad import (
     covering_radius_bound,
@@ -15,7 +14,7 @@ from rmclass.errors import InvalidInputError, ResourceRefusedError
 from rmclass.group import act, random_affine
 from rmclass.rng import stream
 
-from oracles import coset_min_weight_by_gray_walk, exact_covering_radius_rm1, walsh
+from oracles import coset_min_weight_by_gray_walk, exact_covering_radius_rm1, rank_gf2, walsh
 
 X = lambda *vars_: sum(1 << (v - 1) for v in vars_)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rmclass.bfcore import BooleanFunction
-from rmclass.bits import degree_mask, echelon_gf2, masks_in_range, rank_gf2
+from rmclass.bits import degree_mask, masks_in_range, pivots_gf2
 from rmclass.errors import InvalidInputError
 from rmclass.group import (
     AffineMap,
@@ -20,7 +20,15 @@ from rmclass.group import (
 )
 from rmclass.rng import stream
 
-from oracles import act_by_definition, affine_image, affine_text_by_formula, compose, degree
+from oracles import (
+    act_by_definition,
+    affine_image,
+    affine_text_by_formula,
+    compose,
+    degree,
+    echelon_gf2,
+    rank_gf2,
+)
 
 
 def test_group_order_values():
@@ -93,7 +101,7 @@ def test_subgroup_oracle_small_cases():
     assert subgroup_order([]) == 1
     s, t, u = generators_stu(3)
     assert subgroup_order([u]) == 2  # translation is an involution
-    oracle = SubgroupOracle(3)
+    oracle = SubgroupOracle(3, group_order(3))
     oracle.add(u)
     assert oracle.contains_perm(u.table)
     assert not oracle.contains_perm(s.table)
@@ -101,7 +109,8 @@ def test_subgroup_oracle_small_cases():
 
 def test_subgroup_oracle_vs_explicit_closure():
     # membership and order must match an explicit multiplication closure,
-    # for a chain closed in full and for one told the order it is building,
+    # for a chain bounded by |AGL(3,2)|, a bound reached only when the
+    # closure is the whole group, and for one told the order it is building,
     # which stops closing once its orbit lengths multiply to that order
     rng = stream(23)
     m = 3
@@ -120,7 +129,7 @@ def test_subgroup_oracle_vs_explicit_closure():
                         nxt.append(q)
             frontier = nxt
         assert subgroup_order(gens) == len(closure)
-        for oracle in (SubgroupOracle(m), SubgroupOracle(m, len(closure))):
+        for oracle in (SubgroupOracle(m, group_order(m)), SubgroupOracle(m, len(closure))):
             for g in gens:
                 oracle.add(g)
             assert oracle.order() == len(closure)
@@ -132,17 +141,22 @@ def test_enumerate_agl_sizes():
     assert sum(1 for _ in enumerate_agl(3)) == group_order(3)
 
 
+def _pivot_keys_are_echelon_leads(rows) -> bool:
+    # the keys are the leading bits of an echelon basis, so its size too
+    return sorted(pivots_gf2(rows), reverse=True) == [v.bit_length() for v in echelon_gf2(rows)]
+
+
 def test_rank_gf2_matches_echelon():
     # every 3x3 matrix, then random square ones at m = 6 and 7
     for rows in product(range(8), repeat=3):
-        assert rank_gf2(rows) == len(echelon_gf2(rows))
+        assert _pivot_keys_are_echelon_leads(rows)
     rng = stream(30)
     for m in (6, 7):
         ranks = set()
         for _ in range(300):
             rows = [int(v) for v in rng.integers(0, 1 << m, size=m)]
-            ranks.add(rank_gf2(rows))
-            assert rank_gf2(rows) == len(echelon_gf2(rows))
+            ranks.add(len(pivots_gf2(rows)))
+            assert _pivot_keys_are_echelon_leads(rows)
         assert {m - 2, m - 1, m} <= ranks
 
 

@@ -14,6 +14,7 @@ __init__ exports, passes if one of these holds:
 
 Names are matched as identifiers, so a member passes if any attribute of
 that name is read anywhere.  A name nothing calls is deleted, not kept.
+Likewise every name a library module imports is used in that module.
 """
 
 import ast
@@ -111,6 +112,29 @@ def test_every_public_name_has_a_caller():
     assert exported - {"__version__"} <= set(defined)
     orphans = sorted(f"{defined[n]}.{n}" for n in uncalled - set(TEST_REFERENCES))
     assert orphans == [], f"public names without a caller: {orphans}"
+
+
+def test_every_import_is_used():
+    # a name a module imports is read in that module, or its import line is
+    # marked `# noqa: F401` with the reason it stays
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            if "# noqa: F401" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.stem}: {name}")
+    assert unused == [], f"imported but unused: {unused}"
 
 
 def test_test_references_are_current():
