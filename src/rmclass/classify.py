@@ -10,7 +10,8 @@ level r-1.  For each representative f with stabilizer generators L:
            breadth-first transversal until the known order is reached, which
            yields generators of the stabilizer of f+u at level r-1.  An
            orbit of size 1 is fixed by all of <L>, so its child inherits L
-           once L is certified (see descend_iter).
+           once L is certified (see descend_iter), and a table lookup per
+           generator checks that it fixes the child.
 
 Forms of degree r are ints over the C(m,r) monomial coefficients, monomial
 masks ascending.  The boundary action of one generator is applied through
@@ -20,28 +21,31 @@ action.  Phase 1 is one sweep over a 1-byte label per form: a batched
 multi-seed BFS that expands up to 253 seeds' waves together, a few array
 operations per generator and BFS level, and joins waves that meet in a
 union-find over the batch.  A space of at most 253 forms is a single batch
-with every form as a seed, closed in one BFS level.  Phase 2's stabilizer
-chain knows the order it is building, and stops closing once its orbits
-reach it.
+with every form as a seed, closed in one BFS level.  Phase 2 keeps a
+candidate that is not yet in the harvested subgroup.  Up to order 128 that
+subgroup is the set of its elements, grown by Dimino's coset closure; above
+it is a stabilizer chain that knows the order it is building and stops
+closing once its orbits reach it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .bits import bits_of_hex, degree_mask, hex_of_bits, masks_of_degree, space_dimension
 from .bfcore import BooleanFunction, monomial_truth_table
 from .errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
-from .group import AffineMap, SubgroupOracle, generators_stu, group_order, substitute_anf
+from .group import _PAD, AffineMap, SubgroupOracle, generators_stu, group_order, substitute_anf
 
 _UNSEEN = 255
 _BLOCK = 1 << 18
+_SMALL_STAB = 128  # stabilizers up to this order are harvested as element sets
 
 
 @dataclass
@@ -110,9 +114,23 @@ class BoundaryAction:
         self.dim = len(self.monomials)
         self.index = {mask: i for i, mask in enumerate(self.monomials)}
         self.gens = list(gens)
-        self.inv_tables = [g.inverse().table for g in self.gens]
         self._fwd = [self._tables_for(g) for g in self.gens]
         self._np_fwd = [[np.array(t, dtype=np.int64) for t in tabs] for tabs in self._fwd]
+
+    @cached_property
+    def inv_tables(self) -> List[bytes]:
+        """The generators' inverses as padded tables; only a harvest reads them."""
+        return [g.inverse().table for g in self.gens]
+
+    @cached_property
+    def _edges(self) -> List[tuple]:
+        """What a harvest reads per generator: the XOR table of the form's
+        low byte, (shift, table) for each higher byte, and the generator and
+        its inverse as padded tables."""
+        return [
+            (tabs[0], [(8 * c, tab) for c, tab in enumerate(tabs[1:], 1)], g.table, inv)
+            for tabs, g, inv in zip(self._fwd, self.gens, self.inv_tables)
+        ]
 
     # -- representation changes ------------------------------------------
 
@@ -361,44 +379,88 @@ def generator_set(
     the product a * b is b.table.translate(a.table).  Every already-seen
     edge (x, lam) yields the candidate R[x] * lam * R[x o lam]^-1, which
     fixes u; candidates not already inside the harvested subgroup are kept,
-    and the sweep stops as soon as the subgroup order matches s_u.  The
-    chain is told s_u, so the closure after the last kept candidate stops
-    once the chain's orbits reach that order (see SubgroupOracle).
+    and the sweep stops at the candidate that brings the subgroup order to
+    s_u.
+
+    Membership is exact on both routes.  Up to order 128 the harvested
+    subgroup is held as the set of its elements, grown by Dimino's coset
+    closure after each kept candidate (_closure), and its order is the size
+    of that set.  Above, a stabilizer chain is told s_u, so the closure
+    after the last kept candidate stops once the chain's orbits reach that
+    order (see SubgroupOracle).
     """
     if list(L) != ctx.gens:
         raise InvalidInputError("generator list does not match the action context")
     if s_u == 1:
         return []
     m = ctx.m
-    oracle = SubgroupOracle(m, s_u)
+    small = s_u <= _SMALL_STAB
+    if small:
+        elements = {_PAD}
+        kept: List[bytes] = []
+    else:
+        oracle = SubgroupOracle(m, s_u)
+    order = 1
     harvested: List[AffineMap] = []
-    ident = AffineMap.identity(m).table
-    visited: Dict[int, Tuple[bytes, bytes]] = {u: (ident, ident)}  # padded tables
+    edges = ctx._edges
+    visited: Dict[int, Tuple[bytes, bytes]] = {u: (_PAD, _PAD)}  # padded tables
     queue = deque([u])
-    while oracle.order() < s_u:
+    while order < s_u:
         if not queue:
-            raise InternalConsistencyError(
-                f"Schreier sweep exhausted at order {oracle.order()} < {s_u}"
-            )
+            raise InternalConsistencyError(f"Schreier sweep exhausted at order {order} < {s_u}")
         x = queue.popleft()
         rx, rx_inv = visited[x]
-        for gi, lam in enumerate(ctx.gens):
-            y = ctx.apply(x, gi)
-            t = lam.table.translate(rx)  # R[x] * lam
+        for low, high, lam, lam_inv in edges:  # y = ctx.apply(x, gi), inlined
+            y = low[x & 255]
+            for shift, tab in high:
+                y ^= tab[(x >> shift) & 255]
+            t = lam.translate(rx)  # R[x] * lam
             ry = visited.get(y)
             if ry is None:
-                visited[y] = (t, rx_inv.translate(ctx.inv_tables[gi]))
+                visited[y] = (t, rx_inv.translate(lam_inv))
                 queue.append(y)
+                continue
+            cand = ry[1].translate(t)  # (R[x] * lam) * R[y]^-1
+            if small:
+                if cand in elements:
+                    continue
+                kept.append(cand)
+                elements = _closure(elements, kept, s_u)
+                order = len(elements)
             else:
-                cand = ry[1].translate(t)  # (R[x] * lam) * R[y]^-1
-                if not oracle.contains_perm(cand):
-                    oracle._add_perm(cand)
-                    harvested.append(AffineMap(m, cand[: 1 << m]))
-    if oracle.order() != s_u:
+                if oracle.contains_perm(cand):
+                    continue
+                oracle.add_perm(cand)
+                order = oracle.order()
+            harvested.append(AffineMap(m, cand[: 1 << m]))
+            if order >= s_u:
+                break
+    if order != s_u:
         raise InternalConsistencyError(
-            f"harvested subgroup has order {oracle.order()}, expected {s_u}"
+            f"harvested subgroup has order at least {order}, expected {s_u}"
         )
     return harvested
+
+
+def _closure(elements: Set[bytes], gens: Sequence[bytes], cap: int) -> Set[bytes]:
+    """The elements of <H, gens[-1]> from those of H = <gens[:-1]>, by
+    Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
+    Groups, 1991): the union of the right cosets H * r, where each new coset
+    representative r is a product rep * g of an earlier one and a generator
+    that falls outside the union.  A union closed under every such product
+    is the group.  Stops early once it holds more than cap elements."""
+    old = list(elements)
+    grown = set(elements)
+    reps = [_PAD]
+    for rep in reps:  # reps grows while it is read
+        for g in gens:
+            e = g.translate(rep)  # rep * g
+            if e not in grown:
+                grown.update([e.translate(h) for h in old])  # h * e
+                if len(grown) > cap:
+                    return grown
+                reps.append(e)
+    return grown
 
 
 # -- the descent -------------------------------------------------------------
@@ -455,7 +517,8 @@ def descend_iter(
     certified L comes back from it unchanged and is inherited without a
     harvest; any other L is proved by the first such harvest, whose result
     the parent's later orbits of size 1 reuse.  The fix check runs on every
-    child.
+    child: by table lookups for an inherited list (_check_inherited_fix),
+    by substitution for a harvested one (_check_record_fix).
 
     An InternalConsistencyError from the sweep, the class formula, the
     harvest or the fix check is re-raised naming the level and the parent.
@@ -481,7 +544,10 @@ def descend_iter(
                     if size == 1:
                         fixed_gens = gens
                 child_rep = BooleanFunction(rec.m, anf=rec.rep.anf ^ ctx.form_to_anf(seed))
-                _check_record_fix(child_rep, r - 1, gens)
+                if size == 1 and rec.certified:
+                    _check_inherited_fix(ctx, seed)
+                else:
+                    _check_record_fix(child_rep, r - 1, gens)
                 child = ClassRecord(r - 1, child_rep, child_order, gens)
                 child.certified = True
                 children.append(child)
@@ -492,12 +558,25 @@ def descend_iter(
 
 
 def _check_record_fix(rep: BooleanFunction, level: int, gens: Sequence[AffineMap]) -> None:
-    """Every stabilizer generator must fix the representative at its level."""
+    """Every harvested generator must fix the representative at its level."""
     high = degree_mask(rep.m, level + 1, rep.m)
-    for g in gens:  # the truth table is read, and so built, only for a generator
+    for i, g in enumerate(gens):  # the truth table is read, and so built, only for a generator
         if (substitute_anf(rep.truth_table, g.pmap) ^ rep.anf) & high:
             raise InternalConsistencyError(
-                "harvested generator does not fix the representative at its level"
+                f"harvested generator {i} does not fix the representative at its level"
+            )
+
+
+def _check_inherited_fix(ctx: BoundaryAction, u: int) -> None:
+    """The parent's generators, inherited by the child f+u, must fix it at
+    level r-1.  Building ctx has proved that each g fixes f above degree r,
+    and g preserves the degree of u, so (f+u) o g + f + u has degree at most
+    r; its degree-r part is apply(u) + u.  So g fixes f+u at level r-1
+    exactly when it fixes u under the boundary action."""
+    for gi in range(len(ctx.gens)):
+        if ctx.apply(u, gi) != u:
+            raise InternalConsistencyError(
+                f"inherited generator {gi} does not fix the representative at its level"
             )
 
 
@@ -524,7 +603,7 @@ def _stu_generates_agl(m: int) -> bool:
     to the known order |AGL(m,2)|, which bounds <S,T,U> from above."""
     oracle = SubgroupOracle(m, group_order(m))
     for g in generators_stu(m):
-        oracle.add(g)
+        oracle.add_perm(g.table)
     return oracle.order() == group_order(m)
 
 

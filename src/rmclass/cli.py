@@ -5,7 +5,8 @@ classify writes its level files and a flat key=value manifest into --out;
 the other subcommands print their results.  Result files contain no
 timestamps, so re-running with the same manifest settings reproduces them
 byte for byte.  Long classifications checkpoint after every parent
-representative and can be resumed with --resume.
+representative and can be resumed with --resume.  A level file goes into
+place only once its class count equals the Burnside count of its cell.
 
 The one writer and the one parser of record files live here.  A level file
 is a `# rmclass m=<m> level=<L>` header, one line per record and a
@@ -300,6 +301,13 @@ def cmd_classify(args) -> int:
                     f"{len(out_records)} records, {time.time() - t0:.1f}s",
                 )
             verify_level_mass(out_records, t)
+            # an independent count, before the level file goes into place
+            expected = burnside_count(level, t, m)
+            if len(out_records) != expected:
+                raise InternalConsistencyError(
+                    f"level {level - 1}: {len(out_records)} classes, but the Burnside "
+                    f"count of B({level},{t},{m}) is {expected}"
+                )
             records = out_records
             level -= 1
             done_levels[level] = len(records)

@@ -100,10 +100,6 @@ class AffineMap:
             raise InvalidInputError("a matrix row or the translation does not fit in m bits")
         return cls(m, _affine_pmap(rows, translation))
 
-    @classmethod
-    def identity(cls, m: int) -> "AffineMap":
-        return cls(m, bytes(range(1 << m)))
-
     @property
     def translation(self) -> int:
         return self.pmap[0]
@@ -202,7 +198,7 @@ class SubgroupOracle:
     orbit of H, so the product P of the orbit lengths is at most
     |H| <= known_order.  When P reaches known_order, H is that group, the
     orbits are its basic orbits and sifting decides membership exactly, so
-    _add_perm stops closing there: the known-order Schreier-Sims of Seress,
+    add_perm stops closing there: the known-order Schreier-Sims of Seress,
     Permutation Group Algorithms (2003), ch. 4.
     """
 
@@ -235,11 +231,8 @@ class SubgroupOracle:
         residue, _ = self._strip(perm)
         return residue == _PAD
 
-    def add(self, s: AffineMap) -> bool:
-        """Add a generator; returns True if the group grew."""
-        return self._add_perm(_pad256(s.pmap))
-
-    def _add_perm(self, perm: bytes) -> bool:
+    def add_perm(self, perm: bytes) -> bool:
+        """Add a generator, a 256-byte table; returns True if the group grew."""
         grew = False
         # (perm, first level to sift from): a Schreier residue formed at
         # level i fixes base points 0..i, where sifting would be the identity
@@ -306,7 +299,7 @@ def subgroup_order(maps: Iterable[AffineMap]) -> int:
     for s in maps:
         if s.m != m:
             raise InvalidInputError("generators live on different m")
-        oracle.add(s)
+        oracle.add_perm(s.table)
     return oracle.order()
 
 

@@ -2,20 +2,23 @@
 
 Everything here is written for obviousness, not speed, and deliberately
 avoids the library's fast paths (bit butterflies, Schreier chains, boundary
-tables) so that agreement between the two is meaningful evidence.
+tables) so that agreement between the two is meaningful evidence.  The one
+exception is generator_set_by_chain, the library's former harvest, kept as
+the reference its element-set route must match.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import product
 
 import numpy as np
 
 from rmclass.bfcore import BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
 from rmclass.bits import hex_of_bits, masks_of_degree
-from rmclass.errors import InvalidInputError, ResourceRefusedError
-from rmclass.group import AffineMap, enumerate_agl
+from rmclass.errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
+from rmclass.group import _PAD, AffineMap, SubgroupOracle, enumerate_agl
 
 
 def echelon_gf2(rows) -> list:
@@ -231,6 +234,39 @@ def boundary_act(u: int, g: AffineMap, ctx) -> int:
     if reduce_anf(image, ctx.m, ctx.r):
         raise ValueError("map is not in the stabilizer at this level")
     return ctx.anf_to_form(image)
+
+
+def generator_set_by_chain(u: int, s_u: int, ctx) -> list:
+    """The harvest of classify.generator_set with every membership decided
+    by a stabilizer chain: the same breadth-first transversal and candidate
+    order, the chain told s_u, the sweep stopped only between forms."""
+    if s_u == 1:
+        return []
+    m = ctx.m
+    oracle = SubgroupOracle(m, s_u)
+    harvested = []
+    visited = {u: (_PAD, _PAD)}
+    queue = deque([u])
+    while oracle.order() < s_u:
+        if not queue:
+            raise InternalConsistencyError(f"Schreier sweep exhausted at order {oracle.order()}")
+        x = queue.popleft()
+        rx, rx_inv = visited[x]
+        for gi, lam in enumerate(ctx.gens):
+            y = ctx.apply(x, gi)
+            t = lam.table.translate(rx)
+            ry = visited.get(y)
+            if ry is None:
+                visited[y] = (t, rx_inv.translate(ctx.inv_tables[gi]))
+                queue.append(y)
+            else:
+                cand = ry[1].translate(t)
+                if not oracle.contains_perm(cand):
+                    oracle.add_perm(cand)
+                    harvested.append(AffineMap(m, cand[: 1 << m]))
+    if oracle.order() != s_u:
+        raise InternalConsistencyError(f"harvested subgroup has order {oracle.order()}")
+    return harvested
 
 
 def orbit_partition_by_action(ctx):

@@ -38,7 +38,8 @@ def fix_count(s, t, m, sigma):
 
 def test_fix_count_identity():
     for (s, t, m) in [(2, 2, 3), (0, 3, 3), (1, 4, 4)]:
-        assert fix_count(s, t, m, AffineMap.identity(m)) == 1 << space_dimension(m, s, t)
+        identity = AffineMap(m, bytes(range(1 << m)))
+        assert fix_count(s, t, m, identity) == 1 << space_dimension(m, s, t)
 
 
 def test_fix_count_swap_m2():

@@ -44,6 +44,7 @@ from oracles import (
     boundary_act,
     compose,
     degree,
+    generator_set_by_chain,
     orbit_partition_by_action,
     orbit_partition_bruteforce,
     reduce_anf,
@@ -387,6 +388,89 @@ def test_fixed_orbits_of_redundant_list_get_the_harvested_list():
         assert child.stab_gens == generator_set(seed, redundant.stab_gens, order, ctx)
         if size == 1:
             assert child.stab_gens == gens
+
+
+def test_harvest_matches_the_chain_reference(monkeypatch):
+    # every harvest of a few small descents returns exactly the list of the
+    # chain-only reference, on both routes: the element set up to order 128
+    # and the stabilizer chain above it.  Parents read back from text are
+    # not certified, so their orbits of size 1 are harvested too.
+    import rmclass.classify as classify
+
+    real = classify.generator_set
+    routes = Counter()
+
+    def checked(u, L, s_u, ctx):
+        got = real(u, L, s_u, ctx)
+        assert got == generator_set_by_chain(u, s_u, ctx)
+        if s_u > 1:
+            routes["set" if s_u <= classify._SMALL_STAB else "chain"] += 1
+        return got
+
+    monkeypatch.setattr(classify, "generator_set", checked)
+    for s, t, m in [(1, 4, 5), (3, 4, 6)]:
+        for _s, records in classify_levels(s, t, m):
+            from_text = [ClassRecord.from_line(m, rec.to_line()) for rec in records]
+            if records[0].level > s - 1:
+                descend(from_text, t)
+    assert routes["set"] > 100 and routes["chain"] > 100
+
+
+def test_inherited_fix_check_catches_a_moved_form(monkeypatch):
+    # a sweep that reports a form some parent generator moves as an orbit of
+    # size 1: the certified parent's list is inherited, and its lookup fix
+    # check must name the generator, the level and the parent
+    import rmclass.classify as classify
+
+    real = classify.orbit_enumerate
+    parents = classify_space(2, 4, 5)
+    parent, ctx = next(
+        (p, ctx)
+        for p in parents
+        for ctx in [BoundaryAction(p.rep, p.level, p.stab_gens)]
+        if any(size > 1 for _seed, size in real(ctx))
+    )
+    moved = next(seed for seed, size in real(ctx) if size > 1)
+    mover = next(gi for gi in range(len(ctx.gens)) if ctx.apply(moved, gi) != moved)
+
+    def lying(ctx):
+        return [(seed, 1 if seed == moved else size) for seed, size in real(ctx)]
+
+    monkeypatch.setattr(classify, "orbit_enumerate", lying)
+    assert parent.certified
+    with pytest.raises(InternalConsistencyError) as err:
+        list(descend_iter([parent], 4))
+    message = str(err.value)
+    assert f"level {parent.level} parent {hex_of_bits(parent.rep.anf, 1 << 5)}:" in message
+    assert f"inherited generator {mover} does not fix the representative" in message
+
+
+def test_harvested_fix_check_names_the_generator(monkeypatch):
+    # a harvest that returns one map too many, a map outside the parent's
+    # level-r stabilizer, so that it cannot fix any child at level r-1
+    import rmclass.classify as classify
+
+    parent = ClassRecord.from_line(5, classify_space(3, 4, 5)[-1].to_line())
+    rng = stream(31)
+    while True:
+        bad = random_affine(5, rng)
+        try:
+            BoundaryAction(parent.rep, parent.level, [bad])
+        except InvalidInputError:
+            break
+    real = classify.generator_set
+    kept = []
+
+    def one_too_many(u, L, s_u, ctx):
+        kept[:] = real(u, L, s_u, ctx) + [bad]
+        return list(kept)
+
+    monkeypatch.setattr(classify, "generator_set", one_too_many)
+    with pytest.raises(InternalConsistencyError) as err:
+        list(descend_iter([parent], 4))
+    message = str(err.value)
+    assert f"level {parent.level} parent {hex_of_bits(parent.rep.anf, 1 << 5)}:" in message
+    assert f"harvested generator {len(kept) - 1} does not fix the representative" in message
 
 
 def test_generator_set_full_descent_m5():

@@ -88,6 +88,24 @@ def test_classify_resume_after_interrupt(tmp_path, monkeypatch):
     assert levels[0] == levels[1]
 
 
+@pytest.mark.parametrize("wrong_s", [4, 2])
+def test_classify_level_with_a_wrong_count_stays_out_of_place(tmp_path, capsys, monkeypatch,
+                                                              wrong_s):
+    # levels 3, 2 and 1 of B(2,4,4) cover B(4,4,4), B(3,4,4) and B(2,4,4);
+    # a Burnside count one above the classes of B(wrong_s,4,4) must stop
+    # the run before level wrong_s-1 goes into place
+    real = cli.burnside_count
+    monkeypatch.setattr(cli, "burnside_count",
+                        lambda s, t, m: real(s, t, m) + (s == wrong_s))
+    out = tmp_path / "run"
+    assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", out) == 5
+    err = capsys.readouterr().err
+    assert f"level {wrong_s - 1}: " in err and f"Burnside count of B({wrong_s},4,4)" in err
+    assert sorted(p.name for p in out.glob("level_*.txt")) == [
+        f"level_{r}.txt" for r in range(wrong_s, 4)
+    ]
+
+
 def test_classify_levels_do_not_depend_on_s(tmp_path):
     # a level file depends on (m, t, level) only, so a run with a higher s
     # stops early and writes the same bytes for the levels it reaches
