@@ -8,10 +8,10 @@ level r-1.  For each representative f with stabilizer generators L:
            the orbit/stabilizer formula gives each child stabilizer order;
   phase 2: for every orbit seed u, harvest Schreier generators over a fresh
            breadth-first transversal until the known order is reached, which
-           yields generators of the stabilizer of f+u at level r-1.  An
-           orbit of size 1 is fixed by all of <L>, so its child inherits L
-           once L is certified (see descend_iter), and a table lookup per
-           generator checks that it fixes the child.
+           yields generators of the stabilizer of f+u at level r-1.  Once
+           L is trusted (see descend_iter), an orbit of size 1, fixed by
+           all of <L>, is not harvested: its child inherits L, and a table
+           lookup per generator checks that it fixes the child.
 
 Forms of degree r are ints over the C(m,r) monomial coefficients, monomial
 masks ascending.  The boundary action of one generator is applied through
@@ -41,7 +41,9 @@ import numpy as np
 from .bits import bits_of_hex, degree_mask, hex_of_bits, masks_of_degree, space_dimension
 from .bfcore import BooleanFunction, monomial_truth_table
 from .errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
-from .group import _PAD, AffineMap, SubgroupOracle, generators_stu, group_order, substitute_anf
+from .group import (
+    _PAD, AffineMap, SubgroupOracle, generators_stu, group_order, subgroup_order, substitute_anf
+)
 
 _UNSEEN = 255
 _BLOCK = 1 << 18
@@ -105,8 +107,6 @@ class BoundaryAction:
     def __init__(self, f: BooleanFunction, r: int, gens: Sequence[AffineMap]):
         if not 0 <= r <= f.m:
             raise InvalidInputError(f"boundary level r={r} outside 0..{f.m}")
-        if len(gens) > 253:
-            raise InternalConsistencyError("more than 253 stabilizer generators")
         self.f = f
         self.r = r
         self.m = f.m
@@ -470,13 +470,15 @@ def level_cell(records: Sequence[ClassRecord]) -> Tuple[int, int, int]:
     """(m, L, t) of the space B(L+1,t,m) whose orbits one level's records are:
     they share m and L, every stab_order divides |AGL(m,2)|, and their mass,
     the sum of |AGL(m,2)| / stab_order, is 2^dim B(L+1,t,m) for a t >= L+1.
-    The dimension grows with t, so at most one t matches."""
+    The dimension grows with t, so at most one t matches, and every
+    representative must lie in that B(L+1,t,m)."""
     if not records:
         raise InternalConsistencyError("empty classification level")
     m, level = records[0].m, records[0].level
     order = group_order(m)
-    mass = 0
+    mass = support = 0
     for rec in records:
+        support |= rec.rep.anf
         if rec.level != level or rec.rep.m != m:
             raise InternalConsistencyError("records from mixed levels or m")
         if rec.stab_order < 1 or order % rec.stab_order:
@@ -486,6 +488,10 @@ def level_cell(records: Sequence[ClassRecord]) -> Tuple[int, int, int]:
         mass += order // rec.stab_order
     for t in range(level + 1, m + 1):
         if mass == 1 << space_dimension(m, level + 1, t):
+            if support & ~degree_mask(m, level + 1, t):
+                raise InternalConsistencyError(
+                    f"a level-{level} representative lies outside B({level + 1},{t},{m})"
+                )
             return m, level, t
     raise InternalConsistencyError(
         f"mass {mass} of the level-{level} records is not 2^dim "
@@ -506,19 +512,16 @@ def descend_iter(
 ) -> Iterator[Tuple[int, ClassRecord, List[ClassRecord]]]:
     """Yield (parent index, parent record, children) for one descent step.
 
-    k, the top degree t of the space, is not needed for one step: it is
-    kept so that descend_iter(records, k) takes the arguments of
-    descend(records, k), which does use it, and the benchmark in perfbench/
-    calls it in that form.
+    The records are the level-r orbits of B(r+1,k,m): a representative
+    with a monomial outside degrees r+1..k is refused.
 
     An orbit of size 1 is fixed by the whole parent stabilizer <L>, so its
     child has <L> itself as stabilizer, and the harvest from it tries exactly
-    the candidates L, in order: its result depends on (L, order) alone.  A
-    certified L comes back from it unchanged and is inherited without a
-    harvest; any other L is proved by the first such harvest, whose result
-    the parent's later orbits of size 1 reuse.  The fix check runs on every
-    child: by table lookups for an inherited list (_check_inherited_fix),
-    by substitution for a harvested one (_check_record_fix).
+    the candidates L, in order.  A parent is trusted if it is certified, or
+    once such a harvest returns L unchanged, which proves that <L> has the
+    parent's order; a trusted parent's orbits of size 1 inherit L and are
+    fix-checked by table lookups (_check_inherited_fix), and every other
+    orbit is harvested and fix-checked by substitution (_check_record_fix).
 
     An InternalConsistencyError from the sweep, the class formula, the
     harvest or the fix check is re-raised naming the level and the parent.
@@ -528,26 +531,28 @@ def descend_iter(
     r = records[0].level
     if r < 0:
         raise InvalidInputError("already at level -1; nothing to descend")
+    space = degree_mask(records[0].m, r + 1, k)
     for idx, rec in enumerate(records):
         if rec.level != r:
             raise InvalidInputError("records from mixed levels")
+        if rec.rep.anf & ~space:
+            parent = hex_of_bits(rec.rep.anf, 1 << rec.m)
+            raise InvalidInputError(f"level {r} parent {parent}: outside B({r + 1},{k},{rec.m})")
         ctx = BoundaryAction(rec.rep, r, rec.stab_gens)
-        fixed_gens = list(rec.stab_gens) if rec.certified else None
+        trusted = rec.certified
         try:
             children = []
             for seed, size in orbit_enumerate(ctx):
                 child_order = stab_order_from_class_formula(rec.stab_order, size)
-                if size == 1 and fixed_gens is not None:
-                    gens = list(fixed_gens)
-                else:
-                    gens = generator_set(seed, rec.stab_gens, child_order, ctx)
-                    if size == 1:
-                        fixed_gens = gens
                 child_rep = BooleanFunction(rec.m, anf=rec.rep.anf ^ ctx.form_to_anf(seed))
-                if size == 1 and rec.certified:
+                if size == 1 and trusted:
+                    gens = list(rec.stab_gens)
                     _check_inherited_fix(ctx, seed)
                 else:
+                    gens = generator_set(seed, rec.stab_gens, child_order, ctx)
                     _check_record_fix(child_rep, r - 1, gens)
+                    if size == 1:
+                        trusted = gens == rec.stab_gens
                 child = ClassRecord(r - 1, child_rep, child_order, gens)
                 child.certified = True
                 children.append(child)
@@ -599,12 +604,8 @@ def top_record(m: int, t: int) -> ClassRecord:
 
 @lru_cache(maxsize=None)
 def _stu_generates_agl(m: int) -> bool:
-    """Whether S, T, U generate AGL(m,2), by one stabilizer chain closed up
-    to the known order |AGL(m,2)|, which bounds <S,T,U> from above."""
-    oracle = SubgroupOracle(m, group_order(m))
-    for g in generators_stu(m):
-        oracle.add_perm(g.table)
-    return oracle.order() == group_order(m)
+    """Whether S, T, U generate AGL(m,2), by their chain order."""
+    return subgroup_order(generators_stu(m)) == group_order(m)
 
 
 def classify_levels(

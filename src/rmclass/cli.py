@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bfcore import BooleanFunction
+from .bfcore import MAX_M, BooleanFunction
 from .bits import degree_mask
 from .census import burnside_count, duality_check, near_bent_census, table_render
 from .classify import (
@@ -78,7 +78,10 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _check_cell(s: int, t: int, m: int) -> None:
-    """The cell rule of every command that takes s and t: 0 <= s <= t <= m."""
+    """The cell rule of every command that takes s and t: 1 <= m <= MAX_M
+    and 0 <= s <= t <= m."""
+    if not 1 <= m <= MAX_M:
+        raise InvalidInputError(f"m={m} outside supported range 1..{MAX_M}")
     if not (0 <= s <= t <= m):
         raise InvalidInputError(f"cell ({s},{t}) outside the m={m} triangle")
 
@@ -231,6 +234,14 @@ def read_level_file(path) -> List[ClassRecord]:
     except (OSError, ValueError, IndexError, InvalidInputError, InternalConsistencyError) as err:
         raise InvalidInputError(f"{path}:{lineno}: {err}") from None
     raise InvalidInputError(f"{path}: missing completion marker (truncated run?)")
+
+
+def _read_records(path, m: Optional[int]) -> List[ClassRecord]:
+    """read_level_file, refusing a file of another m than --m, if given."""
+    records = read_level_file(path)
+    if m is not None and records[0].m != m:
+        raise InvalidInputError(f"{path}: records are for m={records[0].m}, not m={m}")
+    return records
 
 
 def cmd_classify(args) -> int:
@@ -438,7 +449,7 @@ def cmd_dual_check(args) -> int:
 
 
 def cmd_nearbent(args) -> int:
-    records = read_level_file(args.reps) if args.reps else None
+    records = _read_records(args.reps, args.m) if args.reps else None
     rows = near_bent_census(args.m, records, args.mem_limit << 20)
     for rep, n_q, orbit in rows:
         print(f"nearbent-rep {rep.anf_hex()} {n_q} {orbit}")
@@ -458,9 +469,7 @@ def cmd_nearbent(args) -> int:
 
 def cmd_distance(args) -> int:
     if args.reps:
-        records = read_level_file(args.reps)
-        if args.m is not None and records[0].m != args.m:
-            raise InvalidInputError(f"records are for m={records[0].m}, not m={args.m}")
+        records = _read_records(args.reps, args.m)
     elif args.function is not None:
         if args.m is None:
             raise InvalidInputError("--function needs --m")
@@ -506,7 +515,7 @@ def cmd_distance(args) -> int:
 
 def cmd_stab_hist(args) -> int:
     if args.records:
-        records = read_level_file(args.records)
+        records = _read_records(args.records, args.m)
     elif args.s is not None and args.t is not None and args.m is not None:
         _check_cell(args.s, args.t, args.m)
         records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)

@@ -231,9 +231,8 @@ class SubgroupOracle:
         residue, _ = self._strip(perm)
         return residue == _PAD
 
-    def add_perm(self, perm: bytes) -> bool:
-        """Add a generator, a 256-byte table; returns True if the group grew."""
-        grew = False
+    def add_perm(self, perm: bytes) -> None:
+        """Add a generator, a 256-byte table."""
         # (perm, first level to sift from): a Schreier residue formed at
         # level i fixes base points 0..i, where sifting would be the identity
         queue = [(perm, 0)]
@@ -241,7 +240,6 @@ class SubgroupOracle:
             residue, lvl = self._strip(*queue.pop())
             if residue == _PAD:
                 continue
-            grew = True
             if lvl == len(self._bases):
                 base = next(x for x in range(self.n) if residue[x] != x)
                 self._bases.append(base)
@@ -252,9 +250,8 @@ class SubgroupOracle:
                 self._gens[i].append(residue)
                 found = self._close(i, residue)
                 if found is None:
-                    return True
+                    return
                 queue.extend((res, i + 1) for res in found)
-        return grew
 
     def _close(self, lvl: int, fresh: bytes):
         """Extend the orbit at a level after one new visible generator.

@@ -390,6 +390,52 @@ def test_fixed_orbits_of_redundant_list_get_the_harvested_list():
             assert child.stab_gens == gens
 
 
+def test_parents_read_back_take_one_substitution_check_per_harvest(monkeypatch):
+    # the level-0 classes of B(1,4,5) read back from text are not certified.
+    # A parent's first orbit of size 1 is harvested and gives back its list
+    # unchanged, which makes the parent trusted: its later orbits of size 1
+    # inherit the list and take the lookup check, so each substitution
+    # check belongs to one harvest
+    import rmclass.classify as classify
+
+    calls = Counter()
+
+    def count(name):
+        real = getattr(classify, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+
+    for name in ("generator_set", "_check_record_fix", "_check_inherited_fix"):
+        count(name)
+    parents = classify_space(1, 4, 5)
+    from_text = [ClassRecord.from_line(5, rec.to_line()) for rec in parents]
+    calls.clear()
+    children = [c for _idx, _parent, kids in descend_iter(from_text, 4) for c in kids]
+    assert calls["_check_record_fix"] == calls["generator_set"]
+    assert calls["generator_set"] + calls["_check_inherited_fix"] == len(children)
+    assert calls["_check_inherited_fix"] > 0
+
+
+def test_descent_refuses_a_parent_outside_its_space():
+    # the level-2 classes of B(3,4,5) descended as those of B(3,3,5): a
+    # quartic representative has a monomial above degree k, and one with a
+    # constant term a monomial below degree r+1
+    records = classify_space(3, 4, 5)
+    quartic = next(rec for rec in records if rec.rep.anf & degree_mask(5, 4, 4))
+    parent = hex_of_bits(quartic.rep.anf, 1 << 5)
+    with pytest.raises(InvalidInputError, match=rf"level 2 parent {parent}: outside B\(3,3,5\)"):
+        list(descend_iter([quartic], 3))
+    cubic = next(rec for rec in records if not rec.rep.anf & degree_mask(5, 4, 4))
+    low = ClassRecord(2, BooleanFunction(5, anf=cubic.rep.anf | 1), cubic.stab_order,
+                      cubic.stab_gens)
+    with pytest.raises(InvalidInputError, match=r"outside B\(3,4,5\)"):
+        list(descend_iter([low], 4))
+
+
 def test_harvest_matches_the_chain_reference(monkeypatch):
     # every harvest of a few small descents returns exactly the list of the
     # chain-only reference, on both routes: the element set up to order 128
@@ -499,15 +545,16 @@ def test_understated_parent_order_is_caught():
 
 def test_top_record_is_certified_by_one_chain_per_m(monkeypatch):
     import rmclass.classify as classify
+    import rmclass.group as group
 
     built = Counter()
 
-    class CountingOracle(classify.SubgroupOracle):
+    class CountingOracle(group.SubgroupOracle):
         def __init__(self, m, known_order):
             built[m] += 1
             super().__init__(m, known_order)
 
-    monkeypatch.setattr(classify, "SubgroupOracle", CountingOracle)
+    monkeypatch.setattr(group, "SubgroupOracle", CountingOracle)
     classify._stu_generates_agl.cache_clear()
     for _ in range(2):
         for m in (2, 3, 5, 7):

@@ -216,7 +216,10 @@ def test_nearbent_refuses_reps_of_a_smaller_t(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(census, "count_near_bent_completions", no_kernel)
     order = group_order(7) >> 28
-    lines = ["# rmclass m=7 level=2", *(f"2 {i:032x} {order} 0" for i in range(128))]
+    # representatives inside B(3,3,7): the sums of seven cubic monomials
+    cubic = [x for x in range(128) if bin(x).count("1") == 3][:7]
+    anfs = [sum(1 << c for j, c in enumerate(cubic) if i >> j & 1) for i in range(128)]
+    lines = ["# rmclass m=7 level=2", *(f"2 {a:032x} {order} 0" for a in anfs)]
     path = tmp_path / "level_2.txt"
     path.write_text("\n".join([*lines, "# complete 128", ""]))
     assert len(read_level_file(path)) == 128
@@ -432,6 +435,10 @@ _BAD_LEVEL_FILES = {
     (["distance", "--m", 6, "--r", 2, "--reps", "{b335}", "--threshold", 6, "--seed", 1],
      InvalidInputError.exit_code),
     (["stab-hist", "--records", "{level}"], InvalidInputError.exit_code),
+    (["stab-hist", "--records", "{b335}", "--m", 6], InvalidInputError.exit_code),
+    # an unsupported m is refused as input, not by a memory estimate
+    (["classify", "--m", 9, "--s", 4, "--t", 5], InvalidInputError.exit_code),
+    (["stab-hist", "--m", 9, "--s", 4, "--t", 5], InvalidInputError.exit_code),
 ])
 def test_outside_input_exits_without_traceback(tmp_path, capsys, argv, code):
     # malformed arguments and level files exit 2, a missing file 3, each
@@ -483,6 +490,26 @@ def test_level_file_with_a_record_missing_is_refused(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(short) in captured.err and "records missing" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nearbent", "--m", 5, "--reps", "{path}"],
+    ["distance", "--r", 2, "--reps", "{path}", "--threshold", 6, "--seed", 1],
+    ["stab-hist", "--records", "{path}"],
+], ids=["nearbent", "distance", "stab-hist"])
+@pytest.mark.parametrize("anf", ["00008000", "00000008"], ids=["quartic", "quadratic"])
+def test_level_file_with_a_representative_outside_its_space_is_refused(
+    tmp_path, capsys, argv, anf
+):
+    # the zero class of B(3,3,5) replaced by x1x2x3x4 or by x1x2 keeps the
+    # file's mass, but that representative lies outside B(3,3,5)
+    path = tmp_path / "b335.txt"
+    path.write_text(_B335_LEVEL_2.replace("2 00000000 ", f"2 {anf} "))
+    argv = [str(a).format(path=path) for a in argv]
+    assert run(*argv, "--out", tmp_path) == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:" in captured.err and "outside B(3,3,5)" in captured.err
 
 
 def test_level_file_with_an_order_not_dividing_agl_is_refused(tmp_path, capsys):

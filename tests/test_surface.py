@@ -23,9 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rmclass"
 
-TEST_REFERENCES = {
-    "subgroup_order": "the chain order that certifies a stored generator set",
-}
+TEST_REFERENCES = {}
 
 
 def _parse(path):
