@@ -34,7 +34,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -80,14 +80,20 @@ class ClassRecord:
         return " ".join(fields)
 
     @classmethod
-    def from_line(cls, m: int, line: str) -> "ClassRecord":
+    def from_line(
+        cls, m: int, line: str, maps: Optional[Dict[str, AffineMap]] = None
+    ) -> "ClassRecord":
+        """The record of a to_line text; maps (text -> map), if given, is
+        shared by a reader's lines so that each generator text parses once."""
+        maps = {} if maps is None else maps
         parts = line.split()
         if len(parts) < 4:
             raise InvalidInputError(f"malformed record line: {line!r}")
         try:
             level, order, ngens = int(parts[0]), int(parts[2]), int(parts[3])
             rep = BooleanFunction(m, anf=bits_of_hex(parts[1], 1 << m))
-            gens = [AffineMap.parse(m, p) for p in parts[4:]]
+            gens = [maps[p] if p in maps else maps.setdefault(p, AffineMap.parse(m, p))
+                    for p in parts[4:]]
         except ValueError as err:
             raise InvalidInputError(f"malformed record line ({err}): {line!r}") from None
         if len(parts) != 4 + ngens:

@@ -210,8 +210,10 @@ def read_level_file(path) -> List[ClassRecord]:
     Every record must be at the header's level L, and level_cell must find
     the t whose B(L+1,t,m) the records' mass covers.  A file with a record
     missing, or an order changed, fails that check unless what is left
-    happens to have the mass of another t."""
+    happens to have the mass of another t.  Each distinct generator text is
+    parsed once per file."""
     records: List[ClassRecord] = []
+    maps: dict = {}
     lineno = 1
     try:
         with open(path) as fh:
@@ -225,7 +227,7 @@ def read_level_file(path) -> List[ClassRecord]:
                         raise InvalidInputError(f"{line.strip()!r} after {len(records)} records")
                     level_cell(records)
                     return records
-                rec = ClassRecord.from_line(m, line)
+                rec = ClassRecord.from_line(m, line, maps)
                 if rec.level != level:
                     raise InvalidInputError(f"a level-{rec.level} record in a level-{level} file")
                 records.append(rec)
@@ -468,6 +470,10 @@ def cmd_nearbent(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.max_iter < 1:
+        raise InvalidInputError(f"--max-iter {args.max_iter} runs no trial; need at least 1")
+    if args.threshold < 0:
+        raise InvalidInputError(f"--threshold {args.threshold} is below every weight; need >= 0")
     if args.reps:
         records = _read_records(args.reps, args.m)
     elif args.function is not None:

@@ -5,6 +5,9 @@ The search is one-sided: a found word of weight w certifies that the coset
 minimum weight is <= w (for the whole level orbit of the input function,
 since the code is invariant under affine substitutions), while running out
 of trials proves nothing.
+
+A trial eliminates on the rows packed into one int, with the draws and
+pivots of a plain row-list elimination, so a seed gives the same search.
 """
 
 from __future__ import annotations
@@ -33,27 +36,43 @@ def rm_generator_matrix(r: int, m: int) -> List[int]:
     return [monomial_truth_table(s, m) for s in masks if s.bit_count() <= r]
 
 
+# _SELECT[b]: the positions of the set bits of byte b, ascending
+_SELECT = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
 def pivoting(rows: List[int], rng: np.random.Generator) -> List[int]:
     """In-place Gauss-Jordan elimination choosing a uniformly random pivot
     column on every row; preserves the row space.  Returns the pivots:
     pivots[i] is the column where row i is the only 1, so every row then has
-    weight at most n-k+1."""
+    weight at most n-k+1.
+
+    The k rows are packed into one int, row j in the w-bit slot at w*j.  Row
+    i draws its pick among its set bits, found a byte at a time; one product
+    by the row then clears the pivot column from every other row, without
+    carries since each slot is w bits wide.  Dependent rows raise and leave
+    rows as they were."""
     k = len(rows)
+    w = max((row.bit_length() for row in rows), default=0)
+    full = (1 << w) - 1
+    ones = ((1 << w * k) - 1) // full if w else 0  # bit 0 of every slot
+    packed = 0
+    for row in reversed(rows):
+        packed = packed << w | row
     pivots = []
     for i in range(k):
-        row = rows[i]
+        row = packed >> w * i & full
         if row == 0:
             raise InvalidInputError("generator matrix rows are linearly dependent")
-        nbits = row.bit_count()
-        pick = int(rng.integers(nbits))
-        v = row
-        for _ in range(pick):
-            v &= v - 1
-        p = (v & -v).bit_length() - 1
+        pick = int(rng.integers(row.bit_count()))
+        for base, byte in enumerate(row.to_bytes((w + 7) >> 3, "little")):
+            bits = _SELECT[byte]
+            if pick < len(bits):
+                break
+            pick -= len(bits)
+        p = 8 * base + bits[pick]
         pivots.append(p)
-        for j in range(k):
-            if j != i and ((rows[j] >> p) & 1):
-                rows[j] ^= row
+        packed ^= ((packed >> p & ones) ^ 1 << w * i) * row
+    rows[:] = [packed >> w * j & full for j in range(k)]
     return pivots
 
 

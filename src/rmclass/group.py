@@ -169,7 +169,7 @@ def random_affine(m: int, rng: np.random.Generator) -> AffineMap:
     from_matrix, whose rank check would repeat the one above."""
     n = 1 << m
     while True:
-        rows = [int(v) for v in rng.integers(0, n, size=m)]
+        rows = rng.integers(0, n, size=m).tolist()
         if len(pivots_gf2(rows)) == m:
             break
     return AffineMap(m, _affine_pmap(rows, int(rng.integers(0, n))))

@@ -2,9 +2,10 @@
 
 Everything here is written for obviousness, not speed, and deliberately
 avoids the library's fast paths (bit butterflies, Schreier chains, boundary
-tables) so that agreement between the two is meaningful evidence.  The one
-exception is generator_set_by_chain, the library's former harvest, kept as
-the reference its element-set route must match.
+tables) so that agreement between the two is meaningful evidence.  Two
+exceptions are the library's former routes, kept as the references the new
+ones must match: generator_set_by_chain, the harvest before element sets,
+and pivoting_by_rows, the row-list elimination before packed rows.
 """
 
 from __future__ import annotations
@@ -166,6 +167,26 @@ def coset_min_weight_by_gray_walk(tt: int, rows) -> int:
         c ^= rows[(i & -i).bit_length() - 1]
         best = min(best, c.bit_count())
     return best
+
+
+def pivoting_by_rows(rows, rng) -> list:
+    """covrad.pivoting as a row-list elimination: on row i draw a uniform
+    index among its set bits, pivot on that bit and add row i to every other
+    row holding it; rows change in place and the pivots are returned."""
+    pivots = []
+    for i, row in enumerate(rows):
+        if row == 0:
+            raise InvalidInputError("generator matrix rows are linearly dependent")
+        pick = int(rng.integers(row.bit_count()))
+        v = row
+        for _ in range(pick):
+            v &= v - 1
+        p = (v & -v).bit_length() - 1
+        pivots.append(p)
+        for j in range(len(rows)):
+            if j != i and (rows[j] >> p) & 1:
+                rows[j] ^= row
+    return pivots
 
 
 def orbit_partition_bruteforce(s: int, t: int, m: int):

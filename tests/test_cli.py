@@ -439,6 +439,13 @@ _BAD_LEVEL_FILES = {
     # an unsupported m is refused as input, not by a memory estimate
     (["classify", "--m", 9, "--s", 4, "--t", 5], InvalidInputError.exit_code),
     (["stab-hist", "--m", 9, "--s", 4, "--t", 5], InvalidInputError.exit_code),
+    # a search of no trial, or below every weight, certifies nothing
+    (["distance", "--m", 5, "--r", 1, "--function", "11", "--threshold", 2, "--seed", 1,
+      "--max-iter", 0], InvalidInputError.exit_code),
+    (["distance", "--m", 5, "--r", 1, "--function", "11", "--threshold", 2, "--seed", 1,
+      "--max-iter", -5], InvalidInputError.exit_code),
+    (["distance", "--m", 5, "--r", 1, "--function", "11", "--threshold", -1, "--seed", 1],
+     InvalidInputError.exit_code),
 ])
 def test_outside_input_exits_without_traceback(tmp_path, capsys, argv, code):
     # malformed arguments and level files exit 2, a missing file 3, each

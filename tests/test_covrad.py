@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from rmclass import cli
 from rmclass.bfcore import BooleanFunction
 from rmclass.classify import classify_space
 from rmclass.covrad import (
@@ -14,11 +17,24 @@ from rmclass.errors import InvalidInputError, ResourceRefusedError
 from rmclass.group import act, random_affine
 from rmclass.rng import stream
 
-from oracles import coset_min_weight_by_gray_walk, exact_covering_radius_rm1, rank_gf2, walsh
+from oracles import (
+    coset_min_weight_by_gray_walk,
+    exact_covering_radius_rm1,
+    pivoting_by_rows,
+    rank_gf2,
+    walsh,
+)
 
 X = lambda *vars_: sum(1 << (v - 1) for v in vars_)
 
 BENT_M5 = BooleanFunction(5, anf=(1 << X(1, 2)) ^ (1 << X(3, 4)) ^ (1 << X(5)))
+
+
+@pytest.fixture(scope="module")
+def b366():
+    """The 205 classes of B(3,6,6): one representative per orbit of the
+    cosets of RM(2,6)."""
+    return classify_space(3, 6, 6)
 
 
 # -- generator matrices ------------------------------------------------------------
@@ -60,6 +76,45 @@ def test_pivoting_rejects_dependent_rows():
     rows = [0b0011, 0b0101, 0b0110]  # row3 = row1 ^ row2
     with pytest.raises(InvalidInputError):
         pivoting(rows, stream(52))
+    assert rows == [0b0011, 0b0101, 0b0110]  # rows are written back only on success
+    with pytest.raises(InvalidInputError):
+        pivoting_by_rows(rows, stream(52))
+
+
+def test_pivoting_draws_are_pinned():
+    # the pivots a seeded stream yields are part of every seeded search:
+    # row i draws one index among its set bits, chained over 2000 calls
+    pins = {
+        (1, 3): "4d36d553afebf3b0e85e302f92af3a29ab80173501be5bd49c1511abef2c7c00",
+        (2, 6): "9f703b734b0ed09fc617eb57615473b64bb0bc1a50fd0bffb035b1195f419c99",
+        (3, 7): "cc4ce7e5d0ec39daf6b106d9913a13f1c69e599b80e4dc6df89802679cafe03e",
+    }
+    for (r, m), pin in pins.items():
+        rng = stream(29)
+        rows = rm_generator_matrix(r, m)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            pivots = pivoting(rows, rng)
+            digest.update(repr((pivots, rows)).encode())
+        assert digest.hexdigest() == pin
+
+
+@pytest.mark.parametrize("rows", [
+    [0b0001, 0b0010, 0b0100, 0b1000],
+    rm_generator_matrix(1, 3),
+    rm_generator_matrix(2, 6),
+    rm_generator_matrix(3, 7),
+    [],
+], ids=["identity-like", "rm13", "rm26", "rm37", "empty"])
+def test_pivoting_matches_row_list_elimination(rows):
+    # the packed elimination against the row-list one, on chained calls:
+    # the same draws, the same pivots and the same rows in place
+    packed, by_rows = list(rows), list(rows)
+    rng, ref_rng = stream(62), stream(62)
+    for _ in range(20):
+        assert pivoting(packed, rng) == pivoting_by_rows(by_rows, ref_rng)
+        assert packed == by_rows
+    assert int(rng.integers(1 << 30)) == int(ref_rng.integers(1 << 30))
 
 
 # -- reduce ---------------------------------------------------------------------------
@@ -194,6 +249,26 @@ def test_covering_radius_rm1_m5_from_classes():
     records = classify_space(2, 5, 5)
     assert len(records) == 48
     assert max((32 - int(abs(walsh(rec.rep)).max())) // 2 for rec in records) == 12
+
+
+def test_covering_radius_rm2_m6_is_18(b366):
+    # every coset of RM(2,6) has an affine image in one of the 205 cosets
+    # the classes of B(3,6,6) stand for, and coset minimum weight is
+    # constant on orbits: the maximum is the covering radius (Schatz 1981)
+    assert len(b366) == 205
+    assert max(exact_coset_min_weight(rec.rep, 2, 6) for rec in b366) == 18
+
+
+def test_distance_stdout_is_pinned_at_m6(b366, tmp_path, capsys):
+    # the seeded search's whole output over B(3,6,6): every draw of
+    # random_affine and pivoting reaches these lines
+    path = tmp_path / "b366.txt"
+    cli.write_level_file(path, b366)
+    argv = ["distance", "--r", "2", "--reps", str(path), "--threshold", "18", "--seed", "5"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    pin = "91e637d8d7cd95734416c4b0dfbe8593a8b424092db06c1823bbebed9f17fbd8"
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 def test_covering_radius_bound_report():
