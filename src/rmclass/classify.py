@@ -17,15 +17,14 @@ Forms of degree r are ints over the C(m,r) monomial coefficients, monomial
 masks ascending.  The boundary action of one generator is applied through
 byte-sliced XOR lookup tables, forward only: the Schreier transversal keeps
 each visited form's group element and its inverse instead of inverting the
-action.  Phase 1 is one sweep over a 1-byte label per form: a batched
-multi-seed BFS that expands up to 253 seeds' waves together, a few array
-operations per generator and BFS level, and joins waves that meet in a
-union-find over the batch.  A space of at most 253 forms is a single batch
-with every form as a seed, closed in one BFS level.  Phase 2 keeps a
-candidate that is not yet in the harvested subgroup.  Up to order 128 that
-subgroup is the set of its elements, grown by Dimino's coset closure; above
-it is a stabilizer chain that knows the order it is building and stops
-closing once its orbits reach it.
+action.  Phase 1 sweeps a space of at most 2^15 forms in one step: a
+union-find over a 2-byte label per form joins each form with its image
+under each generator.  A larger space is swept by lone waves, one BFS per
+orbit over a 1-byte label per form.  Either way each orbit's seed is its
+minimum.  Phase 2 keeps a candidate that is not yet in the harvested
+subgroup.  Up to order 128 that subgroup is the set of its elements, grown
+by Dimino's coset closure; above it is a stabilizer chain that knows the
+order it is building and stops closing once its orbits reach it.
 """
 
 from __future__ import annotations
@@ -202,18 +201,20 @@ class BoundaryAction:
 
 # -- orbit enumeration ------------------------------------------------------
 
-_MAX_BATCH = 253  # labels 0..252 name one batch's seeds; 255 marks unseen
-_SMALL_ORBIT = 4096  # batches keep doubling while no orbit found is larger
+_WHOLE_SPACE = 1 << 15  # up to this many forms a space is one uint16 union-find
 
 
 def estimate_orbit_bytes(dim: int) -> int:
     """Peak memory of orbit_enumerate over 2^dim forms.
 
-    1 B/form of labels.  One BFS level holds the int64 frontier with its
-    uint8 labels, the next level's int64 parts and their concatenation; the
-    two levels are disjoint sets of forms, so together at most 16 B/form.
+    A lone wave keeps 1 B/form of labels.  One BFS level holds the int64
+    frontier, the next level's int64 parts and their concatenation; the two
+    levels are disjoint sets of forms, so together at most 16 B/form.
     Per-block temporaries of apply_block and the label gathers stay under
-    48 B per block element, plus a fixed base for the interpreter and numpy.
+    48 B per block element.  A whole-space union-find over at most
+    2^15 <= _BLOCK forms holds its int64 forms and images, its uint16
+    labels and the join's temporaries, under 48 B per form, so inside that
+    allowance.  Plus a fixed base for the interpreter and numpy.
     """
     return 17 * (1 << dim) + 48 * _BLOCK + (64 << 20)
 
@@ -236,108 +237,84 @@ def check_memory(m: int, t: int, target: int, mem_limit: int) -> None:
 
 def orbit_enumerate(ctx: BoundaryAction) -> List[Tuple[int, int]]:
     """Partition the form space into orbits under the boundary action:
-    (seed, size) per orbit, the seed its numerically smallest member.
+    (seed, size) per orbit, the seed its numerically smallest member, in
+    increasing order.  Two regimes, by the size of the space:
 
-    One batched multi-seed BFS over a uint8 label array (255 = unseen).
-    Each batch labels the next k unseen forms, in increasing order, with
-    0..k-1 and expands all their waves together, one apply_block call per
-    generator and level.  A wave that reaches a form another wave labelled
-    joins the two seeds in a union-find over the batch, and each class is
-    one orbit.  Every member of an orbit is unseen until its batch, so the
-    orbit minimum is one of the batch's seeds: seeds come out as the
-    numerically smallest member of each orbit, in increasing order.
+    - at most 2^15 forms: _whole_space, one union-find over every form;
+    - more: one _lone_wave per orbit over a uint8 label array (255 =
+      unseen), seeded at the smallest unseen form.  Every member of an
+      orbit is unseen until its wave, so that form is the orbit minimum.
 
-    A space of at most 253 forms is one batch with every form as a seed:
-    its waves close in one BFS level, one apply_block and at most one join
-    per generator.  In a larger space k starts at 1 and doubles up to 253
-    while a batch finds no orbit larger than 4096 forms, and falls back to 1
-    after one that is, so spaces of many tiny orbits run in wide batches and
-    spaces of a few huge ones as single-seed BFS.  Memory is not checked
-    here: check_memory refuses a run up front.
-
-    A space with no generator, whose every form is its own orbit, is not
+    Memory is not checked here: check_memory refuses a run up front.  A
+    space with no generator, whose every form is its own orbit, is not
     swept.
     """
     space = 1 << ctx.dim
     if not ctx.gens:
         return [(u, 1) for u in range(space)]
+    if space <= _WHOLE_SPACE:
+        return _whole_space(ctx)
     labels = np.full(space, _UNSEEN, dtype=np.uint8)
     orbits: List[Tuple[int, int]] = []
-    scan, total = 0, 0
-    k = space if space <= _MAX_BATCH else 1
+    seed, total = 0, 0
     while total < space:
-        seeds = _next_unseen(labels, scan, k)
-        if not seeds.size:
+        seed = _next_unseen(labels, seed)
+        if seed is None:
             break
-        scan = int(seeds[-1]) + 1
-        found = _sweep_batch(ctx, labels, seeds)
-        orbits.extend(found)
-        sizes = [size for _seed, size in found]
-        total += sum(sizes)
-        k = min(2 * k, _MAX_BATCH) if max(sizes) <= _SMALL_ORBIT else 1
+        orbits.append((seed, _lone_wave(ctx, labels, seed)))
+        total += orbits[-1][1]
     if total != space:
         raise InternalConsistencyError(f"orbit sizes sum to {total}, expected {space}")
     return orbits
 
 
-def _next_unseen(labels: np.ndarray, start: int, k: int) -> np.ndarray:
-    """The k smallest unseen forms from start on (fewer at the end).  The
-    scan window grows from 4 Ki to 64 Ki forms, so that finding a few seeds
-    among many unseen forms does not index a whole 64 Ki window."""
-    parts = []
+def _next_unseen(labels: np.ndarray, start: int) -> Optional[int]:
+    """The smallest unseen form from start on, or None.  The scan window
+    grows from 4 Ki to 64 Ki forms, so that a seed found close to start
+    does not index a whole 64 Ki window."""
     pos, window = start, 1 << 12
-    while k and pos < labels.shape[0]:
-        hits = (labels[pos : pos + window] == _UNSEEN).nonzero()[0][:k] + pos
-        parts.append(hits)
-        k -= hits.size
+    while pos < labels.shape[0]:
+        hits = (labels[pos : pos + window] == _UNSEEN).nonzero()[0]
+        if hits.size:
+            return pos + int(hits[0])
         pos += window
         window = min(2 * window, 1 << 16)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return None
 
 
-def _sweep_batch(
-    ctx: BoundaryAction, labels: np.ndarray, seeds: np.ndarray
-) -> List[Tuple[int, int]]:
-    """Close the orbits of one batch of seeds; returns (seed, size) by seed."""
-    k = seeds.size
-    # union-find over the batch, kept fully compressed: rep[i] is the
-    # smallest seed index joined to i so far
-    rep = np.arange(k, dtype=np.uint8)
-    labels[seeds] = rep
-    counts = np.zeros(k, dtype=np.int64)
-    frontier = seeds
+def _whole_space(ctx: BoundaryAction) -> List[Tuple[int, int]]:
+    """The orbits of a space of at most 2^15 forms, (seed, size) by seed.
+
+    The uint16 labels start as the forms themselves and are a union-find:
+    joining each form with its image under each generator leaves every
+    form labelled with its orbit minimum.  The roots are the orbit minima,
+    and a bincount of the labels gives each orbit's size.
+    """
+    forms = np.arange(1 << ctx.dim)
+    labels = forms.astype(np.uint16)
+    for gi in range(len(ctx.gens)):
+        labels = _join(labels, labels, labels.take(ctx.apply_block(forms, gi)))
+    roots = (labels == forms).nonzero()[0]
+    sizes = np.bincount(labels)[roots]
+    return list(zip(roots.tolist(), sizes.tolist()))
+
+
+def _lone_wave(ctx: BoundaryAction, labels: np.ndarray, seed: int) -> int:
+    """Label the orbit of seed 0 in the uint8 labels by a BFS, one
+    apply_block call per generator, level and block; returns its size."""
+    labels[seed] = 0
+    size, frontier = 0, np.array([seed])
     while frontier.size:
-        if k > 1:
-            src = labels[frontier]
-            counts += np.bincount(src, minlength=k)
-        else:  # a lone wave is all label 0 and needs no per-form labels
-            counts[0] += frontier.size
+        size += frontier.size
         parts = []
         for gi in range(len(ctx.gens)):
             for lo in range(0, frontier.size, _BLOCK):
                 imgs = ctx.apply_block(frontier[lo : lo + _BLOCK], gi)
-                got = labels[imgs]
-                fresh = got == _UNSEEN
-                if k > 1:
-                    mine = src[lo : lo + _BLOCK]
-                    meet = got != mine
-                    if fresh.any():
-                        meet &= ~fresh
-                        new = imgs.compress(fresh)
-                        labels[new] = mine.compress(fresh)
-                        parts.append(new)
-                    if meet.any():
-                        rep = _join(rep, rep[mine.compress(meet)], rep[got.compress(meet)])
-                else:
-                    new = imgs.compress(fresh)
-                    labels[new] = 0
-                    parts.append(new)
-        frontier = np.concatenate(parts) if parts else seeds[:0]
-    roots = rep.tolist()
-    sizes = [0] * k
-    for r, c in zip(roots, counts.tolist()):
-        sizes[r] += c
-    return [(s, sizes[i]) for i, s in enumerate(seeds.tolist()) if roots[i] == i]
+                new = imgs.compress(labels[imgs] == _UNSEEN)
+                labels[new] = 0
+                parts.append(new)
+        frontier = np.concatenate(parts)
+    return size
 
 
 def _join(rep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -351,11 +328,11 @@ def _join(rep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # of several hooks onto one root one wins; the rest retry next round
         rep[np.maximum(a, b)] = np.minimum(a, b)
         while True:
-            hop = rep[rep]
+            hop = rep.take(rep)
             if np.array_equal(hop, rep):
                 break
             rep = hop
-        a, b = rep[a], rep[b]
+        a, b = rep.take(a), rep.take(b)
 
 
 # -- stabilizer orders and generators ---------------------------------------

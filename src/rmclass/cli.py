@@ -301,18 +301,24 @@ def cmd_classify(args) -> int:
                 ckpt.start(m, level - 1)
             out_records = [rec for children in blocks for rec in children]
             inherited = sum(map(_count_inherited, parents, blocks))
-            t0 = time.time()
+            t0 = shown = time.monotonic()
             todo = parents[len(blocks):]  # empty once the checkpoint holds every parent
             for idx, parent, children in descend_iter(todo, t) if todo else ():
                 real_idx = len(blocks) + idx
                 out_records.extend(children)
                 inherited += _count_inherited(parent, children)
                 ckpt.parent_done(real_idx, children)
-                _log(
-                    args,
-                    f"level {level - 1}: parent {real_idx + 1}/{len(parents)}, "
-                    f"{len(out_records)} records, {time.time() - t0:.1f}s",
-                )
+                if not args.verbose:
+                    continue
+                now = time.monotonic()
+                if now - shown >= 1 or idx + 1 == len(todo):
+                    shown, rate = now, (idx + 1) / max(now - t0, 1e-9)
+                    print(
+                        f"level {level - 1}: parent {real_idx + 1}/{len(parents)}, "
+                        f"{len(out_records)} records, {now - t0:.1f}s, {rate:.1f} parents/s, "
+                        f"ETA {(len(todo) - idx - 1) / rate:.1f}s",
+                        file=sys.stderr, flush=True,
+                    )
             verify_level_mass(out_records, t)
             # an independent count, before the level file goes into place
             expected = burnside_count(level, t, m)
@@ -327,6 +333,9 @@ def cmd_classify(args) -> int:
             manifest[f"level_{level}_parents"] = len(parents)
             manifest[f"level_{level}_count"] = len(records)
             manifest[f"level_{level}_inherited"] = inherited
+            manifest[f"level_{level}_stab_hist"] = ",".join(
+                f"{order}:{n}" for order, n in stab_histogram(records).items()
+            )
             # the manifest first, so that every level file in place has its keys
             _write_manifest(manifest_path, manifest)
             ckpt.finish(len(records), out / f"level_{level}.txt")
@@ -609,6 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.mem_limit < 0:
+            raise InvalidInputError(f"--mem-limit {args.mem_limit} is below 0 MiB")
         return args.func(args)
     except RmclassError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -168,69 +168,83 @@ def test_orbit_seeds_are_minima(sweep_spaces):
 
 
 def test_orbit_sweep_batches(sweep_spaces, monkeypatch):
-    # a space with no generator is not swept, and any other of at most 253
-    # forms is one batch with every form as a seed.
-    # The larger spaces drive the doubling rule through full 253-seed
-    # batches, batches whose seeds merge into fewer orbits, and the fall
-    # back to one seed after a batch that found an orbit of more than 4096
-    # forms
+    # a space with no generator is not swept, and any other of at most 2^15
+    # forms is one whole-space union-find with no lone wave.  A larger space
+    # is swept one lone wave per orbit, the seeds increasing: the
+    # dimension-20 cubic forms of m=6
     from rmclass import classify
 
-    batches = []
-    real = classify._sweep_batch
-
-    def spy(ctx, labels, seeds):
-        found = real(ctx, labels, seeds)
-        batches.append((seeds.size, len(found), max(size for _seed, size in found)))
-        if ctx.dim <= 7:
-            assert seeds.tolist() == list(range(1 << ctx.dim))
-        return found
-
-    monkeypatch.setattr(classify, "_sweep_batch", spy)
     calls = []
+    real_whole, real_wave = classify._whole_space, classify._lone_wave
+
+    def whole_spy(ctx):
+        calls.append("whole")
+        return real_whole(ctx)
+
+    def wave_spy(ctx, labels, seed):
+        calls.append((labels.dtype, seed))
+        return real_wave(ctx, labels, seed)
+
+    monkeypatch.setattr(classify, "_whole_space", whole_spy)
+    monkeypatch.setattr(classify, "_lone_wave", wave_spy)
     for ctx in sweep_spaces:
-        before = len(batches)
+        calls.clear()
         orbit_enumerate(ctx)
-        calls.append(len(batches) - before)
-    assert calls[:5] == [1, 0, 1, 1, 1]
-    assert min(calls[5:]) > 1 and batches[sum(calls[:5])][0] == 1  # dim 8 starts at k = 1
-    assert any(k == 253 for k, _, _ in batches)
-    assert any(n < k for k, n, _ in batches)
-    after_big = [b[0] for a, b in zip(batches, batches[1:]) if a[2] > 4096]
-    assert after_big and all(k == 1 for k in after_big)
+        assert calls == (["whole"] if ctx.gens else [])
+    big = BoundaryAction(BooleanFunction.zero(6), 3, generators_stu(6))
+    calls.clear()
+    orbits = orbit_enumerate(big)
+    assert big.dim == 20 and len(orbits) > 1
+    assert calls == [(np.uint8, seed) for seed, _size in orbits]
+    assert orbits == sorted(orbits)
 
 
 def test_orbit_sweep_memory_under_estimate():
-    # a dimension-21 sweep (quadratic forms, m=7) in a fresh process: its
-    # peak RSS stays under the estimate, and the growth during the sweep
-    # under the estimate less the fixed interpreter base.  The peak is the
-    # process's own VmHWM: Linux carries ru_maxrss over from the forking
-    # parent (here pytest) across exec, so ru_maxrss would read pytest's peak.
+    # a dimension-21 sweep of lone waves (quadratic forms, m=7) and a
+    # dimension-15 whole-space one (m=6), each in its own fresh process:
+    # the peak RSS stays under the estimate, and the growth during the
+    # sweep under the estimate less the fixed interpreter base.  The peak
+    # is the process's own VmHWM: Linux carries ru_maxrss over from the
+    # forking parent (here pytest) across exec, so ru_maxrss would read
+    # pytest's peak.
     status = Path("/proc/self/status")
     if not status.exists():
         pytest.skip("needs /proc/self/status for the process's own peak RSS")
     script = (
-        "import re\n"
+        "import re, sys\n"
         "from rmclass.bfcore import BooleanFunction\n"
         "from rmclass.classify import BoundaryAction, orbit_enumerate\n"
         "from rmclass.group import generators_stu\n"
         "def peak_kib():\n"
         "    text = open('/proc/self/status').read()\n"
         "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', text).group(1))\n"
-        "ctx = BoundaryAction(BooleanFunction.zero(7), 2, generators_stu(7))\n"
+        "m = int(sys.argv[1])\n"
+        "ctx = BoundaryAction(BooleanFunction.zero(m), 2, generators_stu(m))\n"
         "before = peak_kib()\n"
         "orbits = orbit_enumerate(ctx)\n"
         "after = peak_kib()\n"
         "print(ctx.dim, len(orbits), before, after)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    dim, n_orbits, before, after = (int(v) for v in out)
+
+    def sweep(m):
+        out = subprocess.run([sys.executable, "-c", script, str(m)], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        return [int(v) for v in out]
+
+    dim, n_orbits, before, after = sweep(7)
     assert (dim, n_orbits) == (21, 4)
     need = estimate_orbit_bytes(dim)
     assert after * 1024 <= need
     assert (after - before) * 1024 <= need - estimate_orbit_bytes(0)
+    # the whole-space union-find's temporaries sit in the estimate's
+    # per-block allowance, so its growth is bounded by the estimate less
+    # the interpreter base alone
+    dim, n_orbits, before, after = sweep(6)
+    assert (dim, n_orbits) == (15, 4)
+    need = estimate_orbit_bytes(dim)
+    assert after * 1024 <= need
+    assert (after - before) * 1024 <= need - (64 << 20)
 
 
 def test_orbit_memory_refusal():

@@ -7,7 +7,9 @@ import pytest
 
 import rmclass.cli as cli
 from rmclass.bits import degree_mask
-from rmclass.classify import BoundaryAction, classify_space, descend_iter, top_record
+from rmclass.classify import (
+    BoundaryAction, classify_space, descend_iter, stab_histogram, top_record
+)
 from rmclass.cli import read_level_file, write_level_file
 from rmclass.errors import (
     DependencyMissingError,
@@ -399,6 +401,36 @@ def test_verbose_is_a_classify_flag(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_verbose_prints_about_one_line_per_second(tmp_path, capsys, monkeypatch):
+    # a clock that advances 0.3 s per reading: a level prints a line once a
+    # second has passed since its last one, and always its last parent,
+    # each with the rate and the time left for the level
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(cli.time, "monotonic", lambda: 0.3 * next(ticks))
+    out = tmp_path / "run"
+    assert run("classify", "--m", 4, "--s", 0, "--t", 4, "--out", out, "--verbose") == 0
+    lines = capsys.readouterr().err.splitlines()
+    keys = cli._read_manifest(out / "manifest.txt")
+    for level in (3, 2, 1, 0, -1):
+        parents = int(keys[f"level_{level}_parents"])
+        mine = [line for line in lines if line.startswith(f"level {level}: parent ")]
+        assert len(mine) <= 0.3 * parents + 1
+        shown = [int(line.split()[3].split("/")[0]) for line in mine]
+        assert shown == list(range(4, parents, 4)) + [parents]
+        for line, done in zip(mine, shown):
+            assert f", {1 / 0.3:.1f} parents/s, ETA {0.3 * (parents - done):.1f}s" in line
+
+
+def test_manifest_has_each_level_stab_hist(tmp_path):
+    out = tmp_path / "run"
+    assert run("classify", "--m", 4, "--s", 0, "--t", 4, "--out", out) == 0
+    keys = cli._read_manifest(out / "manifest.txt")
+    for level in (3, 2, 1, 0, -1):
+        hist = stab_histogram(read_level_file(out / f"level_{level}.txt"))
+        assert keys[f"level_{level}_stab_hist"] == ",".join(f"{o}:{n}" for o, n in hist.items())
+    assert keys["level_3_stab_hist"] == "322560:2"
+
+
 # the level-2 file of `classify --m 5 --s 3 --t 3`: the three classes of B(3,3,5)
 _B335_LEVEL_2 = """\
 # rmclass m=5 level=2
@@ -446,11 +478,23 @@ _BAD_LEVEL_FILES = {
       "--max-iter", -5], InvalidInputError.exit_code),
     (["distance", "--m", 5, "--r", 1, "--function", "11", "--threshold", -1, "--seed", 1],
      InvalidInputError.exit_code),
+    # a negative memory budget is refused as input by every subcommand;
+    # a budget of 0 MiB is a real limit, refused by the estimate
+    (["classify", "--m", 3, "--s", 1, "--t", 3, "--mem-limit", -5], InvalidInputError.exit_code),
+    (["count", "--m", 3, "--s", 1, "--t", 3, "--mem-limit", -5], InvalidInputError.exit_code),
+    (["dual-check", "--m", 4, "--mem-limit", -1], InvalidInputError.exit_code),
+    (["nearbent", "--m", 5, "--mem-limit", -5], InvalidInputError.exit_code),
+    (["distance", "--m", 5, "--r", 1, "--function", "11", "--threshold", 2, "--seed", 1,
+      "--mem-limit", -5], InvalidInputError.exit_code),
+    (["stab-hist", "--m", 3, "--s", 1, "--t", 3, "--mem-limit", -5], InvalidInputError.exit_code),
+    (["stab-hist", "--m", 3, "--s", 1, "--t", 3, "--mem-limit", 0],
+     ResourceRefusedError.exit_code),
 ])
 def test_outside_input_exits_without_traceback(tmp_path, capsys, argv, code):
-    # malformed arguments and level files exit 2, a missing file 3, each
-    # with a one-line error; a level file's error names the file and line,
-    # and a file of another m than --m names both values
+    # malformed arguments and level files exit 2, a missing file 3, a
+    # budget below the estimate 4, each with a one-line error; a level
+    # file's error names the file and line, a file of another m than --m
+    # names both values, and a negative --mem-limit names the flag
     paths = {"missing": tmp_path / "absent.txt", "b335": tmp_path / "b335.txt"}
     paths["b335"].write_text(_B335_LEVEL_2)
     for name, text in _BAD_LEVEL_FILES.items():
@@ -466,6 +510,8 @@ def test_outside_input_exits_without_traceback(tmp_path, capsys, argv, code):
             assert f"{paths[name]}:2: " in captured.err
     if str(paths["b335"]) in argv:
         assert "m=5" in captured.err and "m=6" in captured.err
+    if "--mem-limit" in argv and code == InvalidInputError.exit_code:
+        assert f"--mem-limit {argv[argv.index('--mem-limit') + 1]} " in captured.err
 
 
 def _drop_last_record(path: Path) -> None:
