@@ -12,18 +12,14 @@ group element is enumerated, and nothing is shared with the descent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .bits import degree_mask, masks_in_range, masks_of_degree, pivots_gf2
-from .bfcore import MAX_M, BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
-from .classify import ClassRecord, classify_space, level_cell
-from .errors import (
-    DependencyMissingError,
-    InternalConsistencyError,
-    InvalidInputError,
-)
+from .bfcore import BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
+from .classify import ClassRecord, check_cell, level_cell
+from .errors import InternalConsistencyError, InvalidInputError
 from .group import _affine_pmap, group_order, substitute_anf
 from .group import enumerate_agl  # noqa: F401 (unused; perfbench/layers.py wraps it by name)
 
@@ -126,10 +122,9 @@ def fix_dimension(s: int, t: int, m: int, pmap: bytes) -> int:
 
 
 def burnside_count(s: int, t: int, m: int) -> int:
-    """Class number of B(s,t,m), any m <= MAX_M.  Certificate: the Burnside
-    sum is divisible by |AGL(m,2)|."""
-    if not (0 <= s <= t <= m and 1 <= m <= MAX_M):
-        raise InvalidInputError(f"need 0 <= s <= t <= m, 1 <= m <= {MAX_M}; got s={s} t={t} m={m}")
+    """Class number of B(s,t,m), any cell check_cell admits.  Certificate:
+    the Burnside sum is divisible by |AGL(m,2)|."""
+    check_cell(s, t, m)
     total = 0
     for rows, size in gl_classes(m):
         image = pivots_gf2([r ^ (1 << i) for i, r in enumerate(rows)])
@@ -217,40 +212,28 @@ def count_near_bent_completions(f: BooleanFunction) -> int:
 
 
 def near_bent_census(
-    m: int,
-    records: Optional[Sequence[ClassRecord]] = None,
-    mem_limit: int = 2 << 30,
+    m: int, records: Sequence[ClassRecord]
 ) -> List[Tuple[BooleanFunction, int, int]]:
-    """(rep, N(rep), orbit size) for each level-2 orbit of B(3,(m+1)/2,m),
-    classified here (within mem_limit bytes) unless given.
+    """(rep, N(rep), orbit size) for each record, a level-2 orbit of
+    B(3,t,m).  The census classifies nothing; it checks that the records
+    cover B(3,t,m), by their mass, for some t >= (m+1)/2: near-bent
+    functions have degree at most (m+1)/2, so a larger t only adds classes
+    with no completion, but a smaller one misses some.  An even m is refused
+    by the kernel.
 
     The sum of N(rep) times orbit size counts the near-bent functions of
     valuation >= 2; times 2^(m+1), for the affine part, which near-bentness
-    ignores, it counts every near-bent function in m variables.
-
-    Records given must cover B(3,t,m) for some t >= (m+1)/2, by their mass:
-    near-bent functions have degree at most (m+1)/2, so a larger t only
-    adds classes with no completion, but a smaller one misses some."""
-    if m % 2 == 0:
-        raise InvalidInputError("near-bent census needs odd m")
+    ignores, it counts every near-bent function in m variables."""
+    rec_m, level, t = level_cell(records)
+    if rec_m != m:
+        raise InvalidInputError(f"records are for m={rec_m}, not m={m}")
+    if level != 2:
+        raise InvalidInputError("records are not a level-2 classification")
     d = (m + 1) // 2
-    if records is None:
-        if m > 5:
-            raise DependencyMissingError(
-                f"near-bent census for m={m} needs the classification of "
-                f"B(3,{d},{m}) passed in as records (long-run artifact)"
-            )
-        records = classify_space(3, d, m, mem_limit)
-    else:
-        rec_m, level, t = level_cell(records)
-        if rec_m != m:
-            raise InvalidInputError(f"records are for m={rec_m}, not m={m}")
-        if level != 2:
-            raise InvalidInputError("records are not a level-2 classification")
-        if t < d:
-            raise InvalidInputError(
-                f"the level-2 records cover B(3,{t},{m}), t={t}; the census needs t >= {d}"
-            )
+    if t < d:
+        raise InvalidInputError(
+            f"the level-2 records cover B(3,{t},{m}), t={t}; the census needs t >= {d}"
+        )
     order = group_order(m)
     return [
         (rec.rep, count_near_bent_completions(rec.rep), order // rec.stab_order)

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .bits import bits_of_hex, degree_mask, hex_of_bits, masks_of_degree, space_dimension
-from .bfcore import BooleanFunction, monomial_truth_table
+from .bfcore import MAX_M, BooleanFunction, monomial_truth_table
 from .errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
 from .group import (
     _PAD, AffineMap, SubgroupOracle, generators_stu, group_order, subgroup_order, substitute_anf
@@ -217,6 +217,15 @@ def estimate_orbit_bytes(dim: int) -> int:
     allowance.  Plus a fixed base for the interpreter and numpy.
     """
     return 17 * (1 << dim) + 48 * _BLOCK + (64 << 20)
+
+
+def check_cell(s: int, t: int, m: int) -> None:
+    """The one cell rule, of burnside_count and of every command that takes
+    s and t: 1 <= m <= MAX_M and 0 <= s <= t <= m."""
+    if not 1 <= m <= MAX_M:
+        raise InvalidInputError(f"m={m} outside supported range 1..{MAX_M}")
+    if not 0 <= s <= t <= m:
+        raise InvalidInputError(f"cell ({s},{t}) outside the m={m} triangle")
 
 
 def check_memory(m: int, t: int, target: int, mem_limit: int) -> None:

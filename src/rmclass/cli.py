@@ -32,6 +32,7 @@ from .bits import degree_mask
 from .census import burnside_count, duality_check, near_bent_census, table_render
 from .classify import (
     ClassRecord,
+    check_cell,
     check_memory,
     classify_levels,
     classify_space,
@@ -75,15 +76,6 @@ def _read_manifest(path: Path) -> dict:
                 k, v = line.split("=", 1)
                 out[k] = v
     return out
-
-
-def _check_cell(s: int, t: int, m: int) -> None:
-    """The cell rule of every command that takes s and t: 1 <= m <= MAX_M
-    and 0 <= s <= t <= m."""
-    if not 1 <= m <= MAX_M:
-        raise InvalidInputError(f"m={m} outside supported range 1..{MAX_M}")
-    if not (0 <= s <= t <= m):
-        raise InvalidInputError(f"cell ({s},{t}) outside the m={m} triangle")
 
 
 def _log(args, msg: str) -> None:
@@ -248,14 +240,14 @@ def _read_records(path, m: Optional[int]) -> List[ClassRecord]:
 
 def cmd_classify(args) -> int:
     m, s, t = args.m, args.s, args.t
-    _check_cell(s, t, m)
+    check_cell(s, t, m)
     target = s - 1
     check_memory(m, t, target, args.mem_limit << 20)
     out = _out_dir(args)
     manifest_path = out / "manifest.txt"
     ckpt = _Checkpoint(out / "checkpoint.txt")
 
-    settings = {
+    manifest = {
         "artifact": f"rmclass {__version__}",
         "command": "classify",
         "m": m, "s": s, "t": t,
@@ -263,14 +255,12 @@ def cmd_classify(args) -> int:
     }
     records = [top_record(m, t)]
     level = t
-    done_levels = {}
-    manifest = dict(settings)
     if args.resume and manifest_path.exists():
         old = _read_manifest(manifest_path)
         for key in ("command", "m", "s", "t"):
-            if old.get(key) != str(settings[key]):
+            if old.get(key) != str(manifest[key]):
                 raise InvalidInputError(
-                    f"--resume: manifest mismatch on {key} ({old.get(key)} vs {settings[key]})"
+                    f"--resume: manifest mismatch on {key} ({old.get(key)} vs {manifest[key]})"
                 )
         for r in range(t - 1, target - 1, -1):
             try:
@@ -280,9 +270,9 @@ def cmd_classify(args) -> int:
             if level_cell(loaded) != (m, r, t):  # a file of another m, level or t is redone
                 break
             records, level = loaded, r
-            done_levels[r] = len(loaded)
-        # the counts of the levels loaded back come from the run that made them
-        loaded_keys = tuple(f"level_{r}_" for r in done_levels)
+            manifest[f"level_{r}_count"] = len(loaded)  # if the old manifest lacks it
+        # the keys of the levels loaded back come from the run that made them
+        loaded_keys = tuple(f"level_{r}_" for r in range(level, t))
         manifest.update((k, v) for k, v in old.items() if k.startswith(loaded_keys))
         _log(args, f"resuming at level {level} with {len(records)} records")
 
@@ -329,7 +319,6 @@ def cmd_classify(args) -> int:
                 )
             records = out_records
             level -= 1
-            done_levels[level] = len(records)
             manifest[f"level_{level}_parents"] = len(parents)
             manifest[f"level_{level}_count"] = len(records)
             manifest[f"level_{level}_inherited"] = inherited
@@ -346,8 +335,8 @@ def cmd_classify(args) -> int:
     manifest["status"] = "complete"
     _write_manifest(manifest_path, manifest)
     print(f"classified B({s},{t},{m}) down to level {target}")
-    for r in sorted(done_levels, reverse=True):
-        print(f"  level {r}: {done_levels[r]} classes")
+    for r in range(t - 1, target - 1, -1):
+        print(f"  level {r}: {manifest[f'level_{r}_count']} classes")
     print(f"records in {out}")
     return 0
 
@@ -371,7 +360,7 @@ def _print_counts(m: int, cells, methods, mem_limit: int) -> Dict[Tuple[int, int
     lowest s asked for is at most its own, or else descends itself."""
     lowest: Dict[int, int] = {}
     for s, t in cells:
-        _check_cell(s, t, m)
+        check_cell(s, t, m)
         if "classify" in methods:
             lowest[t] = min(s, lowest.get(t, s))
     for t, s_low in lowest.items():
@@ -460,16 +449,22 @@ def cmd_dual_check(args) -> int:
 
 
 def cmd_nearbent(args) -> int:
-    records = _read_records(args.reps, args.m) if args.reps else None
-    rows = near_bent_census(args.m, records, args.mem_limit << 20)
+    m = args.m
+    if m % 2 == 0 or not 3 <= m <= MAX_M:
+        raise InvalidInputError(f"nearbent needs an odd m in 3..{MAX_M}, got m={m}")
+    if args.reps:
+        records = _read_records(args.reps, m)
+    else:  # at m = 3, B(3,3,3): B(3,2,3) = {0} is no whole level; x1x2x3 has N = 0
+        records = classify_space(3, max((m + 1) // 2, 3), m, args.mem_limit << 20)
+    rows = near_bent_census(m, records)
     for rep, n_q, orbit in rows:
         print(f"nearbent-rep {rep.anf_hex()} {n_q} {orbit}")
     weighted = sum(n_q * orbit for _rep, n_q, orbit in rows)
-    total = weighted << (args.m + 1)
+    total = weighted << (m + 1)
     print(f"nearbent-valuation2-count {weighted}")
     print(f"nearbent-total {total}")
     print(
-        f"near-bent functions in {args.m} variables: {total} "
+        f"near-bent functions in {m} variables: {total} "
         f"(of which {weighted} have valuation >= 2)"
     )
     return 0
@@ -498,7 +493,7 @@ def cmd_distance(args) -> int:
     elif args.s is not None and args.t is not None:
         if args.m is None:
             raise InvalidInputError("classifying first needs --m")
-        _check_cell(args.s, args.t, args.m)
+        check_cell(args.s, args.t, args.m)
         check_level(args.s - 1, args.r, args.m)
         records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
@@ -532,7 +527,7 @@ def cmd_stab_hist(args) -> int:
     if args.records:
         records = _read_records(args.records, args.m)
     elif args.s is not None and args.t is not None and args.m is not None:
-        _check_cell(args.s, args.t, args.m)
+        check_cell(args.s, args.t, args.m)
         records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
         raise InvalidInputError("give --records FILE or --m/--s/--t")

@@ -152,15 +152,17 @@ def group_order(m: int) -> int:
 
 def generators_stu(m: int) -> List[AffineMap]:
     """The shift S (cyclic variable rotation), the transvection T
-    (x1 += x2) and the translation U (x += e1); they generate AGL(m,2)."""
-    if m < 2:
-        raise InvalidInputError("S, T, U generators need m >= 2")
+    (x1 += x2) and the translation U (x += e1); they generate AGL(m,2).
+    At m = 1 S and T are the identity, and U alone is returned."""
+    if m < 1:
+        raise InvalidInputError("m must be >= 1")
     n = 1 << m
     full = n - 1
     shift = bytes(((x << 1) | (x >> (m - 1))) & full for x in range(n))
     transvect = bytes(x ^ ((x >> 1) & 1) for x in range(n))
     translate = bytes(x ^ 1 for x in range(n))
-    return [AffineMap(m, shift), AffineMap(m, transvect), AffineMap(m, translate)]
+    maps = [AffineMap(m, shift), AffineMap(m, transvect), AffineMap(m, translate)]
+    return maps if m > 1 else maps[2:]
 
 
 def random_affine(m: int, rng: np.random.Generator) -> AffineMap:

@@ -59,9 +59,10 @@ def test_classify_result_files_are_deterministic(tmp_path):
         assert (a / f"level_{r}.txt").read_bytes() == (b / f"level_{r}.txt").read_bytes()
 
 
-def test_classify_resume_after_interrupt(tmp_path, monkeypatch):
+def test_classify_resume_after_interrupt(tmp_path, capsys, monkeypatch):
     fresh = tmp_path / "fresh"
     assert run("classify", "--m", 4, "--s", 1, "--t", 4, "--out", fresh) == 0
+    fresh_out = capsys.readouterr().out
 
     # interrupt the run partway through the last level via the checkpoint hook
     broken = tmp_path / "broken"
@@ -81,6 +82,8 @@ def test_classify_resume_after_interrupt(tmp_path, monkeypatch):
     assert (broken / "checkpoint.txt").exists()
 
     assert run("classify", "--m", 4, "--s", 1, "--t", 4, "--out", broken, "--resume") == 0
+    # the closing lines, each level's count among them, are the fresh run's
+    assert capsys.readouterr().out == fresh_out.replace(str(fresh), str(broken))
     for r in (3, 2, 1, 0):
         assert (broken / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()
     # the level counts in the manifest include the parents done before the crash
@@ -159,6 +162,30 @@ def test_count_both_methods(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "count 2 3 3 3 classify" in out
     assert "count 2 3 3 3 burnside" in out
+
+
+def test_count_both_methods_disagreeing_exits_5(tmp_path, capsys, monkeypatch):
+    # a Burnside count one above the classification's is a bug: exit 5,
+    # naming the cell, before the cell's lines are printed
+    real = cli.burnside_count
+    monkeypatch.setattr(cli, "burnside_count", lambda s, t, m: real(s, t, m) + 1)
+    code = run("count", "--m", 3, "--s", 2, "--t", 3, "--method", "both", "--out", tmp_path)
+    assert code == InternalConsistencyError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "methods disagree at (2,3,3)" in captured.err
+
+
+def test_m1_counts_and_classifies(tmp_path, capsys):
+    # at m = 1 S and T are the identity and U alone generates AGL(1,2)
+    assert run("count", "--m", 1, "--all-cells", "--method", "both", "--out", tmp_path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:6] == [f"count {s} {t} 1 {n} {method}"
+                         for s, t, n in [(0, 0, 2), (0, 1, 3), (1, 1, 2)]
+                         for method in ("classify", "burnside")]
+    out = tmp_path / "m1"
+    assert run("classify", "--m", 1, "--s", 0, "--t", 1, "--out", out) == 0
+    assert [len(read_level_file(out / f"level_{r}.txt")) for r in (0, -1)] == [2, 3]
 
 
 def test_counts_descend_once_per_t(tmp_path, capsys):
@@ -246,6 +273,22 @@ def test_dual_check_m4(tmp_path, capsys):
     assert "duality holds" in capsys.readouterr().out
 
 
+def test_dual_check_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # n(0,1,4) = n(3,4,4) = 3; one count changed is a violation
+    real = cli._print_counts
+
+    def one_count_off(m, cells, methods, mem_limit):
+        counts = real(m, cells, methods, mem_limit)
+        counts[0, 1] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "_print_counts", one_count_off)
+    assert run("dual-check", "--m", 4, "--out", tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "VIOLATION n(0, 1)=4 but n(3, 4)=3" in out.splitlines()
+    assert "duality holds" not in out
+
+
 @pytest.mark.parametrize("argv, refusal", [
     (["dual-check", "--m", 5, "--cells", "2,3;3,2"], "cell (3,2) outside the m="),
     (["count", "--m", 4, "--s", 3, "--t", 2], "cell (3,2) outside the m="),
@@ -285,6 +328,36 @@ def test_nearbent_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "nearbent-total 112" in out
     assert "nearbent-valuation2-count 7" in out
+
+
+def test_nearbent_m7_without_reps_exits_4(tmp_path, capsys, monkeypatch):
+    # without --reps the census's records are classified under --mem-limit:
+    # B(3,4,7) needs a dim-35 sweep at level 4, refused before any sweep
+    import rmclass.classify as classify
+
+    def no_sweep(ctx):
+        raise AssertionError("swept before the pre-flight refused")
+
+    monkeypatch.setattr(classify, "orbit_enumerate", no_sweep)
+    assert run("nearbent", "--m", 7, "--out", tmp_path) == ResourceRefusedError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error (ResourceRefusedError): level 4 needs a 2^35-element form space"
+    )
+
+
+@pytest.mark.parametrize("m", [9, 1, 4])
+def test_nearbent_refuses_an_m_before_any_work(tmp_path, capsys, monkeypatch, m):
+    # the census needs an odd m in 3..8, with --reps or without
+    def no_work(*args):
+        raise AssertionError("worked before the refusal")
+
+    monkeypatch.setattr(cli, "classify_space", no_work)
+    monkeypatch.setattr(cli, "read_level_file", no_work)
+    for reps in ([], ["--reps", tmp_path / "absent.txt"]):
+        assert run("nearbent", "--m", m, *reps, "--out", tmp_path) == InvalidInputError.exit_code
+        assert f"got m={m}" in capsys.readouterr().err
 
 
 def test_nearbent_reps_from_file(tmp_path, capsys):
@@ -489,6 +562,20 @@ _BAD_LEVEL_FILES = {
     (["stab-hist", "--m", 3, "--s", 1, "--t", 3, "--mem-limit", -5], InvalidInputError.exit_code),
     (["stab-hist", "--m", 3, "--s", 1, "--t", 3, "--mem-limit", 0],
      ResourceRefusedError.exit_code),
+    # a command without what it works on
+    (["count", "--m", 4], InvalidInputError.exit_code),
+    (["distance", "--m", 5, "--r", 1, "--threshold", 2, "--seed", 1],
+     InvalidInputError.exit_code),
+    (["distance", "--r", 1, "--function", "11", "--threshold", 2, "--seed", 1],
+     InvalidInputError.exit_code),
+    (["distance", "--r", 1, "--s", 2, "--t", 3, "--threshold", 2, "--seed", 1],
+     InvalidInputError.exit_code),
+    (["stab-hist"], InvalidInputError.exit_code),
+    (["dual-check", "--m", 8], InvalidInputError.exit_code),
+    # the near-bent census needs an odd m in 3..8
+    (["nearbent", "--m", 9], InvalidInputError.exit_code),
+    (["nearbent", "--m", 1], InvalidInputError.exit_code),
+    (["nearbent", "--m", 4], InvalidInputError.exit_code),
 ])
 def test_outside_input_exits_without_traceback(tmp_path, capsys, argv, code):
     # malformed arguments and level files exit 2, a missing file 3, a
@@ -828,6 +915,32 @@ def test_resume_after_a_crash_mid_manifest_rewrite(tmp_path, monkeypatch):
     for keys in manifests:
         del keys["started"], keys["finished"]
     assert manifests[0] == manifests[1]
+
+
+def test_resume_with_level_files_its_manifest_lacks(tmp_path, capsys, monkeypatch):
+    # a run without --resume rewrites the manifest and crashes before its
+    # first level is done, so the level files of an earlier run stay in
+    # place without their keys; --resume loads them, prints their counts
+    # as the earlier run did and puts each count back in the manifest
+    argv = ["classify", "--m", 4, "--s", 2, "--t", 4, "--out", tmp_path]
+    assert run(*argv) == 0
+    fresh_out = capsys.readouterr().out
+    counts = {k: v for k, v in cli._read_manifest(tmp_path / "manifest.txt").items()
+              if k.endswith("_count")}
+
+    def crash(self, idx, children):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli._Checkpoint, "parent_done", crash)
+    with pytest.raises(KeyboardInterrupt):
+        run(*argv)
+    monkeypatch.undo()
+    assert "level_3_count" not in cli._read_manifest(tmp_path / "manifest.txt")
+    assert run(*argv, "--resume") == 0
+    assert capsys.readouterr().out == fresh_out
+    keys = cli._read_manifest(tmp_path / "manifest.txt")
+    assert {k: v for k, v in keys.items() if k.endswith("_count")} == counts
+    assert sorted(counts) == [f"level_{r}_count" for r in (1, 2, 3)]
 
 
 def test_readme_commands_parse():

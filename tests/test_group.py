@@ -85,8 +85,9 @@ def test_act_roundtrip_inverse():
 
 
 def test_generators_stu_span_group():
-    for m in range(2, 8):
+    for m in range(1, 8):
         assert subgroup_order(generators_stu(m)) == group_order(m)
+    assert len(generators_stu(1)) == 1  # S and T are the identity at m = 1
 
 
 def test_translation_only_adds_constants():

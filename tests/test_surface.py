@@ -14,7 +14,9 @@ __init__ exports, passes if one of these holds:
 
 Names are matched as identifiers, so a member passes if any attribute of
 that name is read anywhere.  A name nothing calls is deleted, not kept.
-Likewise every name a library module imports is used in that module.
+Likewise every name a library module imports is used in that module, and
+every module parses under the grammar of the Python that pyproject.toml
+declares as its floor.
 """
 
 import ast
@@ -145,3 +147,11 @@ def test_test_references_are_current():
         assert reason and name in defined, name
         assert name in uncalled, f"{name} has a library caller; drop its entry"
         assert name.rsplit(".", 1)[-1] in tests, f"no test calls {name}"
+
+
+def test_sources_parse_under_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; a newer grammar, such
+    # as except* or a type statement, fails here before a 3.10 user sees it
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
