@@ -269,11 +269,12 @@ def cmd_classify(args) -> int:
                 break
             if level_cell(loaded) != (m, r, t):  # a file of another m, level or t is redone
                 break
+            # from the file, since the old manifest may be a later run's
+            try:
+                manifest.update(_level_keys(records, loaded))
+            except KeyError:  # a child of no parent: not this run's level above, redone
+                break
             records, level = loaded, r
-            manifest[f"level_{r}_count"] = len(loaded)  # if the old manifest lacks it
-        # the keys of the levels loaded back come from the run that made them
-        loaded_keys = tuple(f"level_{r}_" for r in range(level, t))
-        manifest.update((k, v) for k, v in old.items() if k.startswith(loaded_keys))
         _log(args, f"resuming at level {level} with {len(records)} records")
 
     manifest["started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -290,13 +291,11 @@ def cmd_classify(args) -> int:
                 blocks = []
                 ckpt.start(m, level - 1)
             out_records = [rec for children in blocks for rec in children]
-            inherited = sum(map(_count_inherited, parents, blocks))
             t0 = shown = time.monotonic()
             todo = parents[len(blocks):]  # empty once the checkpoint holds every parent
-            for idx, parent, children in descend_iter(todo, t) if todo else ():
+            for idx, _, children in descend_iter(todo, t) if todo else ():
                 real_idx = len(blocks) + idx
                 out_records.extend(children)
-                inherited += _count_inherited(parent, children)
                 ckpt.parent_done(real_idx, children)
                 if not args.verbose:
                     continue
@@ -319,12 +318,7 @@ def cmd_classify(args) -> int:
                 )
             records = out_records
             level -= 1
-            manifest[f"level_{level}_parents"] = len(parents)
-            manifest[f"level_{level}_count"] = len(records)
-            manifest[f"level_{level}_inherited"] = inherited
-            manifest[f"level_{level}_stab_hist"] = ",".join(
-                f"{order}:{n}" for order, n in stab_histogram(records).items()
-            )
+            manifest.update(_level_keys(parents, records))
             # the manifest first, so that every level file in place has its keys
             _write_manifest(manifest_path, manifest)
             ckpt.finish(len(records), out / f"level_{level}.txt")
@@ -341,9 +335,25 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _count_inherited(parent: ClassRecord, children: Sequence[ClassRecord]) -> int:
-    """Children whose stabilizer is the parent's: its orbits of size 1."""
-    return sum(child.stab_order == parent.stab_order for child in children)
+def _level_keys(parents: Sequence[ClassRecord], records: Sequence[ClassRecord]) -> dict:
+    """The manifest keys of a level from its records and their parents:
+    the counts, the children whose stabilizer is their parent's (orbits of
+    size 1) and the stabilizer histogram.  A child's part above degree L+1
+    is its parent's representative, as in _Checkpoint.load; a child whose
+    part is no parent's raises KeyError."""
+    m, level = records[0].m, records[0].level
+    high = degree_mask(m, level + 2, m)
+    parent_order = {parent.rep.anf: parent.stab_order for parent in parents}
+    return {
+        f"level_{level}_parents": len(parents),
+        f"level_{level}_count": len(records),
+        f"level_{level}_inherited": sum(
+            rec.stab_order == parent_order[rec.rep.anf & high] for rec in records
+        ),
+        f"level_{level}_stab_hist": ",".join(
+            f"{order}:{n}" for order, n in stab_histogram(records).items()
+        ),
+    }
 
 
 # -- count / dual-check --------------------------------------------------------

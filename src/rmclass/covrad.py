@@ -22,7 +22,7 @@ from .bfcore import BooleanFunction, monomial_truth_table
 from .classify import ClassRecord
 from .errors import InvalidInputError, ResourceRefusedError
 from .group import act, random_affine
-from .rng import stream
+from .rng import Draws, stream
 
 MAX_ITER_DEFAULT = 2048
 
@@ -40,7 +40,7 @@ def rm_generator_matrix(r: int, m: int) -> List[int]:
 _SELECT = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
-def pivoting(rows: List[int], rng: np.random.Generator) -> List[int]:
+def pivoting(rows: List[int], draws: Draws) -> List[int]:
     """In-place Gauss-Jordan elimination choosing a uniformly random pivot
     column on every row; preserves the row space.  Returns the pivots:
     pivots[i] is the column where row i is the only 1, so every row then has
@@ -63,7 +63,7 @@ def pivoting(rows: List[int], rng: np.random.Generator) -> List[int]:
         row = packed >> w * i & full
         if row == 0:
             raise InvalidInputError("generator matrix rows are linearly dependent")
-        pick = int(rng.integers(row.bit_count()))
+        pick = draws.below(row.bit_count())
         for base, byte in enumerate(row.to_bytes((w + 7) >> 3, "little")):
             bits = _SELECT[byte]
             if pick < len(bits):
@@ -106,7 +106,9 @@ def distance(
     rng: np.random.Generator,
 ) -> TrialReport:
     """Randomized search for a word of weight <= threshold in the coset f+C,
-    drawing every random choice from rng.
+    drawing every random choice from rng.  The search reads rng's bit
+    generator ahead in blocks of raw words, so rng's state afterwards is past
+    the words the search used.
 
     Each trial substitutes a random affine map into f, re-pivots the rows
     in place at random and reduces; the best weight seen certifies an upper bound on the coset
@@ -115,9 +117,10 @@ def distance(
     m = f.m
     score = 1 << m
     trials = 0
+    draws = Draws(rng.bit_generator)
     while score > threshold and trials < max_iter:
-        g = act(f, random_affine(m, rng)).truth_table
-        pivots = pivoting(rows, rng)
+        g = act(f, random_affine(m, draws)).truth_table
+        pivots = pivoting(rows, draws)
         w = reduce(g, rows, pivots).bit_count()
         if w < score:
             score = w

@@ -20,11 +20,10 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, Iterable, List, Sequence
 
-import numpy as np
-
 from .bits import pivots_gf2
 from .errors import InvalidInputError
 from .bfcore import BooleanFunction, mobius
+from .rng import Draws
 
 _PAD = bytes(range(256))
 
@@ -165,16 +164,16 @@ def generators_stu(m: int) -> List[AffineMap]:
     return maps if m > 1 else maps[2:]
 
 
-def random_affine(m: int, rng: np.random.Generator) -> AffineMap:
+def random_affine(m: int, draws: Draws) -> AffineMap:
     """Uniform over AGL(m,2): rejection-sample an invertible matrix, then a
     uniform translation.  The map is built from its point map, not through
     from_matrix, whose rank check would repeat the one above."""
     n = 1 << m
     while True:
-        rows = rng.integers(0, n, size=m).tolist()
+        rows = [draws.below(n) for _ in range(m)]
         if len(pivots_gf2(rows)) == m:
             break
-    return AffineMap(m, _affine_pmap(rows, int(rng.integers(0, n))))
+    return AffineMap(m, _affine_pmap(rows, draws.below(n)))
 
 
 def act(f: BooleanFunction, s: AffineMap) -> BooleanFunction:

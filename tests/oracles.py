@@ -5,7 +5,8 @@ avoids the library's fast paths (bit butterflies, Schreier chains, boundary
 tables) so that agreement between the two is meaningful evidence.  Two
 exceptions are the library's former routes, kept as the references the new
 ones must match: generator_set_by_chain, the harvest before element sets,
-and pivoting_by_rows, the row-list elimination before packed rows.
+pivoting_by_rows, the row-list elimination before packed rows, and
+random_affine_by_integers, the map drawn by Generator.integers calls.
 """
 
 from __future__ import annotations
@@ -187,6 +188,17 @@ def pivoting_by_rows(rows, rng) -> list:
             if j != i and (rows[j] >> p) & 1:
                 rows[j] ^= row
     return pivots
+
+
+def random_affine_by_integers(m: int, rng) -> AffineMap:
+    """group.random_affine with its draws made by Generator.integers: m
+    rows at a time until the matrix is invertible, then the translation."""
+    n = 1 << m
+    while True:
+        rows = rng.integers(0, n, size=m).tolist()
+        if rank_gf2(rows) == m:
+            break
+    return AffineMap.from_matrix(m, rows, int(rng.integers(0, n)))
 
 
 def orbit_partition_bruteforce(s: int, t: int, m: int):

@@ -14,7 +14,7 @@ from rmclass.bfcore import (
 from rmclass.bits import degree_mask, masks_in_range, space_dimension
 from rmclass.errors import InvalidInputError
 from rmclass.group import act, random_affine
-from rmclass.rng import stream
+from rmclass.rng import Draws, stream
 
 from oracles import (
     complement_transform,
@@ -101,10 +101,11 @@ def test_degree_reads_anf():
 
 def test_degree_affine_invariant_random():
     rng = stream(2)
+    draws = Draws(rng.bit_generator)
     for m in (3, 5, 7):
         for _ in range(1000 if m == 7 else 200):
             f = BooleanFunction(m, truth_table=int.from_bytes(rng.bytes((1 << m) // 8), "little"))
-            s = random_affine(m, rng)
+            s = random_affine(m, draws)
             assert degree(act(f, s)) == degree(f)
 
 
@@ -128,11 +129,12 @@ def test_reduce_mod_rm_quotient_action_well_defined():
     # reducing then acting then reducing equals acting then reducing, up to
     # any degree-<=r perturbation
     rng = stream(3)
+    draws = Draws(rng.bit_generator)
     m, r = 5, 2
     low_masks = masks_in_range(m, 0, r)
     for _ in range(100):
         f = BooleanFunction(m, truth_table=int.from_bytes(rng.bytes(4), "little"))
-        s = random_affine(m, rng)
+        s = random_affine(m, draws)
         g_anf = 0
         for mask in low_masks:
             if rng.integers(2):
@@ -239,11 +241,12 @@ def test_inner_product_monomial_complement():
 
 def test_inner_product_adjoint():
     rng = stream(8)
+    draws = Draws(rng.bit_generator)
     for _ in range(100):
         m = 5
         f = BooleanFunction(m, truth_table=int(rng.integers(0, 1 << 32)))
         g = BooleanFunction(m, truth_table=int(rng.integers(0, 1 << 32)))
-        s = random_affine(m, rng)
+        s = random_affine(m, draws)
         assert inner_product(act(f, s), g) == inner_product(f, act(g, s.inverse()))
 
 

@@ -15,7 +15,7 @@ from rmclass.classify import classify_space
 from rmclass.errors import InternalConsistencyError, InvalidInputError
 from rmclass.group import AffineMap, act, enumerate_agl, group_order, random_affine
 from rmclass.bits import degree_mask, space_dimension
-from rmclass.rng import stream
+from rmclass.rng import Draws, stream
 
 from oracles import (
     degree,
@@ -185,12 +185,12 @@ def test_near_bent_census_requires_odd_m():
 
 def test_completion_count_is_orbit_invariant():
     # N(f) must agree across level-2-equivalent functions
-    rng = stream(40)
+    draws = Draws(stream(40).bit_generator)
     records = classify_space(3, 3, 5)
     for rec in records:
         n0 = count_near_bent_completions(rec.rep)
         for _ in range(3):
-            sigma = random_affine(5, rng)
+            sigma = random_affine(5, draws)
             moved = BooleanFunction(5, anf=act(rec.rep, sigma).anf & degree_mask(5, 3, 5))
             assert count_near_bent_completions(moved) == n0
 

@@ -38,7 +38,7 @@ from rmclass.group import (
     random_affine,
     subgroup_order,
 )
-from rmclass.rng import stream
+from rmclass.rng import Draws, stream
 
 from oracles import (
     boundary_act,
@@ -104,10 +104,10 @@ def test_boundary_action_law_with_nonzero_rep():
 def test_boundary_action_rejects_non_stabilizer():
     m = 3
     f = BooleanFunction(m, anf=1 << X(1, 2))  # x1x2, not fixed by everything at level 1
-    rng = stream(33)
+    draws = Draws(stream(33).bit_generator)
     bad = None
     for _ in range(200):
-        g = random_affine(m, rng)
+        g = random_affine(m, draws)
         if (act(f, g).anf ^ f.anf) & degree_mask(m, 2, m):
             bad = g
             break
@@ -511,9 +511,9 @@ def test_harvested_fix_check_names_the_generator(monkeypatch):
     import rmclass.classify as classify
 
     parent = ClassRecord.from_line(5, classify_space(3, 4, 5)[-1].to_line())
-    rng = stream(31)
+    draws = Draws(stream(31).bit_generator)
     while True:
-        bad = random_affine(5, rng)
+        bad = random_affine(5, draws)
         try:
             BoundaryAction(parent.rep, parent.level, [bad])
         except InvalidInputError:

@@ -921,12 +921,12 @@ def test_resume_with_level_files_its_manifest_lacks(tmp_path, capsys, monkeypatc
     # a run without --resume rewrites the manifest and crashes before its
     # first level is done, so the level files of an earlier run stay in
     # place without their keys; --resume loads them, prints their counts
-    # as the earlier run did and puts each count back in the manifest
+    # as the earlier run did and recomputes every key of theirs from them
     argv = ["classify", "--m", 4, "--s", 2, "--t", 4, "--out", tmp_path]
     assert run(*argv) == 0
     fresh_out = capsys.readouterr().out
-    counts = {k: v for k, v in cli._read_manifest(tmp_path / "manifest.txt").items()
-              if k.endswith("_count")}
+    fresh = {k: v for k, v in cli._read_manifest(tmp_path / "manifest.txt").items()
+             if k.startswith("level_")}
 
     def crash(self, idx, children):
         raise KeyboardInterrupt
@@ -939,8 +939,29 @@ def test_resume_with_level_files_its_manifest_lacks(tmp_path, capsys, monkeypatc
     assert run(*argv, "--resume") == 0
     assert capsys.readouterr().out == fresh_out
     keys = cli._read_manifest(tmp_path / "manifest.txt")
-    assert {k: v for k, v in keys.items() if k.endswith("_count")} == counts
-    assert sorted(counts) == [f"level_{r}_count" for r in (1, 2, 3)]
+    assert {k: v for k, v in keys.items() if k.startswith("level_")} == fresh
+    assert sorted(fresh) == sorted(
+        f"level_{r}_{key}" for r in (1, 2, 3)
+        for key in ("parents", "count", "inherited", "stab_hist")
+    )
+
+
+def test_resume_redoes_a_level_file_whose_children_have_no_parent(tmp_path, capsys):
+    # a level file of the right cell and mass, but with a representative
+    # whose part above degree r+1 is no representative of the level above,
+    # is not this run's level: --resume redoes it instead of loading it
+    argv = ["classify", "--m", 4, "--s", 2, "--t", 4, "--out", tmp_path]
+    assert run(*argv) == 0
+    fresh_out = capsys.readouterr().out
+    fresh = (tmp_path / "level_1.txt").read_bytes()
+    records = read_level_file(tmp_path / "level_1.txt")
+    rep = records[0].rep
+    records[0].rep = type(rep)(4, anf=rep.anf ^ 1 << 0b1011)  # + x1x2x4
+    write_level_file(tmp_path / "level_1.txt", records)
+    assert read_level_file(tmp_path / "level_1.txt")[0].rep != rep
+    assert run(*argv, "--resume") == 0
+    assert capsys.readouterr().out == fresh_out
+    assert (tmp_path / "level_1.txt").read_bytes() == fresh
 
 
 def test_readme_commands_parse():

@@ -15,7 +15,7 @@ from rmclass.covrad import (
 )
 from rmclass.errors import InvalidInputError, ResourceRefusedError
 from rmclass.group import act, random_affine
-from rmclass.rng import stream
+from rmclass.rng import Draws, stream
 
 from oracles import (
     coset_min_weight_by_gray_walk,
@@ -51,18 +51,18 @@ def test_rm_generator_matrix_shapes():
 def test_pivoting_identity_like_stays_sparse():
     rows = [0b0001, 0b0010, 0b0100, 0b1000]
     pivoted = list(rows)
-    pivots = pivoting(pivoted, stream(50))
+    pivots = pivoting(pivoted, Draws(stream(50).bit_generator))
     assert sorted(pivoted) == sorted(rows)  # weight-1 rows can only permute
     assert sorted(pivots) == [0, 1, 2, 3]
 
 
 def test_pivoting_weight_bound_and_rowspace():
-    rng = stream(51)
+    draws = Draws(stream(51).bit_generator)
     m = 3
     rows = rm_generator_matrix(1, m)
     original_rows = tuple(rows)
     for _ in range(1000):
-        pivots = pivoting(rows, rng)
+        pivots = pivoting(rows, draws)
         bound = (1 << m) - len(rows) + 1
         assert all(r.bit_count() <= bound for r in rows)
         # row space preserved: stacking old and new rows does not raise rank
@@ -75,7 +75,7 @@ def test_pivoting_weight_bound_and_rowspace():
 def test_pivoting_rejects_dependent_rows():
     rows = [0b0011, 0b0101, 0b0110]  # row3 = row1 ^ row2
     with pytest.raises(InvalidInputError):
-        pivoting(rows, stream(52))
+        pivoting(rows, Draws(stream(52).bit_generator))
     assert rows == [0b0011, 0b0101, 0b0110]  # rows are written back only on success
     with pytest.raises(InvalidInputError):
         pivoting_by_rows(rows, stream(52))
@@ -90,11 +90,11 @@ def test_pivoting_draws_are_pinned():
         (3, 7): "cc4ce7e5d0ec39daf6b106d9913a13f1c69e599b80e4dc6df89802679cafe03e",
     }
     for (r, m), pin in pins.items():
-        rng = stream(29)
+        draws = Draws(stream(29).bit_generator)
         rows = rm_generator_matrix(r, m)
         digest = hashlib.sha256()
         for _ in range(2000):
-            pivots = pivoting(rows, rng)
+            pivots = pivoting(rows, draws)
             digest.update(repr((pivots, rows)).encode())
         assert digest.hexdigest() == pin
 
@@ -110,11 +110,11 @@ def test_pivoting_matches_row_list_elimination(rows):
     # the packed elimination against the row-list one, on chained calls:
     # the same draws, the same pivots and the same rows in place
     packed, by_rows = list(rows), list(rows)
-    rng, ref_rng = stream(62), stream(62)
+    draws, ref_rng = Draws(stream(62).bit_generator), stream(62)
     for _ in range(20):
-        assert pivoting(packed, rng) == pivoting_by_rows(by_rows, ref_rng)
+        assert pivoting(packed, draws) == pivoting_by_rows(by_rows, ref_rng)
         assert packed == by_rows
-    assert int(rng.integers(1 << 30)) == int(ref_rng.integers(1 << 30))
+    assert draws.below(1 << 30) == int(ref_rng.integers(1 << 30))
 
 
 # -- reduce ---------------------------------------------------------------------------
@@ -122,8 +122,9 @@ def test_pivoting_matches_row_list_elimination(rows):
 
 def test_reduce_codeword_to_zero():
     rng = stream(53)
+    draws = Draws(rng.bit_generator)
     rows = rm_generator_matrix(2, 4)
-    pivots = pivoting(rows, rng)
+    pivots = pivoting(rows, draws)
     assert reduce(0, rows, pivots) == 0
     for _ in range(100):
         word = 0
@@ -135,10 +136,11 @@ def test_reduce_codeword_to_zero():
 
 def test_reduce_weight_bound_and_coset():
     rng = stream(54)
+    draws = Draws(rng.bit_generator)
     rows = rm_generator_matrix(1, 5)
     plain = tuple(rm_generator_matrix(1, 5))
     for _ in range(500):
-        pivots = pivoting(rows, rng)
+        pivots = pivoting(rows, draws)
         g = int(rng.integers(0, 1 << 32))
         red = reduce(g, rows, pivots)
         assert red.bit_count() <= (1 << 5) - len(rows)  # zero at every pivot
@@ -176,10 +178,11 @@ def test_exact_min_weight_budget():
 
 def test_exact_min_weight_orbit_invariance():
     rng = stream(56)
+    draws = Draws(rng.bit_generator)
     for _ in range(10):
         f = BooleanFunction(5, truth_table=int(rng.integers(0, 1 << 32)))
         w = exact_coset_min_weight(f, 2, 5)
-        sigma = random_affine(5, rng)
+        sigma = random_affine(5, draws)
         assert exact_coset_min_weight(act(f, sigma), 2, 5) == w
 
 

@@ -18,7 +18,7 @@ from rmclass.group import (
     random_affine,
     subgroup_order,
 )
-from rmclass.rng import stream
+from rmclass.rng import Draws, stream
 
 from oracles import (
     act_by_definition,
@@ -28,6 +28,7 @@ from oracles import (
     degree,
     echelon_gf2,
     rank_gf2,
+    random_affine_by_integers,
 )
 
 
@@ -41,11 +42,11 @@ def test_group_order_values():
 
 
 def test_identity_and_compose_inverse():
-    rng = stream(20)
+    draws = Draws(stream(20).bit_generator)
     for m in range(1, 9):
         identity = AffineMap(m, bytes(range(1 << m)))
         for _ in range(100):
-            s = random_affine(m, rng)
+            s = random_affine(m, draws)
             assert compose(s, identity) == s
             assert compose(identity, s) == s
             assert compose(s, s.inverse()) == identity
@@ -55,12 +56,13 @@ def test_identity_and_compose_inverse():
 def test_right_action_law_bruteforce():
     # every m, so the substitution is checked with and without table padding
     rng = stream(21)
+    draws = Draws(rng.bit_generator)
     for m in range(1, 9):
         for _ in range(30):
             tt = int.from_bytes(rng.bytes(32), "little") & ((1 << (1 << m)) - 1)
             f = BooleanFunction(m, truth_table=tt)
-            s = random_affine(m, rng)
-            t = random_affine(m, rng)
+            s = random_affine(m, draws)
+            t = random_affine(m, draws)
             via_compose = act(f, compose(s, t))
             stepwise = act(act(f, s), t)
             assert via_compose == stepwise
@@ -77,10 +79,11 @@ def test_act_examples():
 
 def test_act_roundtrip_inverse():
     rng = stream(22)
+    draws = Draws(rng.bit_generator)
     for m in (3, 5, 7):
         for _ in range(50):
             f = BooleanFunction(m, truth_table=int.from_bytes(rng.bytes((1 << m) // 8), "little"))
-            s = random_affine(m, rng)
+            s = random_affine(m, draws)
             assert act(act(f, s), s.inverse()) == f
 
 
@@ -113,11 +116,11 @@ def test_subgroup_oracle_vs_explicit_closure():
     # for a chain bounded by |AGL(3,2)|, a bound reached only when the
     # closure is the whole group, and for one told the order it is building,
     # which stops closing once its orbit lengths multiply to that order
-    rng = stream(23)
+    draws = Draws(stream(23).bit_generator)
     m = 3
     agl = [g.table for g in enumerate_agl(m)]
     for _ in range(10):
-        gens = [random_affine(m, rng) for _ in range(2)]
+        gens = [random_affine(m, draws) for _ in range(2)]
         closure = {bytes(range(1 << m))}
         frontier = list(closure)
         while frontier:
@@ -173,9 +176,10 @@ def test_affine_pmap_is_the_point_formula():
 
 def test_random_affine_invertible_and_rate():
     rng = stream(24)
+    draws = Draws(rng.bit_generator)
     m = 4
     for _ in range(200):
-        g = random_affine(m, rng)
+        g = random_affine(m, draws)
         assert rank_gf2(tuple(g.rows)) == m
     # acceptance rate of the rejection sampler ~ prod (1 - 2^-i)
     n_try = 20000
@@ -189,17 +193,17 @@ def test_random_affine_invertible_and_rate():
 
 def test_random_affine_uniform_chi_square():
     # 1e6 draws over the 1344 elements of AGL(3,2): every cell within 5 sigma
-    rng = stream(25)
+    draws = Draws(stream(25).bit_generator)
     m = 3
-    draws = 1_000_000
+    n_maps = 1_000_000
     counts = {}
-    for _ in range(draws):
-        g = random_affine(m, rng)
+    for _ in range(n_maps):
+        g = random_affine(m, draws)
         counts[g.pmap] = counts.get(g.pmap, 0) + 1
     assert len(counts) == 1344
     p = 1.0 / 1344
-    mu = draws * p
-    sigma = (draws * p * (1 - p)) ** 0.5
+    mu = n_maps * p
+    sigma = (n_maps * p * (1 - p)) ** 0.5
     worst = max(abs(c - mu) for c in counts.values())
     assert worst <= 5 * sigma, f"worst deviation {worst} > 5 sigma {5 * sigma}"
 
@@ -212,18 +216,27 @@ def test_random_affine_draws_are_pinned():
         6: "f1ac33e7b7147ff86a260504cf2de62d006dd9cd7763f0ba4aabf1cff3696f05",
     }
     for m, pin in pins.items():
-        rng = stream(28)
-        pmaps = b"".join(random_affine(m, rng).pmap for _ in range(2000))
+        draws = Draws(stream(28).bit_generator)
+        pmaps = b"".join(random_affine(m, draws).pmap for _ in range(2000))
         assert hashlib.sha256(pmaps).hexdigest() == pin
+
+
+def test_random_affine_matches_integers_oracle():
+    # Draws gives the maps that Generator.integers calls on the same stream do
+    for m in range(1, 9):
+        draws, ref = Draws(stream(m).bit_generator), stream(m)
+        for _ in range(300):
+            assert random_affine(m, draws) == random_affine_by_integers(m, ref)
 
 
 def test_act_is_linear_bijection_on_quotient():
     # acting then reducing is additive and invertible on B(s,t,m) mod RM(s-1)
     rng = stream(26)
+    draws = Draws(rng.bit_generator)
     for m in (4, 6):
         s_val, t_val = 2, m - 1
         basis = masks_in_range(m, s_val, t_val)
-        sigma = random_affine(m, rng)
+        sigma = random_affine(m, draws)
         for _ in range(50):
             a1 = 0
             a2 = 0
@@ -242,11 +255,11 @@ def test_act_is_linear_bijection_on_quotient():
 def test_serialization_round_trip_and_format():
     # maps drawn directly and built by compose and inverse; the second
     # serialize call returns the text cached by the first
-    rng = stream(27)
+    draws = Draws(stream(27).bit_generator)
     for m in range(1, 9):
         for _ in range(50):
-            a = random_affine(m, rng)
-            for g in (a, compose(a, random_affine(m, rng)), a.inverse()):
+            a = random_affine(m, draws)
+            for g in (a, compose(a, random_affine(m, draws)), a.inverse()):
                 text = g.serialize()
                 assert text == affine_text_by_formula(g)
                 assert g.serialize() == text
