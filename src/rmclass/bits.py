@@ -59,12 +59,17 @@ def space_dimension(m: int, s: int, t: int) -> int:
     return sum(comb(m, k) for k in range(max(s, 0), min(t, m) + 1))
 
 
+@lru_cache(maxsize=None)
+def hex_spec(nbits: int) -> str:
+    """The format spec of an nbits-wide vector in hex: max(1, nbits/4) digits."""
+    return f"0{max(1, nbits // 4)}x"
+
+
 def hex_of_bits(value: int, nbits: int) -> str:
     """Lowercase hex of an nbits-wide vector, least significant digit last."""
-    ndigits = max(1, nbits // 4)
     if value < 0 or value >> nbits:
         raise InvalidInputError(f"value does not fit in {nbits} bits")
-    return format(value, f"0{ndigits}x")
+    return format(value, hex_spec(nbits))
 
 
 def bits_of_hex(text: str, nbits: int) -> int:

@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .bits import bits_of_hex, degree_mask, hex_of_bits, masks_of_degree, space_dimension
+from .bits import bits_of_hex, degree_mask, hex_spec, masks_of_degree, space_dimension
 from .bfcore import MAX_M, BooleanFunction, monomial_truth_table
 from .errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
 from .group import (
@@ -72,11 +72,10 @@ class ClassRecord:
         return self.rep.m
 
     def to_line(self) -> str:
-        # rep.anf has 2^m bits by construction, so no width check here
-        width = max(1, (1 << self.m) // 4)
-        fields = [f"{self.level} {self.rep.anf:0{width}x} {self.stab_order} {len(self.stab_gens)}"]
-        fields.extend(g.serialize() for g in self.stab_gens)
-        return " ".join(fields)
+        # rep.anf has 2^m bits by construction, so anf_hex's width check is skipped
+        spec = hex_spec(1 << self.rep.m)
+        head = f"{self.level} {self.rep.anf:{spec}} {self.stab_order} {len(self.stab_gens)}"
+        return " ".join([head, *[g.serialize() for g in self.stab_gens]])
 
     @classmethod
     def from_line(
@@ -107,6 +106,8 @@ class BoundaryAction:
     columnwise on the monomial basis and folded into one XOR table per byte
     of the form index, 2^min(8, dim - 8c) entries for byte c; the shift
     hom_r(f o g + f) is one constant, folded into the first byte's table.
+    The columns depend on g and r only (see _StepAction); the shift, and
+    the refusal of a g outside the level-r stabilizer of f, are per context.
     """
 
     def __init__(self, f: BooleanFunction, r: int, gens: Sequence[AffineMap]):
@@ -119,7 +120,7 @@ class BoundaryAction:
         self.dim = len(self.monomials)
         self.index = {mask: i for i, mask in enumerate(self.monomials)}
         self.gens = list(gens)
-        self._fwd = [self._tables_for(g) for g in self.gens]
+        self._fwd = [self._tables_for(gi, g) for gi, g in enumerate(self.gens)]
         self._np_fwd = [[np.array(t, dtype=np.int64) for t in tabs] for tabs in self._fwd]
 
     @cached_property
@@ -158,18 +159,15 @@ class BoundaryAction:
 
     # -- action tables ----------------------------------------------------
 
-    def _tables_for(self, g: AffineMap) -> List[List[int]]:
+    def _tables_for(self, gi: int, g: AffineMap) -> List[List[int]]:
         if g.m != self.m:
-            raise InvalidInputError("generator has wrong m")
+            raise InvalidInputError(f"generator {gi} has wrong m")
         pmap = g.pmap
-        cols = [
-            self.anf_to_form(substitute_anf(monomial_truth_table(mask, self.m), pmap))
-            for mask in self.monomials
-        ]
+        cols = self._columns_for(pmap)
         shifted = substitute_anf(self.f.truth_table, pmap) ^ self.f.anf
         if shifted & degree_mask(self.m, self.r + 1, self.m):
             raise InvalidInputError(
-                "map is not in the level-%d stabilizer of the representative" % self.r
+                f"generator {gi} is not in the level-{self.r} stabilizer of the representative"
             )
         delta = self.anf_to_form(shifted)
         tables = []
@@ -179,6 +177,13 @@ class BoundaryAction:
                 tab += [v ^ col for v in tab]
             tables.append(tab)
         return tables
+
+    def _columns_for(self, pmap: bytes) -> List[int]:
+        """The linear part's columns: hom_r(x^S o g) for each degree-r S."""
+        return [
+            self.anf_to_form(substitute_anf(monomial_truth_table(mask, self.m), pmap))
+            for mask in self.monomials
+        ]
 
     # -- applying the action ---------------------------------------------
 
@@ -197,6 +202,25 @@ class BoundaryAction:
         for c in range(1, len(tables)):
             acc ^= tables[c].take(by_byte[:, c])
         return acc
+
+
+class _StepAction(BoundaryAction):
+    """The BoundaryAction of one parent in a descent step.  Its columns come
+    from the dict that the step's contexts share (pmap -> columns), and the
+    first context with a generator fills its entry, so each distinct
+    generator's columns are computed once per step.  BoundaryAction keeps
+    its (f, r, gens) constructor, by which perfbench's tracer names the
+    tables span."""
+
+    def __init__(self, f: BooleanFunction, r: int, gens: Sequence[AffineMap], columns: dict):
+        self._columns = columns
+        super().__init__(f, r, gens)
+
+    def _columns_for(self, pmap: bytes) -> List[int]:
+        cols = self._columns.get(pmap)
+        if cols is None:
+            cols = self._columns[pmap] = super()._columns_for(pmap)
+        return cols
 
 
 # -- orbit enumeration ------------------------------------------------------
@@ -515,8 +539,10 @@ def descend_iter(
     fix-checked by table lookups (_check_inherited_fix), and every other
     orbit is harvested and fix-checked by substitution (_check_record_fix).
 
-    An InternalConsistencyError from the sweep, the class formula, the
-    harvest or the fix check is re-raised naming the level and the parent.
+    The step's contexts share their columns (_StepAction).  An
+    InvalidInputError from a parent's context, or an InternalConsistencyError
+    from the sweep, the class formula, the harvest or the fix check, is
+    re-raised naming the level and the parent.
     """
     if not records:
         raise InvalidInputError("cannot descend from an empty classification")
@@ -524,15 +550,15 @@ def descend_iter(
     if r < 0:
         raise InvalidInputError("already at level -1; nothing to descend")
     space = degree_mask(records[0].m, r + 1, k)
+    columns: Dict[bytes, List[int]] = {}  # one step's boundary columns, by generator
     for idx, rec in enumerate(records):
         if rec.level != r:
             raise InvalidInputError("records from mixed levels")
-        if rec.rep.anf & ~space:
-            parent = hex_of_bits(rec.rep.anf, 1 << rec.m)
-            raise InvalidInputError(f"level {r} parent {parent}: outside B({r + 1},{k},{rec.m})")
-        ctx = BoundaryAction(rec.rep, r, rec.stab_gens)
         trusted = rec.certified
         try:
+            if rec.rep.anf & ~space:
+                raise InvalidInputError(f"outside B({r + 1},{k},{rec.m})")
+            ctx = _StepAction(rec.rep, r, rec.stab_gens, columns)
             children = []
             for seed, size in orbit_enumerate(ctx):
                 child_order = stab_order_from_class_formula(rec.stab_order, size)
@@ -548,9 +574,9 @@ def descend_iter(
                 child = ClassRecord(r - 1, child_rep, child_order, gens)
                 child.certified = True
                 children.append(child)
-        except InternalConsistencyError as err:
-            parent = hex_of_bits(rec.rep.anf, 1 << rec.m)
-            raise InternalConsistencyError(f"level {r} parent {parent}: {err}") from err
+        except (InvalidInputError, InternalConsistencyError) as err:
+            parent = rec.rep.anf_hex()
+            raise type(err)(f"level {r} parent {parent}: {err}") from err
         yield idx, rec, children
 
 

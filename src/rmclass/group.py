@@ -17,10 +17,11 @@ t.pmap.translate(s.table).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterable, List, Sequence
 
-from .bits import pivots_gf2
+from .bits import hex_of_bits, pivots_gf2
 from .errors import InvalidInputError
 from .bfcore import BooleanFunction, mobius
 from .rng import Draws
@@ -66,6 +67,12 @@ def substitute(tt: int, pmap: bytes) -> int:
 def substitute_anf(tt: int, pmap: bytes) -> int:
     """ANF of f o s from the truth table of f: substitute, then Moebius."""
     return mobius(substitute(tt, pmap), len(pmap))
+
+
+@lru_cache(maxsize=None)
+def _hex_fields(m: int) -> tuple:
+    """The record text of every m-bit value, as hex_of_bits(v, m) writes it."""
+    return tuple(hex_of_bits(v, m) for v in range(1 << m))
 
 
 class AffineMap:
@@ -122,10 +129,13 @@ class AffineMap:
 
     def serialize(self) -> str:
         """Hex fields 'row_{m-1}:...:row_0:translation' (most significant row
-        first).  Computed once per map: pmap is never reassigned."""
+        first), each read from _hex_fields(m).  Computed once per map: pmap
+        is never reassigned."""
         if self._text is None:
-            spec = f"0{max(1, self.m // 4)}x"
-            fields = [format(v, spec) for v in (*reversed(self.rows), self.translation)]
+            hexes, pmap = _hex_fields(self.m), self.pmap
+            b = pmap[0]  # the translation; row i is pmap[e_i] ^ b
+            fields = [hexes[pmap[1 << i] ^ b] for i in range(self.m - 1, -1, -1)]
+            fields.append(hexes[b])
             self._text = ":".join(fields)
         return self._text
 

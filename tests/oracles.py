@@ -104,6 +104,20 @@ def affine_text_by_formula(s: AffineMap) -> str:
     return ":".join(fields)
 
 
+def record_line_by_formula(rec) -> str:
+    """Record text field by field: the level, the representative through
+    hex_of_bits, the stabilizer order, the generator count, then each
+    generator through affine_text_by_formula."""
+    fields = [
+        format(rec.level, "d"),
+        hex_of_bits(rec.rep.anf, 1 << rec.rep.m),
+        format(rec.stab_order, "d"),
+        format(len(rec.stab_gens), "d"),
+    ]
+    fields.extend(affine_text_by_formula(g) for g in rec.stab_gens)
+    return " ".join(fields)
+
+
 def reduce_anf(anf: int, m: int, r: int) -> int:
     """Clear coefficients of degree <= r."""
     out = 0

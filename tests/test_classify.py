@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -27,11 +28,13 @@ from rmclass.classify import (
     stab_order_from_class_formula,
     top_record,
     verify_level_mass,
+    _StepAction,
 )
 from rmclass.cli import read_level_file, write_level_file
 
 from rmclass.errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
 from rmclass.group import (
+    AffineMap,
     act,
     generators_stu,
     group_order,
@@ -47,6 +50,7 @@ from oracles import (
     generator_set_by_chain,
     orbit_partition_by_action,
     orbit_partition_bruteforce,
+    record_line_by_formula,
     reduce_anf,
     stabilizer_order_bruteforce,
     valuation,
@@ -112,8 +116,72 @@ def test_boundary_action_rejects_non_stabilizer():
             bad = g
             break
     assert bad is not None
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="generator 0 is not in the level-1 stabilizer"):
         BoundaryAction(f, 1, [bad])
+
+
+def _moved_by_e1(records):
+    """The first record whose representative holds x1x2x3x4 and has a
+    generator, with its last generator replaced by the translation
+    x -> x + e1, which moves x1x2x3x4 by x2x3x4; and that generator's index."""
+    rec = next(rec for rec in records if rec.rep.anf >> X(1, 2, 3, 4) & 1 and rec.stab_gens)
+    e1 = AffineMap(rec.m, bytes(x ^ 1 for x in range(1 << rec.m)))
+    gens = rec.stab_gens[:-1] + [e1]
+    return ClassRecord(rec.level, rec.rep, rec.stab_order, gens), len(gens) - 1
+
+
+def test_descent_names_the_generator_outside_the_stabilizer():
+    # a level-2 record of B(3,4,4) with a generator that moves its
+    # representative above degree 2: the refusal names the level, the
+    # parent and the generator, after the parents before it descended
+    records = classify_space(3, 4, 4)
+    bad, gi = _moved_by_e1(records)
+    idx = records.index(next(rec for rec in records if rec.rep == bad.rep))
+    steps = descend_iter(records[:idx] + [bad], 4)
+    assert [i for i, _parent, _children in itertools.islice(steps, idx)] == list(range(idx))
+    with pytest.raises(InvalidInputError) as err:
+        next(steps)
+    parent = hex_of_bits(bad.rep.anf, 1 << 4)
+    assert str(err.value) == (
+        f"level 2 parent {parent}: generator {gi} is not in the level-2 stabilizer "
+        "of the representative"
+    )
+
+
+def test_shared_columns_keep_the_per_parent_shift_check():
+    # one translation object on two level-2 parents of one step.  It fixes
+    # x1x2x3 above degree 2, and the first parent computes its columns; it
+    # moves x1x2x3x4 by x2x3x4, so the second parent, whose columns come
+    # from the step's dict, must still be refused by name
+    e1 = AffineMap(4, bytes(x ^ 1 for x in range(16)))
+    first = ClassRecord(2, BooleanFunction(4, anf=1 << X(1, 2, 3)), 2, [e1])
+    second = ClassRecord(2, BooleanFunction(4, anf=1 << X(1, 2, 3, 4)), 2, [e1])
+    steps = descend_iter([first, second], 4)
+    idx, _parent, children = next(steps)
+    assert idx == 0 and len(children) == 32
+    with pytest.raises(InvalidInputError) as err:
+        next(steps)
+    assert str(err.value) == (
+        "level 2 parent 8000: generator 0 is not in the level-2 stabilizer of the representative"
+    )
+
+
+def test_shared_columns_give_the_tables_of_fresh_contexts():
+    # every step of B(0,3,6): the contexts of one level built as
+    # descend_iter builds them, sharing one columns dict, against contexts
+    # that build their own.  Children inherit their parents' lists, so the
+    # dict holds fewer entries than the level has generators.
+    shared_total = gens_total = 0
+    for _s, records in classify_levels(0, 3, 6):
+        if records[0].level < 0:
+            break
+        columns = {}
+        shared = [_StepAction(rec.rep, rec.level, rec.stab_gens, columns) for rec in records]
+        fresh = [BoundaryAction(rec.rep, rec.level, rec.stab_gens) for rec in records]
+        assert [ctx._fwd for ctx in shared] == [ctx._fwd for ctx in fresh]
+        shared_total += len(columns)
+        gens_total += sum(len(rec.stab_gens) for rec in records)
+    assert shared_total < gens_total
 
 
 # -- orbit enumeration ----------------------------------------------------------
@@ -681,6 +749,8 @@ def test_classify_records_golden_bytes():
     golden = {
         (1, 4, 5): (118, "b8d0fc2be5fa2e18bebb345c82d358445231863b754ab74f913f5e656b06f224"),
         (3, 4, 6): (34, "9d54f3b3f31accd164e5df5366e2f8d5ab1d9770d6bcd55c8d1088c862c8b399"),
+        # the r = 1 and r = 0 steps, where children inherit their parents' lists
+        (0, 3, 6): (205, "090f6b4876f5fa423e4e50b136ccf4d6bce1a7cf012a611e80b16829ff54a49f"),
     }
     for (s, t, m), (count, digest) in golden.items():
         records = classify_space(s, t, m)
@@ -694,6 +764,27 @@ def test_stab_histogram():
     records = classify_space(2, 4, 4)
     hist = stab_histogram(records)
     assert sum(hist.values()) == len(records)
+
+
+def test_record_line_matches_the_formula():
+    # to_line against the field-by-field oracle for m = 1..8, on records
+    # with 0, 1 and 5 generators, serialized fresh and then from each map's
+    # kept text.  The edges: 1-digit representatives at m = 1 and 2, and at
+    # m = 8 a 64-digit representative with 2-digit generator fields.
+    draws = Draws(stream(41).bit_generator)
+    for m in range(1, 9):
+        n = 1 << m
+        drawn = sum(draws.below(1 << 16) << (16 * i) for i in range(-(-n // 16))) % (1 << n)
+        for anf in (0, (1 << n) - 1, drawn):
+            for ngens in (0, 1, 5):
+                gens = [random_affine(m, draws) for _ in range(ngens)]
+                rec = ClassRecord(m // 2 - 1, BooleanFunction(m, anf=anf), group_order(m), gens)
+                line = rec.to_line()
+                assert line == record_line_by_formula(rec) == rec.to_line()
+                fields = line.split()
+                assert len(fields[1]) == {1: 1, 2: 1, 8: 64}.get(m, n // 4)
+                if m == 8:
+                    assert all(len(v) == 2 for text in fields[4:] for v in text.split(":"))
 
 
 def test_record_line_round_trip():

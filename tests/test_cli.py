@@ -661,6 +661,30 @@ def test_level_file_with_an_order_not_dividing_agl_is_refused(tmp_path, capsys):
     assert f"{path}:" in captured.err and "368641 does not divide" in captured.err
 
 
+def test_resume_names_the_generator_outside_the_stabilizer(tmp_path, capsys):
+    # a level-2 generator replaced by the translation x -> x + e1, which
+    # moves x1x2x3x4 by x2x3x4: the file keeps its mass, so it reads, and
+    # the resumed descent refuses that parent by level, parent and generator
+    out = tmp_path / "run"
+    assert run("classify", "--m", 4, "--s", 1, "--t", 4, "--out", out) == 0
+    path = out / "level_2.txt"
+    header, *lines = path.read_text().splitlines(keepends=True)
+    row = next(i for i, ln in enumerate(lines)
+               if not ln.startswith("#") and int(ln.split()[1], 16) >> 15 and ln.split()[4:])
+    fields = lines[row].split()
+    gi = len(fields) - 5
+    fields[-1] = "8:4:2:1:1"
+    lines[row] = " ".join(fields) + "\n"
+    path.write_text(header + "".join(lines))
+    (out / "level_1.txt").unlink()
+    capsys.readouterr()
+    argv = ["classify", "--m", 4, "--s", 1, "--t", 4, "--out", out, "--resume"]
+    assert run(*argv) == InvalidInputError.exit_code
+    err = capsys.readouterr().err
+    assert (f"level 2 parent {fields[1]}: generator {gi} is not in the level-2 stabilizer "
+            "of the representative") in err
+
+
 def test_resume_redoes_a_corrupt_level_file(tmp_path):
     # a level file whose record does not parse is treated as absent
     _resume_redoes_level_2_of_b244(tmp_path, _corrupt_first_anf)
