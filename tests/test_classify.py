@@ -120,31 +120,24 @@ def test_boundary_action_rejects_non_stabilizer():
         BoundaryAction(f, 1, [bad])
 
 
-def _moved_by_e1(records):
-    """The first record whose representative holds x1x2x3x4 and has a
-    generator, with its last generator replaced by the translation
-    x -> x + e1, which moves x1x2x3x4 by x2x3x4; and that generator's index."""
-    rec = next(rec for rec in records if rec.rep.anf >> X(1, 2, 3, 4) & 1 and rec.stab_gens)
-    e1 = AffineMap(rec.m, bytes(x ^ 1 for x in range(1 << rec.m)))
-    gens = rec.stab_gens[:-1] + [e1]
-    return ClassRecord(rec.level, rec.rep, rec.stab_order, gens), len(gens) - 1
-
-
 def test_descent_names_the_generator_outside_the_stabilizer():
-    # a level-2 record of B(3,4,4) with a generator that moves its
-    # representative above degree 2: the refusal names the level, the
-    # parent and the generator, after the parents before it descended
+    # a level-2 record of B(3,4,4) whose last generator becomes the
+    # translation x -> x + e1, which moves x1x2x3x4 by x2x3x4: the refusal
+    # names the level, the parent and the generator, after the parents
+    # before it descended
     records = classify_space(3, 4, 4)
-    bad, gi = _moved_by_e1(records)
-    idx = records.index(next(rec for rec in records if rec.rep == bad.rep))
+    idx = next(i for i, rec in enumerate(records)
+               if rec.rep.anf >> X(1, 2, 3, 4) & 1 and rec.stab_gens)
+    rec = records[idx]
+    e1 = AffineMap(4, bytes(x ^ 1 for x in range(16)))
+    bad = ClassRecord(2, rec.rep, rec.stab_order, rec.stab_gens[:-1] + [e1])
     steps = descend_iter(records[:idx] + [bad], 4)
     assert [i for i, _parent, _children in itertools.islice(steps, idx)] == list(range(idx))
     with pytest.raises(InvalidInputError) as err:
         next(steps)
-    parent = hex_of_bits(bad.rep.anf, 1 << 4)
     assert str(err.value) == (
-        f"level 2 parent {parent}: generator {gi} is not in the level-2 stabilizer "
-        "of the representative"
+        f"level 2 parent {rec.rep.anf_hex()}: generator {len(rec.stab_gens) - 1} is not in "
+        "the level-2 stabilizer of the representative"
     )
 
 
