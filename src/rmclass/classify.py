@@ -484,13 +484,16 @@ def _closure(elements: Set[bytes], gens: Sequence[bytes], cap: int) -> Set[bytes
 
 def level_cell(records: Sequence[ClassRecord]) -> Tuple[int, int, int]:
     """(m, L, t) of the space B(L+1,t,m) whose orbits one level's records are:
-    they share m and L, every stab_order divides |AGL(m,2)|, and their mass,
-    the sum of |AGL(m,2)| / stab_order, is 2^dim B(L+1,t,m) for a t >= L+1.
-    The dimension grows with t, so at most one t matches, and every
+    they share m and an L >= -1, their representatives are distinct, every
+    stab_order divides |AGL(m,2)|, and their mass, the sum of
+    |AGL(m,2)| / stab_order, is 2^dim B(L+1,t,m) for a t >= L+1.  The
+    dimension grows with t, so at most one t matches, and every
     representative must lie in that B(L+1,t,m)."""
     if not records:
         raise InternalConsistencyError("empty classification level")
     m, level = records[0].m, records[0].level
+    if level < -1:
+        raise InternalConsistencyError(f"level {level} is below -1")
     order = group_order(m)
     mass = support = 0
     for rec in records:
@@ -502,6 +505,8 @@ def level_cell(records: Sequence[ClassRecord]) -> Tuple[int, int, int]:
                 f"stabilizer order {rec.stab_order} does not divide the group order"
             )
         mass += order // rec.stab_order
+    if len({rec.rep.anf for rec in records}) != len(records):
+        raise InternalConsistencyError(f"a level-{level} representative appears twice")
     for t in range(level + 1, m + 1):
         if mass == 1 << space_dimension(m, level + 1, t):
             if support & ~degree_mask(m, level + 1, t):

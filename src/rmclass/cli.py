@@ -5,8 +5,8 @@ classify writes its level files and a flat key=value manifest into --out;
 the other subcommands print their results.  Result files contain no
 timestamps, so re-running with the same manifest settings reproduces them
 byte for byte.  Long classifications checkpoint after every parent
-representative and can be resumed with --resume.  A level file goes into
-place only once its class count equals the Burnside count of its cell.
+representative and can be resumed with --resume.  A level, computed or
+loaded by --resume, is kept only once it passes _certify_level.
 
 The one writer and the one parser of record files live here.  A level file
 is a `# rmclass m=<m> level=<L>` header, one line per record and a
@@ -40,7 +40,6 @@ from .classify import (
     level_cell,
     stab_histogram,
     top_record,
-    verify_level_mass,
 )
 from .covrad import check_level, covering_radius_bound
 from .errors import (
@@ -265,15 +264,10 @@ def cmd_classify(args) -> int:
         for r in range(t - 1, target - 1, -1):
             try:
                 loaded = read_level_file(out / f"level_{r}.txt")
-            except (InvalidInputError, DependencyMissingError):
-                break
-            if level_cell(loaded) != (m, r, t):  # a file of another m, level or t is redone
-                break
-            # from the file, since the old manifest may be a later run's
-            try:
-                manifest.update(_level_keys(records, loaded))
-            except KeyError:  # a child of no parent: not this run's level above, redone
-                break
+                # from the file, since the old manifest may be a later run's
+                manifest.update(_certify_level(records, loaded, t))
+            except (InvalidInputError, DependencyMissingError, InternalConsistencyError):
+                break  # a level file a fresh run would not keep is redone, from here down
             records, level = loaded, r
         _log(args, f"resuming at level {level} with {len(records)} records")
 
@@ -302,23 +296,12 @@ def cmd_classify(args) -> int:
                 now = time.monotonic()
                 if now - shown >= 1 or idx + 1 == len(todo):
                     shown, rate = now, (idx + 1) / max(now - t0, 1e-9)
-                    print(
-                        f"level {level - 1}: parent {real_idx + 1}/{len(parents)}, "
-                        f"{len(out_records)} records, {now - t0:.1f}s, {rate:.1f} parents/s, "
-                        f"ETA {(len(todo) - idx - 1) / rate:.1f}s",
-                        file=sys.stderr, flush=True,
-                    )
-            verify_level_mass(out_records, t)
-            # an independent count, before the level file goes into place
-            expected = burnside_count(level, t, m)
-            if len(out_records) != expected:
-                raise InternalConsistencyError(
-                    f"level {level - 1}: {len(out_records)} classes, but the Burnside "
-                    f"count of B({level},{t},{m}) is {expected}"
-                )
+                    _log(args, f"level {level - 1}: parent {real_idx + 1}/{len(parents)}, "
+                         f"{len(out_records)} records, {now - t0:.1f}s, {rate:.1f} parents/s, "
+                         f"ETA {(len(todo) - idx - 1) / rate:.1f}s")
+            manifest.update(_certify_level(parents, out_records, t))
             records = out_records
             level -= 1
-            manifest.update(_level_keys(parents, records))
             # the manifest first, so that every level file in place has its keys
             _write_manifest(manifest_path, manifest)
             ckpt.finish(len(records), out / f"level_{level}.txt")
@@ -335,15 +318,31 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _level_keys(parents: Sequence[ClassRecord], records: Sequence[ClassRecord]) -> dict:
-    """The manifest keys of a level from its records and their parents:
-    the counts, the children whose stabilizer is their parent's (orbits of
-    size 1) and the stabilizer histogram.  A child's part above degree L+1
-    is its parent's representative, as in _Checkpoint.load; a child whose
-    part is no parent's raises KeyError."""
-    m, level = records[0].m, records[0].level
+def _certify_level(
+    parents: Sequence[ClassRecord], records: Sequence[ClassRecord], t: int
+) -> dict:
+    """The manifest keys of the level L below parents, once its records,
+    computed or loaded, pass the one certificate classify keeps a level by:
+    level_cell finds them a whole level of B(L+1,t,m), their number is the
+    Burnside count of that space, an independent count, and each child's
+    part above degree L+1 is a parent's representative, as in
+    _Checkpoint.load.  A failure raises InternalConsistencyError naming L.
+    The keys are the counts, the children whose stabilizer is their
+    parent's (orbits of size 1) and the stabilizer histogram."""
+    m, level = parents[0].m, parents[0].level - 1
     high = degree_mask(m, level + 2, m)
     parent_order = {parent.rep.anf: parent.stab_order for parent in parents}
+    try:
+        if level_cell(records) != (m, level, t):
+            raise InternalConsistencyError(f"no classification of B({level + 1},{t},{m})")
+        expected = burnside_count(level + 1, t, m)
+        if len(records) != expected:
+            raise InternalConsistencyError(f"{len(records)} classes, but the Burnside "
+                                           f"count of B({level + 1},{t},{m}) is {expected}")
+        if any(rec.rep.anf & high not in parent_order for rec in records):
+            raise InternalConsistencyError("a representative is the child of no parent")
+    except InternalConsistencyError as err:
+        raise InternalConsistencyError(f"level {level}: {err}") from err
     return {
         f"level_{level}_parents": len(parents),
         f"level_{level}_count": len(records),

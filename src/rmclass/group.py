@@ -106,15 +106,6 @@ class AffineMap:
             raise InvalidInputError("a matrix row or the translation does not fit in m bits")
         return cls(m, _affine_pmap(rows, translation))
 
-    @property
-    def translation(self) -> int:
-        return self.pmap[0]
-
-    @property
-    def rows(self) -> List[int]:
-        b = self.pmap[0]
-        return [self.pmap[1 << i] ^ b for i in range(self.m)]
-
     def inverse(self) -> "AffineMap":
         return AffineMap(self.m, _invert_perm(self.pmap)[: 1 << self.m])
 

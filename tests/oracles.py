@@ -78,6 +78,17 @@ def compose(a: AffineMap, b: AffineMap) -> AffineMap:
     return AffineMap(a.m, bytes(a.pmap[b.pmap[x]] for x in range(1 << a.m)))
 
 
+def affine_rows(s: AffineMap) -> list:
+    """The matrix rows of x -> xA + b: row i is the image of e_i minus b."""
+    b = s.pmap[0]
+    return [s.pmap[1 << i] ^ b for i in range(s.m)]
+
+
+def affine_translation(s: AffineMap) -> int:
+    """The translation b of x -> xA + b, the image of 0."""
+    return s.pmap[0]
+
+
 def affine_image(rows, b: int, x: int) -> int:
     """xA + b through coordinates: b plus row i for every bit i of x."""
     y = b
@@ -89,7 +100,7 @@ def affine_image(rows, b: int, x: int) -> int:
 
 def act_by_definition(f: BooleanFunction, s: AffineMap) -> BooleanFunction:
     """Evaluate f(sigma(x)) pointwise through coordinates."""
-    rows, b = s.rows, s.translation
+    rows, b = affine_rows(s), affine_translation(s)
     tt = 0
     for x in range(1 << f.m):
         tt |= ((f.truth_table >> affine_image(rows, b, x)) & 1) << x
@@ -99,8 +110,8 @@ def act_by_definition(f: BooleanFunction, s: AffineMap) -> BooleanFunction:
 def affine_text_by_formula(s: AffineMap) -> str:
     """Record text of a map field by field: its matrix rows, most significant
     first, then its translation, each through hex_of_bits."""
-    fields = [hex_of_bits(r, s.m) for r in reversed(s.rows)]
-    fields.append(hex_of_bits(s.translation, s.m))
+    fields = [hex_of_bits(r, s.m) for r in reversed(affine_rows(s))]
+    fields.append(hex_of_bits(affine_translation(s), s.m))
     return ":".join(fields)
 
 
@@ -366,7 +377,7 @@ def gl_conjugacy_classes_bruteforce(m: int):
                 rows = list(units)
                 rows[i] ^= units[j]
                 transvections.append(tuple(rows))
-    unseen = {tuple(g.rows) for g in enumerate_agl(m) if g.translation == 0}
+    unseen = {tuple(affine_rows(g)) for g in enumerate_agl(m) if affine_translation(g) == 0}
     orbits = []
     while unseen:
         start = min(unseen)

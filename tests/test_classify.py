@@ -724,6 +724,21 @@ def test_level_cell_finds_the_cell_of_every_level():
         verify_level_mass(records, 3)
 
 
+def test_level_cell_refuses_a_level_below_minus_1_or_a_repeated_representative():
+    # the zero class at level -2 has the mass 1 of "B(-1,-1,3)", but no level
+    # lies below -1, the level of B(0,t,m)
+    with pytest.raises(InternalConsistencyError, match="level -2 is below -1"):
+        level_cell([ClassRecord(-2, BooleanFunction.zero(3), group_order(3), [])])
+    # the level-1 class 0240 of B(2,4,4) twice at twice its order keeps the
+    # level's mass, and would count 9 classes where there are 8
+    records = classify_space(2, 4, 4)
+    rec = records[2]
+    twice = ClassRecord(1, rec.rep, 2 * rec.stab_order, rec.stab_gens)
+    assert level_cell(records) == (4, 1, 4)
+    with pytest.raises(InternalConsistencyError, match="level-1 representative appears twice"):
+        level_cell(records[:2] + [twice, twice] + records[3:])
+
+
 def test_rerun_with_different_work_order_matches():
     base = classify_space(2, 4, 5)
     start = top_record(5, 4)

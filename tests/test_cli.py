@@ -8,7 +8,7 @@ import pytest
 import rmclass.cli as cli
 from rmclass.bits import degree_mask
 from rmclass.classify import (
-    BoundaryAction, classify_space, descend_iter, stab_histogram, top_record
+    BoundaryAction, ClassRecord, classify_space, descend_iter, stab_histogram, top_record
 )
 from rmclass.cli import read_level_file, write_level_file
 from rmclass.errors import (
@@ -659,6 +659,66 @@ def test_level_file_with_an_order_not_dividing_agl_is_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{path}:" in captured.err and "368641 does not divide" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stab-hist", "--records", "{path}"],
+    ["distance", "--r", 1, "--reps", "{path}", "--threshold", 0, "--seed", 1],
+], ids=["stab-hist", "distance"])
+@pytest.mark.parametrize("make", ["below-1", "twice"])
+def test_level_file_below_level_minus_1_or_with_a_repeated_class_is_refused(
+    tmp_path, capsys, argv, make
+):
+    # the zero class at level -2 covers "B(-1,-1,3)" by its mass, and 0240
+    # twice in the level-1 file of B(2,4,4) keeps its mass: read without
+    # level_cell's refusals, the first certifies the covering radius of
+    # RM(1,3) as 0 and the second counts 9 classes where there are 8.  The
+    # refusal names the line of the trailer, where level_cell runs
+    path = tmp_path / "level.txt"
+    if make == "below-1":
+        path.write_text("# rmclass m=3 level=-2\n-2 00 1344 0\n# complete 1\n")
+        line, why = 3, "level -2 is below -1"
+    else:
+        assert run("classify", "--m", 4, "--s", 2, "--t", 4, "--out", tmp_path) == 0
+        path = tmp_path / "level_1.txt"
+        records = read_level_file(path)
+        records[2].stab_order *= 2  # class 0240, 11520 -> 23040
+        write_level_file(path, records[:3] + records[2:])
+        line, why = 11, "a level-1 representative appears twice"
+    capsys.readouterr()
+    argv = [str(a).format(path=path) for a in argv]
+    assert run(*argv, "--out", tmp_path) == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:{line}: {why}" in captured.err
+
+
+def test_resume_redoes_a_level_file_with_the_wrong_number_of_classes(tmp_path, capsys):
+    # class 0240 of the level-1 file of B(2,4,4) at twice its order, and
+    # 0248 = 0240 + x1x2 added at that order, keep the mass; every
+    # representative is distinct and a child of a level-2 one, so the file
+    # reads.  Its 9 classes are not the Burnside count 8 of B(2,4,4), the
+    # certificate a computed level meets, so --resume redoes the level
+    argv = ["classify", "--m", 4, "--s", 2, "--t", 4, "--out", tmp_path]
+    assert run(*argv) == 0
+    fresh_out = capsys.readouterr().out
+    path = tmp_path / "level_1.txt"
+    fresh = path.read_bytes()
+    records = read_level_file(path)
+    rec = records[2]
+    assert (rec.rep.anf_hex(), rec.stab_order) == ("0240", 11520)
+    rec.stab_order *= 2
+    extra = ClassRecord(1, type(rec.rep)(4, anf=rec.rep.anf ^ 1 << 0b0011), rec.stab_order, [])
+    assert extra.rep.anf_hex() == "0248"
+    write_level_file(path, records[:3] + [extra] + records[3:])
+    tampered = read_level_file(path)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^level 1: 9 classes, but the Burnside count of B\(2,4,4\) is 8$"):
+        cli._certify_level(read_level_file(tmp_path / "level_2.txt"), tampered, 4)
+    assert run(*argv, "--resume") == 0
+    assert capsys.readouterr().out == fresh_out
+    assert path.read_bytes() == fresh
+    assert cli._read_manifest(tmp_path / "manifest.txt")["level_1_count"] == "8"
 
 
 def test_resume_names_the_generator_outside_the_stabilizer(tmp_path, capsys):

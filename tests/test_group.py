@@ -23,6 +23,7 @@ from rmclass.rng import Draws, stream
 from oracles import (
     act_by_definition,
     affine_image,
+    affine_rows,
     affine_text_by_formula,
     compose,
     degree,
@@ -180,7 +181,7 @@ def test_random_affine_invertible_and_rate():
     m = 4
     for _ in range(200):
         g = random_affine(m, draws)
-        assert rank_gf2(tuple(g.rows)) == m
+        assert rank_gf2(tuple(affine_rows(g))) == m
     # acceptance rate of the rejection sampler ~ prod (1 - 2^-i)
     n_try = 20000
     raw = rng.integers(0, 1 << m, size=(n_try, m))

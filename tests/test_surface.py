@@ -12,8 +12,10 @@ __init__ exports, passes if one of these holds:
   * TEST_REFERENCES lists it, with the reason it stays although only the
     tests call it.
 
-Names are matched as identifiers, so a member passes if any attribute of
-that name is read anywhere.  A name nothing calls is deleted, not kept.
+Names are matched as identifiers.  A member passes if an attribute of
+that name is read, or a string names it, anywhere; a bare local name of
+the same spelling, such as a parameter `rows`, is no call of it.  A name
+nothing calls is deleted, not kept.
 Likewise every name a library module imports is used in that module, and
 every module parses under the grammar of the Python that pyproject.toml
 declares as its floor.
@@ -60,21 +62,23 @@ def _member_statements(cls):
             yield set(), stmt
 
 
-def _references(tree):
-    """Identifiers a subtree uses: names, attributes, imported names and
-    identifier-like strings (the benchmark patches attributes by name)."""
-    out = set()
-    for node in ast.walk(tree):
+def _references(*trees):
+    """(identifiers subtrees use, those of them that can call a member).
+    Names and imported names are identifiers; attributes and
+    identifier-like strings (the benchmark patches attributes by name) are
+    identifiers that can call a member too."""
+    names, members = set(), set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            names.add(node.id)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                out.add(node.value)
-    return out
+                members.add(node.value)
+    return names | members, members
 
 
 def _surface():
@@ -95,16 +99,20 @@ def _surface():
                 continue
             # the class's own name stays excluded in every part of it
             head = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
-            statements.append(({stmt.name}, set().union(*map(_references, head))))
+            statements.append(({stmt.name}, _references(*head)))
             for members, part in _member_statements(stmt):
                 defined.update((f"{stmt.name}.{n}", path.stem) for n in members)
                 statements.append((members | {stmt.name}, _references(part)))
-    called = set()
-    for names, refs in statements:
+    called, attrs_read = set(), set()
+    for names, (refs, attrs) in statements:
         called |= refs - names
+        attrs_read |= attrs - names
     for path in (ROOT / "perfbench").glob("*.py"):
-        called |= _references(_parse(path))
-    return exported, defined, {n for n in defined if n.rsplit(".", 1)[-1] not in called}
+        refs, attrs = _references(_parse(path))
+        called |= refs
+        attrs_read |= attrs
+    return exported, defined, {n for n in defined if n.rsplit(".", 1)[-1]
+                               not in (attrs_read if "." in n else called)}
 
 
 def test_every_public_name_has_a_caller():
@@ -142,7 +150,7 @@ def test_test_references_are_current():
     _exported, defined, uncalled = _surface()
     tests = set()
     for path in Path(__file__).parent.glob("*.py"):
-        tests |= _references(_parse(path))
+        tests |= _references(_parse(path))[0]
     for name, reason in TEST_REFERENCES.items():
         assert reason and name in defined, name
         assert name in uncalled, f"{name} has a library caller; drop its entry"
