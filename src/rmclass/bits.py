@@ -8,7 +8,6 @@ the hot loops elsewhere rely on these staying simple.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from typing import Dict, Sequence
 
 from .errors import InvalidInputError
@@ -30,33 +29,15 @@ def pivots_gf2(rows: Sequence[int]) -> Dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def masks_of_degree(m: int, r: int) -> tuple:
-    """All m-bit masks with popcount r, ascending (the degree-r monomials)."""
-    return tuple(x for x in range(1 << m) if x.bit_count() == r)
-
-
-@lru_cache(maxsize=None)
 def masks_in_range(m: int, s: int, t: int) -> tuple:
-    """All m-bit masks with popcount in [s, t], ascending."""
-    if s > t:
-        return ()
+    """All m-bit masks with popcount in [s, t], ascending: the monomials of B(s,t,m)."""
     return tuple(x for x in range(1 << m) if s <= x.bit_count() <= t)
 
 
 @lru_cache(maxsize=None)
 def degree_mask(m: int, lo: int, hi: int) -> int:
     """The 2^m-bit mask of the monomials of degree lo..hi (0 when lo > hi)."""
-    mask = 0
-    for x in masks_in_range(m, lo, hi):
-        mask |= 1 << x
-    return mask
-
-
-def space_dimension(m: int, s: int, t: int) -> int:
-    """Dimension of the span of monomials of degree s..t in m variables."""
-    if s > t:
-        return 0
-    return sum(comb(m, k) for k in range(max(s, 0), min(t, m) + 1))
+    return sum(1 << x for x in masks_in_range(m, lo, hi))
 
 
 @lru_cache(maxsize=None)

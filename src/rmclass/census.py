@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .bits import degree_mask, masks_in_range, masks_of_degree, pivots_gf2
+from .bits import degree_mask, masks_in_range, pivots_gf2
 from .bfcore import BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
 from .classify import ClassRecord, check_cell, level_cell
 from .errors import InternalConsistencyError, InvalidInputError
@@ -199,7 +199,7 @@ def count_near_bent_completions(f: BooleanFunction) -> int:
     if m % 2 == 0:
         raise InvalidInputError("near-bent needs odd m")
     amp, half = 1 << ((m + 1) // 2), 1 << (m - 1)
-    q_signs = span_signs([monomial_truth_table(k, m - 1) for k in masks_of_degree(m - 1, 2)], m - 1)
+    q_signs = span_signs([monomial_truth_table(k, m - 1) for k in masks_in_range(m - 1, 2, 2)], m - 1)
     halves = (f.truth_table & ((1 << half) - 1), f.truth_table >> half)
     w = np.abs(np.stack([q_signs @ (signs(g, m - 1)[:, None] * hadamard(m - 1)) for g in halves]))
     keep = ((w == 0) | (w == amp // 2) | (w == amp)).all(axis=(0, 2))

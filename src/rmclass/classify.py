@@ -32,12 +32,11 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .bits import bits_of_hex, degree_mask, hex_spec, masks_of_degree, space_dimension
+from .bits import bits_of_hex, degree_mask, hex_spec, masks_in_range
 from .bfcore import MAX_M, BooleanFunction, monomial_truth_table
 from .errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
 from .group import (
@@ -78,12 +77,9 @@ class ClassRecord:
         return " ".join([head, *[g.serialize() for g in self.stab_gens]])
 
     @classmethod
-    def from_line(
-        cls, m: int, line: str, maps: Optional[Dict[str, AffineMap]] = None
-    ) -> "ClassRecord":
-        """The record of a to_line text; maps (text -> map), if given, is
-        shared by a reader's lines so that each generator text parses once."""
-        maps = {} if maps is None else maps
+    def from_line(cls, m: int, line: str, maps: Dict[str, AffineMap]) -> "ClassRecord":
+        """The record of a to_line text; maps (text -> map) is shared by a
+        reader's lines, so that each generator text parses once."""
         parts = line.split()
         if len(parts) < 4:
             raise InvalidInputError(f"malformed record line: {line!r}")
@@ -116,7 +112,7 @@ class BoundaryAction:
         self.f = f
         self.r = r
         self.m = f.m
-        self.monomials = masks_of_degree(f.m, r)
+        self.monomials = masks_in_range(f.m, r, r)
         self.dim = len(self.monomials)
         self.index = {mask: i for i, mask in enumerate(self.monomials)}
         self.gens = list(gens)
@@ -226,6 +222,7 @@ class _StepAction(BoundaryAction):
 # -- orbit enumeration ------------------------------------------------------
 
 _WHOLE_SPACE = 1 << 15  # up to this many forms a space is one uint16 union-find
+MEM_BUDGET = 2 << 30  # bytes: the default mem_limit, and that of --mem-limit in MiB
 
 
 def estimate_orbit_bytes(dim: int) -> int:
@@ -259,10 +256,11 @@ def check_memory(m: int, t: int, target: int, mem_limit: int) -> None:
     The message rounds the estimate up and the limit down to whole MiB, so
     the one printed is always the larger."""
     for r in range(t, target, -1):
-        need = estimate_orbit_bytes(comb(m, r))
+        dim = len(masks_in_range(m, r, r))
+        need = estimate_orbit_bytes(dim)
         if need > mem_limit:
             raise ResourceRefusedError(
-                f"level {r} needs a 2^{comb(m, r)}-element form space "
+                f"level {r} needs a 2^{dim}-element form space "
                 f"(~{-(-need >> 20)} MiB > limit {mem_limit >> 20} MiB); "
                 f"rerun with a higher --mem-limit on suitable hardware"
             )
@@ -508,7 +506,7 @@ def level_cell(records: Sequence[ClassRecord]) -> Tuple[int, int, int]:
     if len({rec.rep.anf for rec in records}) != len(records):
         raise InternalConsistencyError(f"a level-{level} representative appears twice")
     for t in range(level + 1, m + 1):
-        if mass == 1 << space_dimension(m, level + 1, t):
+        if mass == 1 << len(masks_in_range(m, level + 1, t)):
             if support & ~degree_mask(m, level + 1, t):
                 raise InternalConsistencyError(
                     f"a level-{level} representative lies outside B({level + 1},{t},{m})"
@@ -632,15 +630,13 @@ def _stu_generates_agl(m: int) -> bool:
 
 
 def classify_levels(
-    s: int, t: int, m: int, mem_limit: int = 2 << 30
+    s: int, t: int, m: int, mem_limit: int = MEM_BUDGET
 ) -> Iterator[Tuple[int, List[ClassRecord]]]:
-    """Yield (s', classification of B(s',t,m) at level s'-1) for s' = t+1,
-    t, ..., s, all from one descent: each item is the last one descended by
-    one level.  check_memory runs against mem_limit (bytes) first."""
-    if not (0 <= s <= m and t <= m):
-        raise InvalidInputError(f"need 0 <= s <= m and t <= m, got s={s} t={t} m={m}")
-    if s > t + 1:
-        raise InvalidInputError(f"B({s},{t},{m}) with s > t+1 has no canonical start")
+    """Yield (s', classification of B(s',t,m) at level s'-1) for s' = t+1 (the
+    top record), t, ..., s, all from one descent: each item is the last one
+    descended by one level.  check_cell, and then check_memory against
+    mem_limit bytes, run before the first item."""
+    check_cell(s, t, m)
     check_memory(m, t, s - 1, mem_limit)
     records = [top_record(m, t)]
     yield t + 1, records
@@ -649,7 +645,7 @@ def classify_levels(
         yield r, records
 
 
-def classify_space(s: int, t: int, m: int, mem_limit: int = 2 << 30) -> List[ClassRecord]:
+def classify_space(s: int, t: int, m: int, mem_limit: int = MEM_BUDGET) -> List[ClassRecord]:
     """Complete classification of B(s,t,m) at level s-1, in t-s+1 descents."""
     for _s, records in classify_levels(s, t, m, mem_limit):
         pass

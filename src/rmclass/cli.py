@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from itertools import groupby
-from math import comb
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -28,9 +27,10 @@ import numpy as np
 
 from . import __version__
 from .bfcore import MAX_M, BooleanFunction
-from .bits import degree_mask
+from .bits import degree_mask, masks_in_range
 from .census import burnside_count, duality_check, near_bent_census, table_render
 from .classify import (
+    MEM_BUDGET,
     ClassRecord,
     check_cell,
     check_memory,
@@ -41,13 +41,14 @@ from .classify import (
     stab_histogram,
     top_record,
 )
-from .covrad import check_level, covering_radius_bound
+from .covrad import MAX_ITER_DEFAULT, check_level, covering_radius_bound
 from .errors import (
     DependencyMissingError,
     InternalConsistencyError,
     InvalidInputError,
     RmclassError,
 )
+from .rng import check_seed
 
 
 def _out_dir(args) -> Path:
@@ -127,18 +128,19 @@ class _Checkpoint:
         if not data.startswith(header):
             return None
         lines, pos = [], len(header)  # (record, file offset after its line)
+        maps: dict = {}  # each distinct generator text is parsed once
         for raw in data[pos:].splitlines(keepends=True):
             if not raw.endswith(b"\n") or raw.startswith(b"# complete"):
                 break
             pos += len(raw)
             try:
-                lines.append((ClassRecord.from_line(m, raw.decode()), pos))
+                lines.append((ClassRecord.from_line(m, raw.decode(), maps), pos))
             except (ValueError, InvalidInputError):
                 return None
         if any(rec.level != r - 1 for rec, _ in lines):
             return None
         blocks, keep = [], len(header)
-        high, mass = degree_mask(m, r + 1, m), 1 << comb(m, r)
+        high, mass = degree_mask(m, r + 1, m), 1 << len(masks_in_range(m, r, r))
         for j, (part, block) in enumerate(groupby(lines, lambda ln: ln[0].rep.anf & high)):
             block = list(block)
             if j == len(parents) or part != parents[j].rep.anf:
@@ -193,10 +195,11 @@ def write_level_file(path, records: Sequence[ClassRecord]) -> None:
         tmp.close()
 
 
-def read_level_file(path) -> List[ClassRecord]:
-    """Records of a level file.  A missing file raises DependencyMissingError;
-    a malformed one, or one whose records are not a whole level,
-    InvalidInputError naming the file and line.
+def read_level_file(path, m: Optional[int] = None) -> List[ClassRecord]:
+    """Records of a level file, of m if given.  A missing file raises
+    DependencyMissingError; a malformed one, or one whose records are not a
+    whole level, InvalidInputError naming the file and line; one of another m
+    InvalidInputError naming the file.
 
     Every record must be at the header's level L, and level_cell must find
     the t whose B(L+1,t,m) the records' mass covers.  A file with a record
@@ -205,20 +208,21 @@ def read_level_file(path) -> List[ClassRecord]:
     parsed once per file."""
     records: List[ClassRecord] = []
     maps: dict = {}
-    lineno = 1
+    lineno, complete = 1, False
     try:
         with open(path) as fh:
             header = fh.readline()
             if not header.startswith("# rmclass m="):
                 raise InvalidInputError("not a level file")
-            m, level = (int(field.split("=")[1]) for field in header.split()[2:4])
+            file_m, level = (int(field.split("=")[1]) for field in header.split()[2:4])
             for lineno, line in enumerate(fh, 2):
                 if line.startswith("# complete"):
                     if int(line.split()[2]) != len(records):
                         raise InvalidInputError(f"{line.strip()!r} after {len(records)} records")
                     level_cell(records)
-                    return records
-                rec = ClassRecord.from_line(m, line, maps)
+                    complete = True
+                    break
+                rec = ClassRecord.from_line(file_m, line, maps)
                 if rec.level != level:
                     raise InvalidInputError(f"a level-{rec.level} record in a level-{level} file")
                 records.append(rec)
@@ -226,14 +230,10 @@ def read_level_file(path) -> List[ClassRecord]:
         raise DependencyMissingError(f"{path}: no such level file") from None
     except (OSError, ValueError, IndexError, InvalidInputError, InternalConsistencyError) as err:
         raise InvalidInputError(f"{path}:{lineno}: {err}") from None
-    raise InvalidInputError(f"{path}: missing completion marker (truncated run?)")
-
-
-def _read_records(path, m: Optional[int]) -> List[ClassRecord]:
-    """read_level_file, refusing a file of another m than --m, if given."""
-    records = read_level_file(path)
-    if m is not None and records[0].m != m:
-        raise InvalidInputError(f"{path}: records are for m={records[0].m}, not m={m}")
+    if not complete:
+        raise InvalidInputError(f"{path}: missing completion marker (truncated run?)")
+    if m is not None and file_m != m:
+        raise InvalidInputError(f"{path}: records are for m={file_m}, not m={m}")
     return records
 
 
@@ -462,7 +462,7 @@ def cmd_nearbent(args) -> int:
     if m % 2 == 0 or not 3 <= m <= MAX_M:
         raise InvalidInputError(f"nearbent needs an odd m in 3..{MAX_M}, got m={m}")
     if args.reps:
-        records = _read_records(args.reps, m)
+        records = read_level_file(args.reps, m)
     else:  # at m = 3, B(3,3,3): B(3,2,3) = {0} is no whole level; x1x2x3 has N = 0
         records = classify_space(3, max((m + 1) // 2, 3), m, args.mem_limit << 20)
     rows = near_bent_census(m, records)
@@ -487,8 +487,9 @@ def cmd_distance(args) -> int:
         raise InvalidInputError(f"--max-iter {args.max_iter} runs no trial; need at least 1")
     if args.threshold < 0:
         raise InvalidInputError(f"--threshold {args.threshold} is below every weight; need >= 0")
+    check_seed(args.seed)
     if args.reps:
-        records = _read_records(args.reps, args.m)
+        records = read_level_file(args.reps, args.m)
     elif args.function is not None:
         if args.m is None:
             raise InvalidInputError("--function needs --m")
@@ -534,9 +535,8 @@ def cmd_distance(args) -> int:
 
 def cmd_stab_hist(args) -> int:
     if args.records:
-        records = _read_records(args.records, args.m)
+        records = read_level_file(args.records, args.m)
     elif args.s is not None and args.t is not None and args.m is not None:
-        check_cell(args.s, args.t, args.m)
         records = classify_space(args.s, args.t, args.m, args.mem_limit << 20)
     else:
         raise InvalidInputError("give --records FILE or --m/--s/--t")
@@ -560,11 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"rmclass {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed_required=False):
+    def common(sp):
         sp.add_argument("--out", help="output directory (default ./rmclass-runs)")
-        sp.add_argument("--mem-limit", type=int, default=2048, help="memory budget in MiB")
-        if seed_required:
-            sp.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
+        sp.add_argument("--mem-limit", type=int, default=MEM_BUDGET >> 20,
+                        help="memory budget in MiB")
 
     sp = sub.add_parser("classify", help="descending classification of B(s,t,m)")
     sp.add_argument("--m", type=int, required=True)
@@ -600,12 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--threshold", type=int, required=True)
-    sp.add_argument("--max-iter", type=int, default=2048)
+    sp.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
     sp.add_argument("--reps", help="level file of representatives")
     sp.add_argument("--function", help="single function as ANF hex")
     sp.add_argument("--s", type=int)
     sp.add_argument("--t", type=int)
-    common(sp, seed_required=True)
+    common(sp)
+    sp.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
     sp.set_defaults(func=cmd_distance)
 
     sp = sub.add_parser("stab-hist", help="stabilizer-order multiplicities")

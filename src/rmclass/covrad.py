@@ -17,7 +17,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .bits import space_dimension
+from .bits import masks_in_range
 from .bfcore import BooleanFunction, monomial_truth_table
 from .classify import ClassRecord
 from .errors import InvalidInputError, ResourceRefusedError
@@ -32,8 +32,7 @@ def rm_generator_matrix(r: int, m: int) -> List[int]:
     tables of the monomials of degree <= r, ordered by (degree, mask)."""
     if not 0 <= r <= m:
         raise InvalidInputError(f"need 0 <= r <= m, got r={r} m={m}")
-    masks = sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
-    return [monomial_truth_table(s, m) for s in masks if s.bit_count() <= r]
+    return [monomial_truth_table(s, m) for d in range(r + 1) for s in masks_in_range(m, d, d)]
 
 
 # _SELECT[b]: the positions of the set bits of byte b, ascending
@@ -134,7 +133,7 @@ def exact_coset_min_weight(f: BooleanFunction, r: int, m: int) -> int:
     word of a Gray walk over the other rows; refused when k exceeds 28."""
     if f.m != m:
         raise InvalidInputError("function does not live on m variables")
-    k = space_dimension(m, 0, r)
+    k = len(masks_in_range(m, 0, r))
     if k > 28:
         raise ResourceRefusedError(
             f"RM({r},{m}) has dimension {k} > 28; full coset enumeration refused"

@@ -13,17 +13,23 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-_MASK64 = (1 << 64) - 1
 _WORD = 1 << 32
 _LOW = _WORD - 1
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside 0..2^64-1, which Philox would key modulo 2^64."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidInputError(f"seed must be in 0..2^64-1, got {seed}")
+
+
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator number `index` (0 <= index < 2^63) of the family
-    keyed by `seed`."""
+    keyed by `seed` (0 <= seed < 2^64)."""
+    check_seed(seed)
     if not 0 <= index < 1 << 63:
         raise InvalidInputError(f"stream index must be in 0..2^63-1, got {index}")
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64, counter=[0, 0, index, 0]))
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
 
 
 class Draws:

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from rmclass.bfcore import BooleanFunction, hadamard, monomial_truth_table, signs, span_signs
-from rmclass.bits import hex_of_bits, masks_of_degree
+from rmclass.bits import hex_of_bits, masks_in_range
 from rmclass.errors import InternalConsistencyError, InvalidInputError, ResourceRefusedError
 from rmclass.group import _PAD, AffineMap, SubgroupOracle, enumerate_agl
 
@@ -404,7 +404,7 @@ def near_bent_completions_by_enumeration(f: BooleanFunction) -> int:
     """
     m = f.m
     amp = 1 << ((m + 1) // 2)
-    forms = [monomial_truth_table(mask, m) for mask in masks_of_degree(m, 2)]
+    forms = [monomial_truth_table(mask, m) for mask in masks_in_range(m, 2, 2)]
     low = span_signs(forms[:14], m)
     h_f = signs(f.truth_table, m)[:, None] * hadamard(m)
     count = 0

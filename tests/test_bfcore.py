@@ -11,7 +11,7 @@ from rmclass.bfcore import (
     signs,
     span_signs,
 )
-from rmclass.bits import degree_mask, masks_in_range, space_dimension
+from rmclass.bits import degree_mask, masks_in_range
 from rmclass.errors import InvalidInputError
 from rmclass.group import act, random_affine
 from rmclass.rng import Draws, stream
@@ -320,13 +320,6 @@ def test_complement_maps_spaces():
 
 
 # -- space bookkeeping ----------------------------------------------------------------
-
-
-def test_space_dimension_counts_masks():
-    for m in range(1, 8):
-        for s in range(m + 1):
-            for t in range(s, m + 1):
-                assert space_dimension(m, s, t) == len(masks_in_range(m, s, t))
 
 
 def test_monomial_truth_table():

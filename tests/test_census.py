@@ -14,7 +14,7 @@ from rmclass.census import (
 from rmclass.classify import classify_space
 from rmclass.errors import InternalConsistencyError, InvalidInputError
 from rmclass.group import AffineMap, act, enumerate_agl, group_order, random_affine
-from rmclass.bits import degree_mask, space_dimension
+from rmclass.bits import degree_mask, masks_in_range
 from rmclass.rng import Draws, stream
 
 from oracles import (
@@ -39,7 +39,7 @@ def fix_count(s, t, m, sigma):
 def test_fix_count_identity():
     for (s, t, m) in [(2, 2, 3), (0, 3, 3), (1, 4, 4)]:
         identity = AffineMap(m, bytes(range(1 << m)))
-        assert fix_count(s, t, m, identity) == 1 << space_dimension(m, s, t)
+        assert fix_count(s, t, m, identity) == 1 << len(masks_in_range(m, s, t))
 
 
 def test_fix_count_swap_m2():

@@ -12,9 +12,11 @@ import pytest
 
 from rmclass.bfcore import BooleanFunction
 from rmclass.bits import degree_mask, hex_of_bits
+from rmclass.census import burnside_count
 from rmclass.classify import (
     BoundaryAction,
     ClassRecord,
+    check_cell,
     check_memory,
     classify_levels,
     classify_space,
@@ -432,7 +434,7 @@ def test_fixed_orbits_inherit_certified_generators(monkeypatch):
         certified_children.extend(children)
     assert (calls["fixed"], inherited) == (0, 176)
 
-    from_text = [ClassRecord.from_line(5, rec.to_line()) for rec in parents]
+    from_text = [ClassRecord.from_line(5, rec.to_line(), {}) for rec in parents]
     assert not any(rec.certified for rec in from_text)
     with_fixed = 0
     again = []
@@ -487,7 +489,7 @@ def test_parents_read_back_take_one_substitution_check_per_harvest(monkeypatch):
     for name in ("generator_set", "_check_record_fix", "_check_inherited_fix"):
         count(name)
     parents = classify_space(1, 4, 5)
-    from_text = [ClassRecord.from_line(5, rec.to_line()) for rec in parents]
+    from_text = [ClassRecord.from_line(5, rec.to_line(), {}) for rec in parents]
     calls.clear()
     children = [c for _idx, _parent, kids in descend_iter(from_text, 4) for c in kids]
     assert calls["_check_record_fix"] == calls["generator_set"]
@@ -531,7 +533,7 @@ def test_harvest_matches_the_chain_reference(monkeypatch):
     monkeypatch.setattr(classify, "generator_set", checked)
     for s, t, m in [(1, 4, 5), (3, 4, 6)]:
         for _s, records in classify_levels(s, t, m):
-            from_text = [ClassRecord.from_line(m, rec.to_line()) for rec in records]
+            from_text = [ClassRecord.from_line(m, rec.to_line(), {}) for rec in records]
             if records[0].level > s - 1:
                 descend(from_text, t)
     assert routes["set"] > 100 and routes["chain"] > 100
@@ -571,7 +573,7 @@ def test_harvested_fix_check_names_the_generator(monkeypatch):
     # level-r stabilizer, so that it cannot fix any child at level r-1
     import rmclass.classify as classify
 
-    parent = ClassRecord.from_line(5, classify_space(3, 4, 5)[-1].to_line())
+    parent = ClassRecord.from_line(5, classify_space(3, 4, 5)[-1].to_line(), {})
     draws = Draws(stream(31).bit_generator)
     while True:
         bad = random_affine(5, draws)
@@ -660,17 +662,27 @@ def test_classify_space_known_counts():
 def test_classify_levels_is_one_descent_per_t():
     levels = list(classify_levels(0, 4, 5))
     assert [s for s, _ in levels] == [5, 4, 3, 2, 1, 0]
-    for s, records in levels:
+    assert [r.to_line() for r in levels[0][1]] == [top_record(5, 4).to_line()]
+    for s, records in levels[1:]:
         assert [r.to_line() for r in records] == [r.to_line() for r in classify_space(s, 4, 5)]
 
 
 def test_classify_space_degenerate_start():
-    records = classify_space(3, 2, 3)  # B(3,2,3) = {0}
-    assert len(records) == 1
-    assert records[0].rep.anf == 0
-    assert records[0].stab_order == group_order(3)
-    with pytest.raises(InvalidInputError):
-        classify_space(4, 2, 3)
+    # B(3,2,3) = {0} is the top record alone, no cell of check_cell's triangle
+    with pytest.raises(InvalidInputError, match=r"cell \(3,2\) outside the m=3 triangle"):
+        classify_space(3, 2, 3)
+
+
+@pytest.mark.parametrize("s, t, m", [(3, 2, 3), (4, 2, 3), (-1, 2, 3), (0, 0, 0), (0, 0, 9)])
+@pytest.mark.parametrize("entry", [
+    lambda s, t, m: next(classify_levels(s, t, m)), classify_space, burnside_count,
+], ids=["classify_levels", "classify_space", "burnside_count"])
+def test_entry_points_refuse_by_the_one_cell_rule(entry, s, t, m):
+    with pytest.raises(InvalidInputError) as rule:
+        check_cell(s, t, m)
+    with pytest.raises(InvalidInputError) as err:
+        entry(s, t, m)
+    assert str(err.value) == str(rule.value)
 
 
 def test_representatives_inside_their_space():
@@ -797,7 +809,7 @@ def test_record_line_matches_the_formula():
 
 def test_record_line_round_trip():
     for rec in classify_space(2, 3, 4):
-        again = ClassRecord.from_line(4, rec.to_line())
+        again = ClassRecord.from_line(4, rec.to_line(), {})
         assert again.level == rec.level
         assert again.rep == rec.rep
         assert again.stab_order == rec.stab_order

@@ -414,6 +414,23 @@ def test_distance_refuses_records_above_r(tmp_path, capsys):
     assert "records at level 2 are classes modulo RM(2,5)" in captured.err
 
 
+@pytest.mark.parametrize("seed", [-1, (1 << 64) + 7, -(1 << 64) + 7])
+def test_distance_refuses_a_seed_outside_64_bits(tmp_path, capsys, monkeypatch, seed):
+    # such a seed would key the search of the seed it equals modulo 2^64,
+    # while each line named the one passed; refused before any classification
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the refusal")
+
+    monkeypatch.setattr(cli, "classify_space", no_work)
+    monkeypatch.setattr(cli, "covering_radius_bound", no_work)
+    code = run("distance", "--m", 6, "--r", 2, "--s", 3, "--t", 6, "--threshold", 17,
+               "--max-iter", 300, "--seed", seed, "--out", tmp_path)
+    assert code == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"seed must be in 0..2^64-1, got {seed}" in captured.err
+
+
 _GOLDEN_STDOUT = {
     "nearbent-m5": (["nearbent", "--m", 5], 0, """\
 nearbent-rep 00000000 868 1

@@ -22,6 +22,13 @@ def test_stream_refuses_an_index_outside_its_range():
             stream(0, index)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 7, -(1 << 64) + 7])
+def test_stream_refuses_a_seed_outside_64_bits(seed):
+    # keyed modulo 2^64, such a seed would run the search of another seed
+    with pytest.raises(InvalidInputError, match="seed must be in 0..2"):
+        stream(seed)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_below_is_generator_integers(seed):
     # chained scalar and size=k calls over every bound, past several refills
