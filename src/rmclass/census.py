@@ -211,22 +211,18 @@ def count_near_bent_completions(f: BooleanFunction) -> int:
     return count
 
 
-def near_bent_census(
-    m: int, records: Sequence[ClassRecord]
-) -> List[Tuple[BooleanFunction, int, int]]:
+def near_bent_census(records: Sequence[ClassRecord]) -> List[Tuple[BooleanFunction, int, int]]:
     """(rep, N(rep), orbit size) for each record, a level-2 orbit of
-    B(3,t,m).  The census classifies nothing; it checks that the records
-    cover B(3,t,m), by their mass, for some t >= (m+1)/2: near-bent
-    functions have degree at most (m+1)/2, so a larger t only adds classes
-    with no completion, but a smaller one misses some.  An even m is refused
-    by the kernel.
+    B(3,t,m), m the records'.  The census classifies nothing; it checks
+    that the records cover B(3,t,m), by their mass, for some t >= (m+1)/2:
+    near-bent functions have degree at most (m+1)/2, so a larger t only adds
+    classes with no completion, but a smaller one misses some.  An even m
+    is refused by the kernel.
 
     The sum of N(rep) times orbit size counts the near-bent functions of
     valuation >= 2; times 2^(m+1), for the affine part, which near-bentness
     ignores, it counts every near-bent function in m variables."""
-    rec_m, level, t = level_cell(records)
-    if rec_m != m:
-        raise InvalidInputError(f"records are for m={rec_m}, not m={m}")
+    m, level, t = level_cell(records)
     if level != 2:
         raise InvalidInputError("records are not a level-2 classification")
     d = (m + 1) // 2

@@ -11,6 +11,8 @@ loaded by --resume, is kept only once it passes _certify_level.
 The one writer and the one parser of record files live here.  A level file
 is a `# rmclass m=<m> level=<L>` header, one line per record and a
 `# complete N` trailer; the checkpoint is the level file being written.
+_scan parses both; _parent_blocks groups a level's children into one
+complete block per parent, the rule of --resume and of _certify_level.
 """
 
 from __future__ import annotations
@@ -86,12 +88,54 @@ def _log(args, msg: str) -> None:
 # -- classify ------------------------------------------------------------------
 
 
-def _header(m: int, level: int) -> str:
-    return f"# rmclass m={m} level={level}\n"
-
-
 def _record_lines(records: Sequence[ClassRecord]) -> Iterator[str]:
     return (rec.to_line() + "\n" for rec in records)
+
+
+def _scan(data: bytes) -> Tuple[int, int, List[ClassRecord], bool]:
+    """(m, L, records, complete) of a record file: its header, its record
+    lines, all at level L, and whether a `# complete N` trailer, N the
+    number of records, ends them.  A last line without its newline is a torn
+    tail and is skipped, a cut-off trailer too; any other line that does not
+    parse raises InvalidInputError("<line>: <why>")."""
+    *lines, _torn = data.split(b"\n")
+    records, maps, lineno = [], {}, 1  # maps: each generator text parses once
+    try:
+        if not lines or not lines[0].startswith(b"# rmclass m="):
+            raise InvalidInputError("not a level file")
+        m, level = (int(field.split(b"=")[1]) for field in lines[0].split()[2:4])
+        for lineno, raw in enumerate(lines[1:], 2):
+            if raw.startswith(b"# complete"):
+                if int(raw.split()[2]) != len(records):
+                    raise InvalidInputError(f"{raw.decode()!r} after {len(records)} records")
+                return m, level, records, True
+            rec = ClassRecord.from_line(m, raw.decode(), maps)
+            if rec.level != level:
+                raise InvalidInputError(f"a level-{rec.level} record in a level-{level} file")
+            records.append(rec)
+    except (ValueError, IndexError, InvalidInputError) as err:
+        raise InvalidInputError(f"{lineno}: {err}") from None
+    return m, level, records, False
+
+
+def _parent_blocks(parents: Sequence[ClassRecord],
+                   records: Sequence[ClassRecord]) -> Optional[List[List[ClassRecord]]]:
+    """The records, grouped by their part above degree r (r the parents'
+    level), each parent's representative, up to the first block that is not
+    complete: whose orders do not all divide the parent's, or whose orbit
+    sizes do not sum to 2^C(m,r).  None if a block is not the next parent's."""
+    m, r = parents[0].m, parents[0].level
+    high, mass = degree_mask(m, r + 1, m), 1 << len(masks_in_range(m, r, r))
+    blocks = []
+    for j, (part, block) in enumerate(groupby(records, lambda rec: rec.rep.anf & high)):
+        if j == len(parents) or part != parents[j].rep.anf:
+            return None
+        order, block = parents[j].stab_order, list(block)
+        if (any(rec.stab_order < 1 or order % rec.stab_order for rec in block)
+                or sum(order // rec.stab_order for rec in block) != mass):
+            break
+        blocks.append(block)
+    return blocks
 
 
 class _Checkpoint:
@@ -101,7 +145,7 @@ class _Checkpoint:
 
     One handle stays open per level.  Each parent's block is flushed as it is
     written, so it reaches the OS before the next parent starts: a crash of
-    the process loses at most the block being written, which load cuts off.
+    the process loses at most the block being written, which load drops.
     There is no fsync, so a power cut is not covered.
     """
 
@@ -110,53 +154,25 @@ class _Checkpoint:
         self._fh = None
 
     def load(self, parents: Sequence[ClassRecord]) -> Optional[List[List[ClassRecord]]]:
-        """The children of parents[0], parents[1], ... that the file holds
-        complete; None, and the level restarts, if the file is missing, its
-        header is not the level below the parents', a complete line does not
-        parse or holds a record of another level, or a block's parent is not
-        the next parent.
-
-        A child's part above degree r is its parent's representative, which
-        groups the lines into blocks.  A block is complete when its mass, the
-        sum of parent order / child order, is 2^C(m,r); the first one short
-        of it is the torn tail.  The file is cut after the last complete
-        block, trailer and all, so that appends go on from there.
-        """
+        """The file's complete leading blocks by _parent_blocks, or None (the
+        level restarts) if the file is missing, does not scan or is not the
+        level below the parents'.  It is rewritten as its header and those
+        blocks, for appends to go on from; a crash leaves a prefix of that."""
         m, r = parents[0].m, parents[0].level
-        header = _header(m, r - 1).encode()
-        data = self.path.read_bytes() if self.path.exists() else b""
-        if not data.startswith(header):
+        try:
+            file_m, level, records, _complete = _scan(self.path.read_bytes())
+        except (FileNotFoundError, InvalidInputError):
             return None
-        lines, pos = [], len(header)  # (record, file offset after its line)
-        maps: dict = {}  # each distinct generator text is parsed once
-        for raw in data[pos:].splitlines(keepends=True):
-            if not raw.endswith(b"\n") or raw.startswith(b"# complete"):
-                break
-            pos += len(raw)
-            try:
-                lines.append((ClassRecord.from_line(m, raw.decode(), maps), pos))
-            except (ValueError, InvalidInputError):
-                return None
-        if any(rec.level != r - 1 for rec, _ in lines):
-            return None
-        blocks, keep = [], len(header)
-        high, mass = degree_mask(m, r + 1, m), 1 << len(masks_in_range(m, r, r))
-        for j, (part, block) in enumerate(groupby(lines, lambda ln: ln[0].rep.anf & high)):
-            block = list(block)
-            if j == len(parents) or part != parents[j].rep.anf:
-                return None
-            if sum(parents[j].stab_order // rec.stab_order for rec, _ in block) != mass:
-                break
-            blocks.append([rec for rec, _ in block])
-            keep = block[-1][1]
-        if keep < len(data):
-            os.truncate(self.path, keep)
+        blocks = _parent_blocks(parents, records) if (file_m, level) == (m, r - 1) else None
+        if blocks is not None:
+            self.start(m, r - 1)
+            self._write(_record_lines([rec for children in blocks for rec in children]))
         return blocks
 
     def start(self, m: int, level: int) -> None:
         self.close()
         self._fh = open(self.path, "w")
-        self._write([_header(m, level)])
+        self._write([f"# rmclass m={m} level={level}\n"])
 
     def parent_done(self, idx: int, children: Sequence[ClassRecord]) -> None:
         # idx is not written: load finds each block's parent from its records
@@ -169,8 +185,6 @@ class _Checkpoint:
         os.replace(self.path, path)
 
     def _write(self, lines: Iterable[str]) -> None:
-        if self._fh is None:  # resuming: load has cut the file to its last block
-            self._fh = open(self.path, "a")
         self._fh.writelines(lines)
         self._fh.flush()
 
@@ -197,41 +211,24 @@ def write_level_file(path, records: Sequence[ClassRecord]) -> None:
 
 def read_level_file(path, m: Optional[int] = None) -> List[ClassRecord]:
     """Records of a level file, of m if given.  A missing file raises
-    DependencyMissingError; a malformed one, or one whose records are not a
-    whole level, InvalidInputError naming the file and line; one of another m
-    InvalidInputError naming the file.
-
-    Every record must be at the header's level L, and level_cell must find
-    the t whose B(L+1,t,m) the records' mass covers.  A file with a record
-    missing, or an order changed, fails that check unless what is left
-    happens to have the mass of another t.  Each distinct generator text is
-    parsed once per file."""
-    records: List[ClassRecord] = []
-    maps: dict = {}
-    lineno, complete = 1, False
+    DependencyMissingError.  A malformed one, one without its trailer, one
+    of another m, or one whose records are not a whole level by level_cell
+    (a record missing or an order changed, unless what is left has the
+    mass of another t) raises InvalidInputError naming the file."""
     try:
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("# rmclass m="):
-                raise InvalidInputError("not a level file")
-            file_m, level = (int(field.split("=")[1]) for field in header.split()[2:4])
-            for lineno, line in enumerate(fh, 2):
-                if line.startswith("# complete"):
-                    if int(line.split()[2]) != len(records):
-                        raise InvalidInputError(f"{line.strip()!r} after {len(records)} records")
-                    level_cell(records)
-                    complete = True
-                    break
-                rec = ClassRecord.from_line(file_m, line, maps)
-                if rec.level != level:
-                    raise InvalidInputError(f"a level-{rec.level} record in a level-{level} file")
-                records.append(rec)
+        file_m, _level, records, complete = _scan(Path(path).read_bytes())
     except FileNotFoundError:
         raise DependencyMissingError(f"{path}: no such level file") from None
-    except (OSError, ValueError, IndexError, InvalidInputError, InternalConsistencyError) as err:
-        raise InvalidInputError(f"{path}:{lineno}: {err}") from None
+    except OSError as err:
+        raise InvalidInputError(f"{path}: {err}") from None
+    except InvalidInputError as err:
+        raise InvalidInputError(f"{path}:{err}") from None
     if not complete:
         raise InvalidInputError(f"{path}: missing completion marker (truncated run?)")
+    try:
+        level_cell(records)
+    except InternalConsistencyError as err:
+        raise InvalidInputError(f"{path}:{len(records) + 2}: {err}") from None
     if m is not None and file_m != m:
         raise InvalidInputError(f"{path}: records are for m={file_m}, not m={m}")
     return records
@@ -318,20 +315,16 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _certify_level(
-    parents: Sequence[ClassRecord], records: Sequence[ClassRecord], t: int
-) -> dict:
+def _certify_level(parents: Sequence[ClassRecord], records: Sequence[ClassRecord], t: int) -> dict:
     """The manifest keys of the level L below parents, once its records,
     computed or loaded, pass the one certificate classify keeps a level by:
     level_cell finds them a whole level of B(L+1,t,m), their number is the
-    Burnside count of that space, an independent count, and each child's
-    part above degree L+1 is a parent's representative, as in
-    _Checkpoint.load.  A failure raises InternalConsistencyError naming L.
-    The keys are the counts, the children whose stabilizer is their
-    parent's (orbits of size 1) and the stabilizer histogram."""
+    Burnside count of that space, an independent count, and _parent_blocks
+    finds one complete block of children per parent, in parent order.  A
+    failure raises InternalConsistencyError naming L.  The keys are the
+    counts, the children whose stabilizer is their parent's (orbits of size
+    1) and the stabilizer histogram."""
     m, level = parents[0].m, parents[0].level - 1
-    high = degree_mask(m, level + 2, m)
-    parent_order = {parent.rep.anf: parent.stab_order for parent in parents}
     try:
         if level_cell(records) != (m, level, t):
             raise InternalConsistencyError(f"no classification of B({level + 1},{t},{m})")
@@ -339,16 +332,17 @@ def _certify_level(
         if len(records) != expected:
             raise InternalConsistencyError(f"{len(records)} classes, but the Burnside "
                                            f"count of B({level + 1},{t},{m}) is {expected}")
-        if any(rec.rep.anf & high not in parent_order for rec in records):
-            raise InternalConsistencyError("a representative is the child of no parent")
+        blocks = _parent_blocks(parents, records)
+        if blocks is None or len(blocks) < len(parents):
+            raise InternalConsistencyError("not one complete block of children per parent")
     except InternalConsistencyError as err:
         raise InternalConsistencyError(f"level {level}: {err}") from err
     return {
         f"level_{level}_parents": len(parents),
         f"level_{level}_count": len(records),
-        f"level_{level}_inherited": sum(
-            rec.stab_order == parent_order[rec.rep.anf & high] for rec in records
-        ),
+        f"level_{level}_inherited": sum(rec.stab_order == parent.stab_order
+                                        for parent, block in zip(parents, blocks)
+                                        for rec in block),
         f"level_{level}_stab_hist": ",".join(
             f"{order}:{n}" for order, n in stab_histogram(records).items()
         ),
@@ -465,7 +459,7 @@ def cmd_nearbent(args) -> int:
         records = read_level_file(args.reps, m)
     else:  # at m = 3, B(3,3,3): B(3,2,3) = {0} is no whole level; x1x2x3 has N = 0
         records = classify_space(3, max((m + 1) // 2, 3), m, args.mem_limit << 20)
-    rows = near_bent_census(m, records)
+    rows = near_bent_census(records)
     for rep, n_q, orbit in rows:
         print(f"nearbent-rep {rep.anf_hex()} {n_q} {orbit}")
     weighted = sum(n_q * orbit for _rep, n_q, orbit in rows)
@@ -482,12 +476,20 @@ def cmd_nearbent(args) -> int:
 # -- distance / covering radius ---------------------------------------------------
 
 
+def _one_source(args, *flags: str) -> None:
+    """Refuse more than one record source; --s/--t is given by either flag."""
+    given = [f for f in flags if any(getattr(args, n[2:]) is not None for n in f.split("/"))]
+    if len(given) > 1:
+        raise InvalidInputError(f"give one record source, not {' and '.join(given)}")
+
+
 def cmd_distance(args) -> int:
     if args.max_iter < 1:
         raise InvalidInputError(f"--max-iter {args.max_iter} runs no trial; need at least 1")
     if args.threshold < 0:
         raise InvalidInputError(f"--threshold {args.threshold} is below every weight; need >= 0")
     check_seed(args.seed)
+    _one_source(args, "--reps", "--function", "--s/--t")
     if args.reps:
         records = read_level_file(args.reps, args.m)
     elif args.function is not None:
@@ -534,6 +536,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_stab_hist(args) -> int:
+    _one_source(args, "--records", "--s/--t")
     if args.records:
         records = read_level_file(args.records, args.m)
     elif args.s is not None and args.t is not None and args.m is not None:

@@ -133,12 +133,12 @@ def exact_coset_min_weight(f: BooleanFunction, r: int, m: int) -> int:
     word of a Gray walk over the other rows; refused when k exceeds 28."""
     if f.m != m:
         raise InvalidInputError("function does not live on m variables")
-    k = len(masks_in_range(m, 0, r))
+    rows = rm_generator_matrix(r, m)
+    k = len(rows)
     if k > 28:
         raise ResourceRefusedError(
             f"RM({r},{m}) has dimension {k} > 28; full coset enumeration refused"
         )
-    rows = rm_generator_matrix(r, m)
     words = ((1 << m) + 63) // 64
     lo_rows, hi_rows = rows[:20], rows[20:]
 

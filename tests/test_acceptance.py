@@ -203,12 +203,12 @@ def test_criterion_7_near_bent_census():
     t0 = time.time()
     # the census rows weighted by orbit size, times 2^(m+1) for the affine part
     # B(3,3,3) at m=3, since B(3,2,3) = {0} is no whole level; it adds x1x2x3, N = 0
-    rows3 = near_bent_census(3, classify_space(3, 3, 3))
+    rows3 = near_bent_census(classify_space(3, 3, 3))
     total3 = sum(n_q * orbit for _rep, n_q, orbit in rows3) << 4
     exhaustive3 = sum(
         1 for tt in range(256) if is_near_bent(BooleanFunction(3, truth_table=tt))
     )
-    rows5 = near_bent_census(5, classify_space(3, 3, 5))
+    rows5 = near_bent_census(classify_space(3, 3, 5))
     total5 = sum(n_q * orbit for _rep, n_q, orbit in rows5) << 6
     scan5 = _exhaustive_near_bent_b235()
     elapsed = time.time() - t0

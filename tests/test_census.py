@@ -172,7 +172,7 @@ def test_near_bent_census_m3_exhaustive():
     exhaustive = sum(
         1 for tt in range(256) if is_near_bent(BooleanFunction(3, truth_table=tt))
     )
-    rows = near_bent_census(3, classify_space(3, 3, 3))  # B(3,2,3) = {0} is no whole level
+    rows = near_bent_census(classify_space(3, 3, 3))  # B(3,2,3) = {0} is no whole level
     weighted = sum(n_q * orbit for _rep, n_q, orbit in rows)
     assert weighted << 4 == exhaustive == 112  # times 2^(m+1) for the affine part
     assert weighted == 7  # the seven rank-2 quadratic forms
@@ -180,7 +180,7 @@ def test_near_bent_census_m3_exhaustive():
 
 def test_near_bent_census_requires_odd_m():
     with pytest.raises(InvalidInputError):
-        near_bent_census(4, classify_space(3, 3, 4))
+        near_bent_census(classify_space(3, 3, 4))
 
 
 def test_completion_count_is_orbit_invariant():
@@ -279,7 +279,7 @@ def test_completions_match_full_enumeration_m7_cubic_concatenations():
 
 def test_census_weights_are_orbit_sizes():
     records = classify_space(3, 3, 5)
-    rows = near_bent_census(5, records)
+    rows = near_bent_census(records)
     assert [rep for rep, _n_q, _orbit in rows] == [rec.rep for rec in records]
     assert [orbit for _rep, _n_q, orbit in rows] == [
         group_order(5) // rec.stab_order for rec in records

@@ -431,6 +431,33 @@ def test_distance_refuses_a_seed_outside_64_bits(tmp_path, capsys, monkeypatch, 
     assert f"seed must be in 0..2^64-1, got {seed}" in captured.err
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["distance", "--m", 4, "--r", 1, "--threshold", 4, "--seed", 1, "--reps", "{path}",
+      "--function", "0080"], "--reps and --function"),
+    (["distance", "--m", 4, "--r", 1, "--threshold", 4, "--seed", 1, "--reps", "{path}",
+      "--s", 2, "--t", 4], "--reps and --s/--t"),
+    (["distance", "--m", 4, "--r", 1, "--threshold", 4, "--seed", 1, "--function", "0080",
+      "--t", 4], "--function and --s/--t"),
+    (["stab-hist", "--records", "{path}", "--m", 4, "--s", 2, "--t", 4], "--records and --s/--t"),
+    (["stab-hist", "--records", "{path}", "--s", 2], "--records and --s/--t"),
+])
+def test_more_than_one_record_source_is_refused(tmp_path, capsys, monkeypatch, argv, flags):
+    # a level file, a single function and a classification are each a set
+    # of records; given two, the command ran on whichever it looked at first
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the refusal")
+
+    path = tmp_path / "level_1.txt"
+    write_level_file(path, classify_space(2, 4, 4))
+    for name in ("read_level_file", "classify_space", "covering_radius_bound"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [str(a).format(path=path) for a in argv]
+    assert run(*argv, "--out", tmp_path) == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"give one record source, not {flags}" in captured.err
+
+
 _GOLDEN_STDOUT = {
     "nearbent-m5": (["nearbent", "--m", 5], 0, """\
 nearbent-rep 00000000 868 1
@@ -667,6 +694,15 @@ def test_level_file_with_a_representative_outside_its_space_is_refused(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{path}:" in captured.err and "outside B(3,3,5)" in captured.err
+
+
+def test_level_file_whose_trailer_is_torn_is_refused(tmp_path):
+    # a last line without its newline is the torn tail of a crash, in a
+    # level file as in a checkpoint, even when it reads as a whole trailer
+    path = tmp_path / "b335.txt"
+    path.write_text(_B335_LEVEL_2.rstrip("\n"))
+    with pytest.raises(InvalidInputError, match="missing completion marker"):
+        read_level_file(path)
 
 
 def test_level_file_with_an_order_not_dividing_agl_is_refused(tmp_path, capsys):
@@ -1082,3 +1118,74 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for argv in commands + table:
         parser.parse_args(argv)
+
+
+def test_resume_redoes_a_level_file_with_stabilizer_orders_swapped_across_parents(
+    tmp_path, capsys
+):
+    # the zero class of B(2,4,5) (order 319979520, under parent 00000000)
+    # and class 00000080 (order 258048, under parent 00000080) with their
+    # orders swapped: the mass, the Burnside count and every child's parent
+    # still hold, but neither parent's children partition its boundary
+    # space any more, so --resume redoes the level
+    argv = ["classify", "--m", 5, "--s", 2, "--t", 4, "--out", tmp_path]
+    assert run(*argv) == 0
+    fresh_out = capsys.readouterr().out
+    path = tmp_path / "level_1.txt"
+    fresh = path.read_bytes()
+    records = read_level_file(path)
+    a, b = records[0], records[3]
+    assert [(r.rep.anf_hex(), r.stab_order) for r in (a, b)] == [
+        ("00000000", 319979520), ("00000080", 258048)]
+    a.stab_order, b.stab_order = b.stab_order, a.stab_order
+    write_level_file(path, records)
+    tampered = read_level_file(path)
+    parents = read_level_file(tmp_path / "level_2.txt")
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^level 1: not one complete block of children per parent$"):
+        cli._certify_level(parents, tampered, 4)
+    assert run(*argv, "--resume") == 0
+    assert capsys.readouterr().out == fresh_out
+    assert path.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("wrong", [lambda order: order - 1, lambda order: 0],
+                         ids=["P-1", "zero"])
+def test_resume_drops_a_checkpoint_block_whose_order_does_not_divide_its_parents(
+    tmp_path, wrong
+):
+    # the size-1 child of a level-2 parent of order P, at order P-1 in the
+    # checkpoint of level 1: P // (P-1) is 1, so that block had the mass of a
+    # complete one by floor division, but P-1 does not divide P; at order 0
+    # the mass was a division by zero.  load keeps the blocks before it, and
+    # --resume writes the level file of a fresh run
+    argv = ["classify", "--m", 4, "--s", 2, "--t", 4]
+    fresh = tmp_path / "fresh"
+    assert run(*argv, "--out", fresh) == 0
+    parents = read_level_file(fresh / "level_2.txt")
+    header, blocks = _blocks_of((fresh / "level_1.txt").read_bytes(), 4)
+    lines = [block.splitlines(keepends=True) for block in blocks]
+    j, i = next((j, i) for j in range(len(blocks) - 1, -1, -1)
+                for i, line in enumerate(lines[j])
+                if line.split()[2] == str(parents[j].stab_order))
+    assert j == 2 and parents[j].stab_order == 20160
+    fields = lines[j][i].split(" ")
+    fields[2] = str(wrong(parents[j].stab_order))
+    lines[j][i] = " ".join(fields)
+    blocks[j] = "".join(lines[j])
+    out = tmp_path / "run"
+    shutil.copytree(fresh, out)
+    (out / "level_1.txt").unlink()
+    text = header + "".join(blocks)
+    (out / "checkpoint.txt").write_text(text)
+    probe = tmp_path / "probe.txt"
+    probe.write_text(text)
+    ckpt = cli._Checkpoint(probe)
+    kept = ckpt.load(parents)
+    ckpt.close()
+    assert len(kept) == j
+    assert probe.read_text() == header + "".join(blocks[:j])
+    assert run(*argv, "--out", out, "--resume") == 0
+    for r in (3, 2, 1):
+        assert (out / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()
+    assert not (out / "checkpoint.txt").exists()

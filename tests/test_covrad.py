@@ -176,6 +176,14 @@ def test_exact_min_weight_budget():
         exact_coset_min_weight(BooleanFunction.zero(7), 4, 7)  # dim 99
 
 
+@pytest.mark.parametrize("r", [6, -1])
+def test_exact_min_weight_refuses_an_order_outside_0_to_m_as_input(r):
+    # RM(6,5) would count as dimension 32, over the budget, if the
+    # dimension were counted before the order is checked
+    with pytest.raises(InvalidInputError, match=rf"need 0 <= r <= m, got r={r} m=5"):
+        exact_coset_min_weight(BooleanFunction.zero(5), r, 5)
+
+
 def test_exact_min_weight_orbit_invariance():
     rng = stream(56)
     draws = Draws(rng.bit_generator)

@@ -64,7 +64,7 @@ def test_covering_radius_rm37():
 
 def test_near_bent_count_m7():
     records = _records("b347_level2.txt", lambda: classify_space(3, 4, 7, BIG))
-    weighted = sum(n_q * orbit for _rep, n_q, orbit in near_bent_census(7, records))
+    weighted = sum(n_q * orbit for _rep, n_q, orbit in near_bent_census(records))
     # the published figure counts the near-bent functions of valuation >= 2
     # (the weighted orbit sum); the all-functions total is 2^8 times it
     assert weighted == 88624918554694407235840
