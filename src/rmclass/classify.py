@@ -17,14 +17,18 @@ Forms of degree r are ints over the C(m,r) monomial coefficients, monomial
 masks ascending.  The boundary action of one generator is applied through
 byte-sliced XOR lookup tables, forward only: the Schreier transversal keeps
 each visited form's group element and its inverse instead of inverting the
-action.  Phase 1 sweeps a space of at most 2^15 forms in one step: a
-union-find over a 2-byte label per form joins each form with its image
-under each generator.  A larger space is swept by lone waves, one BFS per
-orbit over a 1-byte label per form.  Either way each orbit's seed is its
-minimum.  Phase 2 keeps a candidate that is not yet in the harvested
-subgroup.  Up to order 128 that subgroup is the set of its elements, grown
-by Dimino's coset closure; above it is a stabilizer chain that knows the
-order it is building and stops closing once its orbits reach it.
+action.  Phase 1 has three regimes.  A space of two forms (level 0 or
+level m, one monomial) is read off the tables: it is one orbit when some
+generator swaps its forms.  A space of at most 2^15 forms is swept in one
+step: a union-find over a 2-byte label per form joins each form with its
+image under each generator.  A larger space is swept by lone waves, one
+BFS per orbit over a 1-byte label per form.  In every regime each orbit's
+seed is its minimum.  Only the sweeps read numpy copies of the tables, built
+on a context's first apply_block.  Phase 2 keeps a candidate that is not
+yet in the harvested subgroup.  Up to order 128 that subgroup is the set
+of its elements, grown by Dimino's coset closure; above it is a
+stabilizer chain that knows the order it is building and stops closing
+once its orbits reach it.
 """
 
 from __future__ import annotations
@@ -104,6 +108,11 @@ class BoundaryAction:
     hom_r(f o g + f) is one constant, folded into the first byte's table.
     The columns depend on g and r only (see _StepAction); the shift, and
     the refusal of a g outside the level-r stabilizer of f, are per context.
+
+    apply and a harvest read the tables as Python lists.  The numpy copies
+    that apply_block reads are built on its first call, so a context whose
+    space orbit_enumerate reads off the tables (two forms) or skips (no
+    generator) never builds them.
     """
 
     def __init__(self, f: BooleanFunction, r: int, gens: Sequence[AffineMap]):
@@ -117,7 +126,11 @@ class BoundaryAction:
         self.index = {mask: i for i, mask in enumerate(self.monomials)}
         self.gens = list(gens)
         self._fwd = [self._tables_for(gi, g) for gi, g in enumerate(self.gens)]
-        self._np_fwd = [[np.array(t, dtype=np.int64) for t in tabs] for tabs in self._fwd]
+
+    @cached_property
+    def _np_fwd(self) -> List[List[np.ndarray]]:
+        """The XOR tables as int64 arrays, built on the first apply_block."""
+        return [[np.array(t, dtype=np.int64) for t in tabs] for tabs in self._fwd]
 
     @cached_property
     def inv_tables(self) -> List[bytes]:
@@ -269,8 +282,12 @@ def check_memory(m: int, t: int, target: int, mem_limit: int) -> None:
 def orbit_enumerate(ctx: BoundaryAction) -> List[Tuple[int, int]]:
     """Partition the form space into orbits under the boundary action:
     (seed, size) per orbit, the seed its numerically smallest member, in
-    increasing order.  Two regimes, by the size of the space:
+    increasing order.  Three regimes, by the size of the space:
 
+    - two forms (level 0, or the top level m): read off the tables.  The
+      one column is 1, as a linear bijection of a 1-dimensional space is
+      the identity, so generator g's table is [delta, delta ^ 1]; the
+      space is one orbit if some delta is 1, else two fixed forms;
     - at most 2^15 forms: _whole_space, one union-find over every form;
     - more: one _lone_wave per orbit over a uint8 label array (255 =
       unseen), seeded at the smallest unseen form.  Every member of an
@@ -283,6 +300,10 @@ def orbit_enumerate(ctx: BoundaryAction) -> List[Tuple[int, int]]:
     space = 1 << ctx.dim
     if not ctx.gens:
         return [(u, 1) for u in range(space)]
+    if space == 2:  # each table is [delta, delta ^ 1]: delta = 1 swaps the forms
+        if any(tabs[0][0] for tabs in ctx._fwd):
+            return [(0, 2)]
+        return [(0, 1), (1, 1)]
     if space <= _WHOLE_SPACE:
         return _whole_space(ctx)
     labels = np.full(space, _UNSEEN, dtype=np.uint8)

@@ -231,10 +231,10 @@ def test_orbit_seeds_are_minima(sweep_spaces):
 
 
 def test_orbit_sweep_batches(sweep_spaces, monkeypatch):
-    # a space with no generator is not swept, and any other of at most 2^15
-    # forms is one whole-space union-find with no lone wave.  A larger space
-    # is swept one lone wave per orbit, the seeds increasing: the
-    # dimension-20 cubic forms of m=6
+    # a space with no generator is not swept, a space of two forms is read
+    # off its tables, and any other of at most 2^15 forms is one whole-space
+    # union-find with no lone wave.  A larger space is swept one lone wave
+    # per orbit, the seeds increasing: the dimension-20 cubic forms of m=6
     from rmclass import classify
 
     calls = []
@@ -253,13 +253,67 @@ def test_orbit_sweep_batches(sweep_spaces, monkeypatch):
     for ctx in sweep_spaces:
         calls.clear()
         orbit_enumerate(ctx)
-        assert calls == (["whole"] if ctx.gens else [])
+        assert calls == (["whole"] if ctx.gens and ctx.dim > 1 else [])
     big = BoundaryAction(BooleanFunction.zero(6), 3, generators_stu(6))
     calls.clear()
     orbits = orbit_enumerate(big)
     assert big.dim == 20 and len(orbits) > 1
     assert calls == [(np.uint8, seed) for seed, _size in orbits]
     assert orbits == sorted(orbits)
+
+
+@pytest.fixture(scope="module")
+def level0_parents():
+    """The 120 level-0 classes of B(1,3,6), as classify_levels(0, 3, 6)
+    yields them before its last step."""
+    for s, records in classify_levels(0, 3, 6):
+        if s == 1:
+            return records
+
+
+def test_two_form_spaces_read_off_the_tables(level0_parents):
+    # every level-0 parent of B(0,3,6) acts on the two constant forms: the
+    # read-off gives the reference partition, both outcomes occur, and no
+    # numpy table is built.  A dimension-15 sweep does build them.
+    outcomes = Counter()
+    for rec in level0_parents:
+        ctx = BoundaryAction(rec.rep, 0, rec.stab_gens)
+        orbits = orbit_enumerate(ctx)
+        assert "_np_fwd" not in vars(ctx)
+        assert orbits == orbit_partition_by_action(ctx)
+        outcomes[tuple(orbits)] += 1
+    assert outcomes == {((0, 1), (1, 1)): 85, ((0, 2),): 35}
+    big = BoundaryAction(BooleanFunction.zero(6), 2, generators_stu(6))
+    assert "_np_fwd" not in vars(big)
+    orbit_enumerate(big)
+    assert big.dim == 15 and "_np_fwd" in vars(big)
+
+
+def test_untrusted_level0_parents_are_harvested(level0_parents, monkeypatch):
+    # the level-0 parents read back from text are not certified.  Their
+    # children are the bytes of the certified parents' children, and every
+    # parent with two fixed forms is harvested at least once: that harvest
+    # is what makes it trusted, and the read-off must not skip it
+    import rmclass.classify as classify
+
+    certified = [c.to_line() for _i, _p, kids in descend_iter(level0_parents, 3) for c in kids]
+    harvested = set()
+    real = classify.generator_set
+
+    def spy(u, L, s_u, ctx):
+        harvested.add(ctx.f.anf)
+        return real(u, L, s_u, ctx)
+
+    monkeypatch.setattr(classify, "generator_set", spy)
+    from_text = [ClassRecord.from_line(6, rec.to_line(), {}) for rec in level0_parents]
+    assert not any(rec.certified for rec in from_text)
+    again, two_fixed = [], set()
+    for _idx, parent, children in descend_iter(from_text, 3):
+        again += [c.to_line() for c in children]
+        if [c.stab_order for c in children] == [parent.stab_order] * 2:
+            two_fixed.add(parent.rep.anf)
+    assert again == certified
+    assert len(two_fixed) == 85 and two_fixed <= harvested
 
 
 def test_orbit_sweep_memory_under_estimate():
