@@ -4,26 +4,26 @@ stab-hist.
 classify writes its level files and a flat key=value manifest into --out;
 the other subcommands print their results.  Result files contain no
 timestamps, so re-running with the same manifest settings reproduces them
-byte for byte.  Long classifications checkpoint after every parent
-representative and can be resumed with --resume.  A level, computed or
-loaded by --resume, is kept only once it passes _certify_level.
-
-The one writer and the one parser of record files live here.  A level file
-is a `# rmclass m=<m> level=<L>` header, one line per record and a
-`# complete N` trailer; the checkpoint is the level file being written.
-_scan parses both; _parent_blocks groups a level's children into one
-complete block per parent, the rule of --resume and of _certify_level.
+byte for byte.  A level file is a `# rmclass m=<m> level=<L>` header, one
+line per record and a `# complete N` trailer.  _Checkpoint writes it, as
+the checkpoint flushed after every parent, and _scan reads both.  --resume
+reads each level by one rule, from its level file or else from the
+checkpoint: _parent_blocks keeps its leading complete blocks, one per
+parent, and the parents after them are descended.  A level is kept once
+it passes _certify_level; one that fails exits 5 if this run computed it
+all, and is redone, with --resume off from it down, if any of its blocks
+was loaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
-from itertools import groupby
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,12 +53,6 @@ from .errors import (
 from .rng import check_seed
 
 
-def _out_dir(args) -> Path:
-    path = Path(args.out or "rmclass-runs")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_manifest(path: Path, pairs: dict) -> None:
     """Written beside the manifest and renamed over it, so a crash mid-write
     leaves the previous manifest for --resume."""
@@ -70,14 +64,8 @@ def _write_manifest(path: Path, pairs: dict) -> None:
 
 
 def _read_manifest(path: Path) -> dict:
-    out = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                k, v = line.split("=", 1)
-                out[k] = v
-    return out
+        return dict(line.strip().split("=", 1) for line in fh if "=" in line)
 
 
 def _log(args, msg: str) -> None:
@@ -88,10 +76,6 @@ def _log(args, msg: str) -> None:
 # -- classify ------------------------------------------------------------------
 
 
-def _record_lines(records: Sequence[ClassRecord]) -> Iterator[str]:
-    return (rec.to_line() + "\n" for rec in records)
-
-
 def _scan(data: bytes) -> Tuple[int, int, List[ClassRecord], bool]:
     """(m, L, records, complete) of a record file: its header, its record
     lines, all at level L, and whether a `# complete N` trailer, N the
@@ -100,6 +84,8 @@ def _scan(data: bytes) -> Tuple[int, int, List[ClassRecord], bool]:
     parse raises InvalidInputError("<line>: <why>")."""
     *lines, _torn = data.split(b"\n")
     records, maps, lineno = [], {}, 1  # maps: each generator text parses once
+    collecting = gc.isenabled()
+    gc.disable()  # records hold no cycles: a collection would walk them for nothing
     try:
         if not lines or not lines[0].startswith(b"# rmclass m="):
             raise InvalidInputError("not a level file")
@@ -115,6 +101,9 @@ def _scan(data: bytes) -> Tuple[int, int, List[ClassRecord], bool]:
             records.append(rec)
     except (ValueError, IndexError, InvalidInputError) as err:
         raise InvalidInputError(f"{lineno}: {err}") from None
+    finally:
+        if collecting:
+            gc.enable()
     return m, level, records, False
 
 
@@ -126,22 +115,28 @@ def _parent_blocks(parents: Sequence[ClassRecord],
     sizes do not sum to 2^C(m,r).  None if a block is not the next parent's."""
     m, r = parents[0].m, parents[0].level
     high, mass = degree_mask(m, r + 1, m), 1 << len(masks_in_range(m, r, r))
-    blocks = []
-    for j, (part, block) in enumerate(groupby(records, lambda rec: rec.rep.anf & high)):
-        if j == len(parents) or part != parents[j].rep.anf:
-            return None
-        order, block = parents[j].stab_order, list(block)
-        if (any(rec.stab_order < 1 or order % rec.stab_order for rec in block)
-                or sum(order // rec.stab_order for rec in block) != mass):
-            break
-        blocks.append(block)
-    return blocks
+    blocks, todo, part, left = [], iter(parents), None, 0  # left: mass the block lacks
+    for rec in records:
+        if rec.rep.anf & high != part:  # the next block starts, so the last one ends
+            if left:
+                return blocks[:-1]
+            parent = next(todo, None)
+            if parent is None or rec.rep.anf & high != parent.rep.anf:
+                return None
+            part, order, left = parent.rep.anf, parent.stab_order, mass
+            blocks.append([])
+        if rec.stab_order < 1 or order % rec.stab_order:
+            return blocks[:-1]
+        left -= order // rec.stab_order
+        blocks[-1].append(rec)
+    return blocks[:-1] if left else blocks
 
 
 class _Checkpoint:
     """The level file being written: its header, then each parent's children
     as the parent finishes; when the level is done, the `# complete N`
-    trailer and a rename onto the level file.
+    trailer and a rename onto the level file.  A finished level file is one
+    with every parent's block; load takes up either kind in place.
 
     One handle stays open per level.  Each parent's block is flushed as it is
     written, so it reaches the OS before the next parent starts: a crash of
@@ -153,20 +148,25 @@ class _Checkpoint:
         self.path = path
         self._fh = None
 
-    def load(self, parents: Sequence[ClassRecord]) -> Optional[List[List[ClassRecord]]]:
-        """The file's complete leading blocks by _parent_blocks, or None (the
-        level restarts) if the file is missing, does not scan or is not the
-        level below the parents'.  It is rewritten as its header and those
-        blocks, for appends to go on from; a crash leaves a prefix of that."""
+    def load(self, parents: Sequence[ClassRecord],
+             source: Path) -> Optional[List[List[ClassRecord]]]:
+        """The complete leading blocks of source, the level's file or the
+        checkpoint, by _parent_blocks, or None (the level restarts) if source
+        is missing, does not scan or is not the level below the parents'.
+        Appends and finish go on in source, cut after those blocks with its
+        bytes as read: a finished level file loses only its trailer."""
         m, r = parents[0].m, parents[0].level
         try:
-            file_m, level, records, _complete = _scan(self.path.read_bytes())
+            data = source.read_bytes()
+            file_m, level, records, _complete = _scan(data)
         except (FileNotFoundError, InvalidInputError):
             return None
         blocks = _parent_blocks(parents, records) if (file_m, level) == (m, r - 1) else None
         if blocks is not None:
-            self.start(m, r - 1)
-            self._write(_record_lines([rec for children in blocks for rec in children]))
+            kept = 1 + sum(map(len, blocks))  # the header line and the kept records
+            self.close()
+            self._fh = open(source, "a")
+            self._fh.truncate(len(data) - len(data.split(b"\n", kept)[-1]))
         return blocks
 
     def start(self, m: int, level: int) -> None:
@@ -176,13 +176,14 @@ class _Checkpoint:
 
     def parent_done(self, idx: int, children: Sequence[ClassRecord]) -> None:
         # idx is not written: load finds each block's parent from its records
-        self._write(_record_lines(children))
+        self._write(rec.to_line() + "\n" for rec in children)
 
     def finish(self, count: int, path: Path) -> None:
-        """Append the trailer and rename the file onto path."""
+        """Append the trailer and rename the file written onto path."""
+        written = self._fh.name
         self._write([f"# complete {count}\n"])
         self.close()
-        os.replace(self.path, path)
+        os.replace(written, path)
 
     def _write(self, lines: Iterable[str]) -> None:
         self._fh.writelines(lines)
@@ -203,7 +204,7 @@ def write_level_file(path, records: Sequence[ClassRecord]) -> None:
     tmp = _Checkpoint(path.with_name(path.name + ".tmp"))
     try:
         tmp.start(records[0].m, records[0].level)
-        tmp._write(_record_lines(records))
+        tmp._write(rec.to_line() + "\n" for rec in records)
         tmp.finish(len(records), path)
     finally:
         tmp.close()
@@ -239,7 +240,7 @@ def cmd_classify(args) -> int:
     check_cell(s, t, m)
     target = s - 1
     check_memory(m, t, target, args.mem_limit << 20)
-    out = _out_dir(args)
+    out = Path(args.out or "rmclass-runs")
     manifest_path = out / "manifest.txt"
     ckpt = _Checkpoint(out / "checkpoint.txt")
 
@@ -249,41 +250,33 @@ def cmd_classify(args) -> int:
         "m": m, "s": s, "t": t,
         "mem_limit_mib": args.mem_limit,
     }
-    records = [top_record(m, t)]
-    level = t
-    if args.resume and manifest_path.exists():
-        old = _read_manifest(manifest_path)
-        for key in ("command", "m", "s", "t"):
-            if old.get(key) != str(manifest[key]):
-                raise InvalidInputError(
-                    f"--resume: manifest mismatch on {key} ({old.get(key)} vs {manifest[key]})"
-                )
-        for r in range(t - 1, target - 1, -1):
-            try:
-                loaded = read_level_file(out / f"level_{r}.txt")
-                # from the file, since the old manifest may be a later run's
-                manifest.update(_certify_level(records, loaded, t))
-            except (InvalidInputError, DependencyMissingError, InternalConsistencyError):
-                break  # a level file a fresh run would not keep is redone, from here down
-            records, level = loaded, r
-        _log(args, f"resuming at level {level} with {len(records)} records")
-
-    manifest["started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    manifest["status"] = "running"
-    _write_manifest(manifest_path, manifest)
-
+    records, level, resume = [top_record(m, t)], t, args.resume
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        if resume and manifest_path.exists():
+            old = _read_manifest(manifest_path)
+            for key in ("command", "m", "s", "t"):
+                if old.get(key) != str(manifest[key]):
+                    raise InvalidInputError(
+                        f"--resume: manifest mismatch on {key} ({old.get(key)} vs {manifest[key]})"
+                    )
+        manifest["started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        manifest["status"] = "running"
+        _write_manifest(manifest_path, manifest)
         while level > target:
             parents = records
-            blocks = ckpt.load(parents) if args.resume else None
-            if blocks:
-                _log(args, f"checkpoint: level {level - 1} resumes at parent {len(blocks)}")
-            elif blocks is None:
-                blocks = []
+            level_file = out / f"level_{level - 1}.txt"
+            source = level_file if level_file.exists() else ckpt.path
+            blocks = (ckpt.load(parents, source) if resume else None) or []
+            if not blocks:
                 ckpt.start(m, level - 1)
+            elif len(blocks) == len(parents):
+                _log(args, f"level {level - 1}: every parent's block loaded from {source}")
+            else:
+                _log(args, f"checkpoint: level {level - 1} resumes at parent {len(blocks)}")
             out_records = [rec for children in blocks for rec in children]
             t0 = shown = time.monotonic()
-            todo = parents[len(blocks):]  # empty once the checkpoint holds every parent
+            todo = parents[len(blocks):]  # empty once every parent's block is loaded
             for idx, _, children in descend_iter(todo, t) if todo else ():
                 real_idx = len(blocks) + idx
                 out_records.extend(children)
@@ -296,18 +289,25 @@ def cmd_classify(args) -> int:
                     _log(args, f"level {level - 1}: parent {real_idx + 1}/{len(parents)}, "
                          f"{len(out_records)} records, {now - t0:.1f}s, {rate:.1f} parents/s, "
                          f"ETA {(len(todo) - idx - 1) / rate:.1f}s")
-            manifest.update(_certify_level(parents, out_records, t))
+            try:
+                manifest.update(_certify_level(parents, out_records, t))
+            except InternalConsistencyError:
+                if not blocks:
+                    raise  # computed in this run: a bug, and the level stays in the checkpoint
+                resume = False  # loaded: redone from scratch, and every level below it
+                continue
             records = out_records
             level -= 1
             # the manifest first, so that every level file in place has its keys
             _write_manifest(manifest_path, manifest)
-            ckpt.finish(len(records), out / f"level_{level}.txt")
+            ckpt.finish(len(records), level_file)
+        manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        manifest["status"] = "complete"
+        _write_manifest(manifest_path, manifest)
+    except OSError as err:  # an --out that is a file, a checkpoint.txt that is a directory
+        raise InvalidInputError(f"{err.filename or out}: {err.strerror}") from None
     finally:
         ckpt.close()  # an unfinished level keeps its file for --resume
-
-    manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    manifest["status"] = "complete"
-    _write_manifest(manifest_path, manifest)
     print(f"classified B({s},{t},{m}) down to level {target}")
     for r in range(t - 1, target - 1, -1):
         print(f"  level {r}: {manifest[f'level_{r}_count']} classes")

@@ -1,3 +1,4 @@
+import gc
 import os
 import shutil
 from itertools import groupby
@@ -941,7 +942,9 @@ def _resume_from_every_cut(argv, fresh, crashed, level):
     path = crashed.with_name(crashed.name + "-cut.txt")
     for cut in reversed(range(len(data) + 1)):
         path.write_bytes(data[:cut])
-        kept = cli._Checkpoint(path).load(parents)
+        ckpt = cli._Checkpoint(path)
+        kept = ckpt.load(parents, path)
+        ckpt.close()
         if cut < len(header):
             assert kept is None and path.read_bytes() == data[:cut]
         else:
@@ -981,7 +984,7 @@ def test_checkpoint_blocks_reach_the_file_as_they_finish(tmp_path):
     # a resumed level appends after the blocks load kept, and the finished
     # file, renamed into place, is the level file
     again = cli._Checkpoint(path)
-    assert again.load(parents) == blocks[:2]
+    assert again.load(parents, path) == blocks[:2]
     again.parent_done(2, blocks[2])
     handles = [ckpt._fh, again._fh]
     ckpt.close()
@@ -1181,7 +1184,7 @@ def test_resume_drops_a_checkpoint_block_whose_order_does_not_divide_its_parents
     probe = tmp_path / "probe.txt"
     probe.write_text(text)
     ckpt = cli._Checkpoint(probe)
-    kept = ckpt.load(parents)
+    kept = ckpt.load(parents, probe)
     ckpt.close()
     assert len(kept) == j
     assert probe.read_text() == header + "".join(blocks[:j])
@@ -1189,3 +1192,121 @@ def test_resume_drops_a_checkpoint_block_whose_order_does_not_divide_its_parents
     for r in (3, 2, 1):
         assert (out / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()
     assert not (out / "checkpoint.txt").exists()
+
+
+def test_resume_redoes_a_checkpoint_with_the_wrong_number_of_classes(tmp_path, capsys):
+    # the tampered level 1 of B(2,4,4) above, 0240 at twice its order and
+    # 0248 added, left in checkpoint.txt by a crash before its rename: every
+    # block is complete, so it loads whole, fails the Burnside count as a
+    # level file does, and is redone the same way; a second --resume loads
+    # the fresh level file and leaves it as it is
+    argv = ["classify", "--m", 4, "--s", 2, "--t", 4, "--out", tmp_path]
+    assert run(*argv) == 0
+    fresh_out = capsys.readouterr().out
+    path = tmp_path / "level_1.txt"
+    fresh = path.read_bytes()
+    records = read_level_file(path)
+    rec = records[2]
+    rec.stab_order *= 2
+    extra = ClassRecord(1, type(rec.rep)(4, anf=rec.rep.anf ^ 1 << 0b0011), rec.stab_order, [])
+    write_level_file(tmp_path / "checkpoint.txt", records[:3] + [extra] + records[3:])
+    path.unlink()
+    for _ in range(2):
+        assert run(*argv, "--resume") == 0
+        assert capsys.readouterr().out == fresh_out
+        assert path.read_bytes() == fresh
+        assert not (tmp_path / "checkpoint.txt").exists()
+
+
+def test_resume_takes_up_a_level_file_cut_after_a_block(tmp_path, capsys):
+    # a level file cut after its k-th complete block, with no trailer, is
+    # read as a checkpoint: --resume keeps those k blocks and descends the
+    # parents after them
+    argv = ["classify", "--m", 4, "--s", 2, "--t", 4]
+    fresh = tmp_path / "fresh"
+    assert run(*argv, "--out", fresh) == 0
+    expect = (fresh / "level_1.txt").read_bytes()
+    header, blocks = _blocks_of(expect, 4)
+    assert len(blocks) == 3
+    for k in (1, 2):
+        out = tmp_path / f"cut{k}"
+        shutil.copytree(fresh, out)
+        (out / "level_1.txt").write_text(header + "".join(blocks[:k]))
+        capsys.readouterr()
+        assert run(*argv, "--out", out, "--resume", "--verbose") == 0
+        err = capsys.readouterr().err
+        assert f"checkpoint: level 1 resumes at parent {k}\n" in err
+        assert f"level 2: every parent's block loaded from {out / 'level_2.txt'}\n" in err
+        assert (out / "level_1.txt").read_bytes() == expect
+        assert not (out / "checkpoint.txt").exists()
+
+
+def test_resume_keeps_the_checkpoint_below_finished_levels(tmp_path, capsys, monkeypatch):
+    # a crash during level 0 of B(1,4,4) leaves levels 3, 2 and 1 in their
+    # files and level 0 in checkpoint.txt; --resume loads each finished level
+    # from its file without touching the checkpoint, so level 0 resumes
+    # after the blocks it holds
+    argv = ["classify", "--m", 4, "--s", 1, "--t", 4]
+    fresh = tmp_path / "fresh"
+    assert run(*argv, "--out", fresh) == 0
+    parents = read_level_file(fresh / "level_1.txt")
+    real_parent_done = cli._Checkpoint.parent_done
+
+    def crash_in_level_0(self, idx, children):
+        real_parent_done(self, idx, children)
+        if children[0].level == 0 and idx == 2:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli._Checkpoint, "parent_done", crash_in_level_0)
+    out = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        run(*argv, "--out", out)
+    monkeypatch.undo()
+    assert sorted(p.name for p in out.glob("level_*.txt")) == [
+        "level_1.txt", "level_2.txt", "level_3.txt"]
+    capsys.readouterr()
+    assert run(*argv, "--out", out, "--resume", "--verbose") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[:4] == [f"level {r}: every parent's block loaded from {out / f'level_{r}.txt'}"
+                       for r in (3, 2, 1)] + ["checkpoint: level 0 resumes at parent 3"]
+    assert len(parents) > 3
+    for r in (3, 2, 1, 0):
+        assert (out / f"level_{r}.txt").read_bytes() == (fresh / f"level_{r}.txt").read_bytes()
+    assert not (out / "checkpoint.txt").exists()
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "checkpoint-is-a-directory",
+                                  "checkpoint-is-a-directory-resume"])
+def test_classify_refuses_an_unusable_out(tmp_path, capsys, case):
+    # an --out that is a file, or a checkpoint.txt in it that is a directory,
+    # is named on one error line (exit 2), with or without --resume
+    out = tmp_path / "run"
+    argv = ["classify", "--m", 3, "--s", 1, "--t", 3, "--out", out]
+    if case == "out-is-a-file":
+        out.write_text("")
+        named, why = out, "File exists"
+    else:
+        (out / "checkpoint.txt").mkdir(parents=True)
+        named, why = out / "checkpoint.txt", "Is a directory"
+        argv += ["--resume"] if case.endswith("resume") else []
+    assert run(*argv) == InvalidInputError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error (InvalidInputError): {named}: {why}\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_leaves_the_cyclic_collector_as_it_found_it(enabled):
+    # _scan pauses the collector while it parses, and puts it back as the
+    # caller had it, after a file that scans and after one it refuses
+    text = "".join(rec.to_line() + "\n" for rec in classify_space(2, 4, 4))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli._scan(f"# rmclass m=4 level=1\n{text}".encode())[3] is False
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidInputError):
+            cli._scan(b"# rmclass m=4 level=1\n1 zz 2 0\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
