@@ -12,7 +12,7 @@ checkpoint: _parent_blocks keeps its leading complete blocks, one per
 parent, and the parents after them are descended.  A level is kept once
 it passes _certify_level; one that fails exits 5 if this run computed it
 all, and is redone, with --resume off from it down, if any of its blocks
-was loaded.
+was loaded.  A complete run removes a checkpoint that is left.
 """
 
 from __future__ import annotations
@@ -301,6 +301,7 @@ def cmd_classify(args) -> int:
             # the manifest first, so that every level file in place has its keys
             _write_manifest(manifest_path, manifest)
             ckpt.finish(len(records), level_file)
+        ckpt.path.unlink(missing_ok=True)  # every level is in its file: a checkpoint left is stale
         manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
         manifest["status"] = "complete"
         _write_manifest(manifest_path, manifest)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Set
 
 from .bits import hex_of_bits, pivots_gf2
 from .errors import InvalidInputError
@@ -202,6 +202,9 @@ class SubgroupOracle:
     orbits are its basic orbits and sifting decides membership exactly, so
     add_perm stops closing there: the known-order Schreier-Sims of Seress,
     Permutation Group Algorithms (2003), ch. 4.
+
+    Tables that have sifted to the identity are kept and not sifted again:
+    bases and transversal entries are only added, so that cannot change.
     """
 
     def __init__(self, m: int, known_order: int):
@@ -213,21 +216,29 @@ class SubgroupOracle:
         self._invs: List[Dict[int, bytes]] = []
         self._gens: List[List[bytes]] = []
         self._order = 1
+        self._sifted: Set[bytes] = set()
 
     def order(self) -> int:
         return self._order
 
     def _strip(self, perm: bytes, start: int = 0):
         """Sift through the chain from level start on (perm must fix the
-        earlier base points); returns (residue, deepest level reached)."""
-        bases, invs = self._bases, self._invs
+        earlier base points); returns (residue, deepest level reached).
+        Only a table that ends at the identity joins the sifted set: any
+        other residue may change as the chain grows."""
+        bases, invs, sifted = self._bases, self._invs, self._sifted
+        if perm in sifted:
+            return _PAD, len(bases)
+        residue = perm
         for i in range(start, len(bases)):
-            u_inv = invs[i].get(perm[bases[i]])
+            u_inv = invs[i].get(residue[bases[i]])
             if u_inv is None:
-                return perm, i
-            # residue = u^-1 * perm still maps earlier bases to themselves
-            perm = perm.translate(u_inv)
-        return perm, len(bases)
+                return residue, i
+            # u^-1 * residue still maps earlier bases to themselves
+            residue = residue.translate(u_inv)
+        if residue == _PAD:
+            sifted.add(perm)
+        return residue, len(bases)
 
     def contains_perm(self, perm: bytes) -> bool:
         residue, _ = self._strip(perm)

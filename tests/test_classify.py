@@ -825,6 +825,10 @@ def test_classify_records_golden_bytes():
         (3, 4, 6): (34, "9d54f3b3f31accd164e5df5366e2f8d5ab1d9770d6bcd55c8d1088c862c8b399"),
         # the r = 1 and r = 0 steps, where children inherit their parents' lists
         (0, 3, 6): (205, "090f6b4876f5fa423e4e50b136ccf4d6bce1a7cf012a611e80b16829ff54a49f"),
+        # m = 7, where every harvest runs through the stabilizer chain
+        # (stabilizer orders from 1.4*10^8 to 7.9*10^12)
+        (2, 2, 7): (4, "95edfd10316b47a7ef2cb971ad7d4d4ab05d0157e4c1c7ac9d0555d6b65a1722"),
+        (5, 6, 7): (8, "fca90973ee2999566f388c977ca065b5263cfc6844e61905d850268cea7aea78"),
     }
     for (s, t, m), (count, digest) in golden.items():
         records = classify_space(s, t, m)

@@ -1275,6 +1275,21 @@ def test_resume_keeps_the_checkpoint_below_finished_levels(tmp_path, capsys, mon
     assert not (out / "checkpoint.txt").exists()
 
 
+def test_resume_removes_a_stale_checkpoint(tmp_path, capsys):
+    # beside finished level files, a checkpoint holding only the header of
+    # level 3 (what a run that crashed at its first parent leaves) is stale:
+    # --resume loads every level from its file and, complete, removes it
+    out = tmp_path / "run"
+    argv = ["classify", "--m", 4, "--s", 2, "--t", 4, "--out", out]
+    assert run(*argv) == 0
+    levels = {p.name: p.read_bytes() for p in out.glob("level_*.txt")}
+    (out / "checkpoint.txt").write_text("# rmclass m=4 level=3\n")
+    assert run(*argv, "--resume") == 0
+    assert "status=complete" in (out / "manifest.txt").read_text()
+    assert not (out / "checkpoint.txt").exists()
+    assert {p.name: p.read_bytes() for p in out.glob("level_*.txt")} == levels
+
+
 @pytest.mark.parametrize("case", ["out-is-a-file", "checkpoint-is-a-directory",
                                   "checkpoint-is-a-directory-resume"])
 def test_classify_refuses_an_unusable_out(tmp_path, capsys, case):

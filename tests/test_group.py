@@ -112,33 +112,44 @@ def test_subgroup_oracle_small_cases():
     assert not oracle.contains_perm(s.table)
 
 
+def closure_of(gens, m):
+    """The point tables of the group the maps generate, by multiplying out."""
+    closure = {bytes(range(1 << m))}
+    frontier = list(closure)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = p.translate(g.table)
+                if q not in closure:
+                    closure.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return closure
+
+
 def test_subgroup_oracle_vs_explicit_closure():
     # membership and order must match an explicit multiplication closure,
     # for a chain bounded by |AGL(3,2)|, a bound reached only when the
     # closure is the whole group, and for one told the order it is building,
-    # which stops closing once its orbit lengths multiply to that order
+    # which stops closing once its orbit lengths multiply to that order.
+    # Every element is sifted before the first generator, when only the
+    # identity is a member, and again after each generator: a chain that
+    # kept a table which did not sift to the identity, and answered it
+    # again after the chain grew, would get membership wrong here
     draws = Draws(stream(23).bit_generator)
     m = 3
     agl = [g.table for g in enumerate_agl(m)]
     for _ in range(10):
         gens = [random_affine(m, draws) for _ in range(2)]
-        closure = {bytes(range(1 << m))}
-        frontier = list(closure)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = p.translate(g.table)
-                    if q not in closure:
-                        closure.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        assert subgroup_order(gens) == len(closure)
-        for oracle in (SubgroupOracle(m, group_order(m)), SubgroupOracle(m, len(closure))):
-            for g in gens:
+        closures = [closure_of(gens[:k], m) for k in (1, 2)]
+        assert subgroup_order(gens) == len(closures[-1])
+        for oracle in (SubgroupOracle(m, group_order(m)), SubgroupOracle(m, len(closures[-1]))):
+            assert sum(map(oracle.contains_perm, agl)) == 1
+            for g, closure in zip(gens, closures):
                 oracle.add_perm(g.table)
-            assert oracle.order() == len(closure)
-            assert [oracle.contains_perm(p) for p in agl] == [p[:8] in closure for p in agl]
+                assert oracle.order() == len(closure)
+                assert [oracle.contains_perm(p) for p in agl] == [p[:8] in closure for p in agl]
 
 
 def test_enumerate_agl_sizes():
