@@ -22,17 +22,20 @@ level m, one monomial) is read off the tables: it is one orbit when some
 generator swaps its forms.  A space of at most 2^15 forms is swept in one
 step: a union-find over a 2-byte label per form joins each form with its
 image under each generator.  A larger space is swept by lone waves, one
-BFS per orbit over a 1-byte label per form.  In every regime each orbit's
-seed is its minimum.  Only the sweeps read numpy copies of the tables, built
-on a context's first apply_block.  Phase 2 keeps a candidate that is not
-yet in the harvested subgroup.  Up to order 128 that subgroup is the set
-of its elements, grown by Dimino's coset closure; above it is a
-stabilizer chain that knows the order it is building and stops closing
-once its orbits reach it.
+BFS per orbit over a 1-byte label per form, on a sweep list: L less the
+generators that act trivially, or, for a certified parent, a shorter set
+that a known-order chain proves to generate <L> (_sweep_context).  In
+every regime each orbit's seed is its minimum.  Only the sweeps read
+numpy copies of the tables, built on a context's first apply_block.
+Phase 2 keeps a candidate that is not yet in the harvested subgroup.  Up
+to order 128 that subgroup is the set of its elements, grown by Dimino's
+coset closure; above it is a stabilizer chain that knows the order it is
+building and stops closing once its orbits reach it.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -48,7 +51,7 @@ from .group import (
 )
 
 _UNSEEN = 255
-_BLOCK = 1 << 18
+_BLOCK = 1 << 17
 _SMALL_STAB = 128  # stabilizers up to this order are harvested as element sets
 
 
@@ -241,14 +244,17 @@ MEM_BUDGET = 2 << 30  # bytes: the default mem_limit, and that of --mem-limit in
 def estimate_orbit_bytes(dim: int) -> int:
     """Peak memory of orbit_enumerate over 2^dim forms.
 
-    A lone wave keeps 1 B/form of labels.  One BFS level holds the int64
-    frontier, the next level's int64 parts and their concatenation; the two
-    levels are disjoint sets of forms, so together at most 16 B/form.
-    Per-block temporaries of apply_block and the label gathers stay under
-    48 B per block element.  A whole-space union-find over at most
-    2^15 <= _BLOCK forms holds its int64 forms and images, its uint16
-    labels and the join's temporaries, under 48 B per form, so inside that
-    allowance.  Plus a fixed base for the interpreter and numpy.
+    A lone wave keeps 1 B/form of labels.  Its BFS holds two levels as
+    int64 chunks, the next one joined from its parts about every
+    _BLOCK = 2^17 forms, and drops each chunk once expanded: the two
+    levels are disjoint sets of forms, so together at most 8 B/form.  The
+    estimate keeps the 16 B/form of the unchunked frontier, since it does
+    not yet cover a harvest over such a space.  Per-block temporaries of
+    apply_block, the label gathers and a chunk's join stay under 48 B per
+    block element.  A whole-space union-find over at most 2^15 <= _BLOCK
+    forms holds its int64 forms and images, its uint16 labels and the
+    join's temporaries, under 48 B per form, so inside that allowance.
+    Plus a fixed base for the interpreter and numpy.
     """
     return 17 * (1 << dim) + 48 * _BLOCK + (64 << 20)
 
@@ -353,19 +359,29 @@ def _whole_space(ctx: BoundaryAction) -> List[Tuple[int, int]]:
 
 def _lone_wave(ctx: BoundaryAction, labels: np.ndarray, seed: int) -> int:
     """Label the orbit of seed 0 in the uint8 labels by a BFS, one
-    apply_block call per generator, level and block; returns its size."""
+    apply_block call per generator, chunk and block; returns its size.
+    A BFS level is a list of int64 chunks, joined about every _BLOCK new
+    forms; each chunk is dropped once expanded (see estimate_orbit_bytes)."""
     labels[seed] = 0
-    size, frontier = 0, np.array([seed])
-    while frontier.size:
-        size += frontier.size
-        parts = []
-        for gi in range(len(ctx.gens)):
-            for lo in range(0, frontier.size, _BLOCK):
-                imgs = ctx.apply_block(frontier[lo : lo + _BLOCK], gi)
-                new = imgs.compress(labels[imgs] == _UNSEEN)
-                labels[new] = 0
-                parts.append(new)
-        frontier = np.concatenate(parts)
+    size, level = 0, [np.array([seed])]
+    while level:
+        chunks, parts, pending = [], [], 0
+        while level:
+            chunk = level.pop()
+            size += chunk.size
+            for gi in range(len(ctx.gens)):
+                for lo in range(0, chunk.size, _BLOCK):
+                    imgs = ctx.apply_block(chunk[lo : lo + _BLOCK], gi)
+                    new = imgs.compress(labels[imgs] == _UNSEEN)
+                    labels[new] = 0
+                    parts.append(new)
+                    pending += new.size
+                    if pending >= _BLOCK:
+                        chunks.append(np.concatenate(parts))
+                        parts, pending = [], 0
+        if pending:
+            chunks.append(np.concatenate(parts))
+        level = chunks
     return size
 
 
@@ -563,10 +579,12 @@ def descend_iter(
     fix-checked by table lookups (_check_inherited_fix), and every other
     orbit is harvested and fix-checked by substitution (_check_record_fix).
 
-    The step's contexts share their columns (_StepAction).  An
-    InvalidInputError from a parent's context, or an InternalConsistencyError
-    from the sweep, the class formula, the harvest or the fix check, is
-    re-raised naming the level and the parent.
+    The step's contexts share their columns (_StepAction).  Phase 1 sweeps
+    the context _sweep_context gives; the harvest, the class formula and
+    the fix checks use ctx and L.  An InvalidInputError from a parent's
+    context, or an InternalConsistencyError from the sweep, the class
+    formula, the harvest or the fix check, is re-raised naming the level
+    and the parent.
     """
     if not records:
         raise InvalidInputError("cannot descend from an empty classification")
@@ -584,7 +602,7 @@ def descend_iter(
                 raise InvalidInputError(f"outside B({r + 1},{k},{rec.m})")
             ctx = _StepAction(rec.rep, r, rec.stab_gens, columns)
             children = []
-            for seed, size in orbit_enumerate(ctx):
+            for seed, size in orbit_enumerate(_sweep_context(ctx, rec, columns)):
                 child_order = stab_order_from_class_formula(rec.stab_order, size)
                 child_rep = BooleanFunction(rec.m, anf=rec.rep.anf ^ ctx.form_to_anf(seed))
                 if size == 1 and trusted:
@@ -602,6 +620,57 @@ def descend_iter(
             parent = rec.rep.anf_hex()
             raise type(err)(f"level {r} parent {parent}: {err}") from err
         yield idx, rec, children
+
+
+_PR_SLOTS, _PR_SCRAMBLE, _PR_PRODUCTS = 10, 50, 64  # product replacement: state, warm-up, tries
+
+
+def _sweep_context(ctx: _StepAction, rec: ClassRecord, columns: dict) -> BoundaryAction:
+    """The context phase 1 sweeps rec's space with: ctx, unless lone waves
+    sweep it.  Then L less the generators with the identity's tables, or,
+    if rec is certified (|<L>| = stab_order) and at least 3 are left, the
+    _short_generators of L when they are fewer.  Those are products of L,
+    and their chain reached stab_order, so they generate <L> itself: the
+    same orbits, minima and sizes."""
+    if 1 << ctx.dim <= _WHOLE_SPACE:
+        return ctx
+    identity = [list(range(0, 1 << min(ctx.dim, base + 8), 1 << base))
+                for base in range(0, ctx.dim, 8)]  # the tables of u |-> u
+    gens = [g for g, tabs in zip(ctx.gens, ctx._fwd) if tabs != identity]
+    if rec.certified and len(gens) >= 3:
+        short = _short_generators(rec.m, rec.stab_order, ctx.gens)
+        if short is not None and len(short) < len(gens):
+            gens = short
+    return ctx if gens == ctx.gens else _StepAction(rec.rep, ctx.r, gens, columns)
+
+
+def _short_generators(
+    m: int, order: int, gens: Sequence[AffineMap]
+) -> Optional[List[AffineMap]]:
+    """Generators of <gens>, a group of the given order, by product
+    replacement (Celler, Leedham-Green, Murray, Niemeyer and O'Brien,
+    Generating random elements of a finite group, 1995) on the 256-byte
+    tables, with an accumulator.  After _PR_SCRAMBLE steps each product
+    that the known-order chain does not yet contain is kept, until the
+    chain reaches order; None if _PR_PRODUCTS products do not.  The draws
+    are the standard library's (numpy.random would add about 5 MiB to a
+    process), from a fixed seed, so the set depends on gens alone."""
+    slots = [g.table for g in gens]
+    slots = [slots[i % len(slots)] for i in range(max(_PR_SLOTS, len(slots)))]
+    acc, draws, oracle = _PAD, random.Random(0), SubgroupOracle(m, order)
+    short: List[AffineMap] = []
+    for step in range(_PR_SCRAMBLE + _PR_PRODUCTS):
+        i, j = draws.randrange(len(slots)), draws.randrange(len(slots) - 1)
+        j += j >= i
+        slots[i] = slots[j].translate(slots[i])  # slots[i] * slots[j]
+        acc = slots[i].translate(acc)  # acc * slots[i]
+        if step < _PR_SCRAMBLE or oracle.contains_perm(acc):
+            continue
+        oracle.add_perm(acc)
+        short.append(AffineMap(m, acc[: 1 << m]))
+        if oracle.order() == order:
+            return short
+    return None
 
 
 def _check_record_fix(rep: BooleanFunction, level: int, gens: Sequence[AffineMap]) -> None:

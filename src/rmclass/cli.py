@@ -81,11 +81,18 @@ def _scan(data: bytes) -> Tuple[int, int, List[ClassRecord], bool]:
     lines, all at level L, and whether a `# complete N` trailer, N the
     number of records, ends them.  A last line without its newline is a torn
     tail and is skipped, a cut-off trailer too; any other line that does not
-    parse raises InvalidInputError("<line>: <why>")."""
+    parse raises InvalidInputError("<line>: <why>").
+
+    The records hold no cycles and live as long as the command, so no
+    collection should walk them: the collector is off while they are made,
+    and gc.freeze then moves them, with every other object tracked, out of
+    its generations.  The young ones are collected first, so only a cycle
+    already in the oldest generation could be frozen uncollected."""
     *lines, _torn = data.split(b"\n")
-    records, maps, lineno = [], {}, 1  # maps: each generator text parses once
+    records, maps, lineno, complete = [], {}, 1, False  # maps: each generator text parses once
     collecting = gc.isenabled()
-    gc.disable()  # records hold no cycles: a collection would walk them for nothing
+    gc.collect(1)
+    gc.disable()
     try:
         if not lines or not lines[0].startswith(b"# rmclass m="):
             raise InvalidInputError("not a level file")
@@ -94,7 +101,8 @@ def _scan(data: bytes) -> Tuple[int, int, List[ClassRecord], bool]:
             if raw.startswith(b"# complete"):
                 if int(raw.split()[2]) != len(records):
                     raise InvalidInputError(f"{raw.decode()!r} after {len(records)} records")
-                return m, level, records, True
+                complete = True
+                break
             rec = ClassRecord.from_line(m, raw.decode(), maps)
             if rec.level != level:
                 raise InvalidInputError(f"a level-{rec.level} record in a level-{level} file")
@@ -104,7 +112,8 @@ def _scan(data: bytes) -> Tuple[int, int, List[ClassRecord], bool]:
     finally:
         if collecting:
             gc.enable()
-    return m, level, records, False
+    gc.freeze()
+    return m, level, records, complete
 
 
 def _parent_blocks(parents: Sequence[ClassRecord],

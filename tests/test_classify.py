@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -31,6 +32,8 @@ from rmclass.classify import (
     top_record,
     verify_level_mass,
     _StepAction,
+    _short_generators,
+    _sweep_context,
 )
 from rmclass.cli import read_level_file, write_level_file
 
@@ -314,6 +317,103 @@ def test_untrusted_level0_parents_are_harvested(level0_parents, monkeypatch):
             two_fixed.add(parent.rep.anf)
     assert again == certified
     assert len(two_fixed) == 85 and two_fixed <= harvested
+
+
+def test_lone_waves_in_small_blocks_match_the_reference(sweep_spaces, monkeypatch):
+    # with every space swept by lone waves and blocks of 64 forms, a wave's
+    # next level is joined from many parts into many chunks: the same orbits
+    from rmclass import classify
+
+    monkeypatch.setattr(classify, "_WHOLE_SPACE", 2)
+    monkeypatch.setattr(classify, "_BLOCK", 64)
+    for ctx in sweep_spaces:
+        assert orbit_enumerate(ctx) == orbit_partition_by_action(ctx)
+
+
+# -- the sweep list of a lone-wave parent ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def lone_wave_parents():
+    """The parents whose spaces dual-check --m 7 sweeps by lone waves (the
+    level-5 classes of B(5,7,7), zero among them, and the zero class at
+    level 2), with their step's t; and the level-3 class of B(4,6,6) with
+    the most generators, a parent of B(2,6,6) with a 2^20-form space."""
+    level5 = next(recs for s, recs in classify_levels(5, 7, 7) if s == 6)
+    cubic = max(list(classify_levels(4, 6, 6))[-1][1], key=lambda rec: len(rec.stab_gens))
+    return [(rec, 7) for rec in level5] + [(top_record(7, 2), 2), (cubic, 6)]
+
+
+def sweep_of(rec):
+    ctx = _StepAction(rec.rep, rec.level, rec.stab_gens, {})
+    return ctx, _sweep_context(ctx, rec, {})
+
+
+def test_sweep_context_gives_the_orbits_of_the_full_one(lone_wave_parents):
+    # every parent certified, each a space of more than 2^15 forms; the sweep
+    # list is shorter than L unless L is two maps, neither trivial, and a
+    # short set generates <L> itself by an independent chain over AGL(m,2)
+    for rec, _t in lone_wave_parents:
+        ctx, sweep = sweep_of(rec)
+        assert rec.certified and ctx.dim in (20, 21)
+        assert len(sweep.gens) < len(ctx.gens) or (len(ctx.gens) == 2 and sweep is ctx)
+        if not set(sweep.gens) <= set(ctx.gens):
+            assert subgroup_order(sweep.gens) == rec.stab_order
+        assert orbit_enumerate(sweep) == orbit_enumerate(ctx)
+
+
+def test_the_13_generator_parent_sweeps_on_a_short_set(lone_wave_parents):
+    # its 13 harvested generators give way to a product-replacement set,
+    # the same on every run
+    [rec] = [rec for rec, _t in lone_wave_parents if len(rec.stab_gens) == 13]
+    ctx, sweep = sweep_of(rec)
+    assert len(sweep.gens) < 13 and not set(sweep.gens) & set(ctx.gens)
+    assert sweep_of(rec)[1].gens == sweep.gens
+    assert _short_generators(7, rec.stab_order, rec.stab_gens) == sweep.gens
+    # an order above |<L>| is never reached, so it gets no short set
+    assert _short_generators(7, 2 * rec.stab_order, rec.stab_gens) is None
+
+
+def test_sweep_list_drops_exactly_the_generators_that_act_trivially():
+    # U of the top record translates by e1, which fixes every form of its
+    # own degree: the zero parent sweeps on S and T.  At f = x1 x2 x3 and
+    # r = 2, the translation by e1 keeps the identity's columns but shifts
+    # by x2 x3, and x4 += x5 fixes f but moves x4 x6: both are kept, and
+    # only the translation by e7 is dropped.  f is not certified, so no
+    # short set replaces the two.
+    S, T, U = generators_stu(7)
+    for t in (2, 5):
+        ctx, sweep = sweep_of(top_record(7, t))
+        assert ctx.dim == 21 and sweep.gens == [S, T]
+    e1 = AffineMap(7, bytes(x ^ 1 for x in range(128)))
+    t45 = AffineMap(7, bytes(x ^ ((x >> 4) & 1) << 3 for x in range(128)))
+    e7 = AffineMap(7, bytes(x ^ 64 for x in range(128)))
+    f = ClassRecord(2, BooleanFunction(7, anf=1 << X(1, 2, 3)), 8, [e1, t45, e7])
+    ctx, sweep = sweep_of(f)
+    assert ctx.apply(0, 0) == ctx.anf_to_form(1 << X(2, 3)) and ctx.apply(0, 1) == 0
+    assert sweep.gens == [e1, t45]
+
+
+def test_uncertified_parent_gets_no_short_set(lone_wave_parents, monkeypatch):
+    # a dataclasses.replace copy of the 13-generator parent is not
+    # certified: no short set is sought, and its children are the same text
+    from rmclass import classify
+
+    [(rec, t)] = [(rec, t) for rec, t in lone_wave_parents if len(rec.stab_gens) == 13]
+    certified = [c.to_line() for _i, _p, kids in descend_iter([rec], t) for c in kids]
+    sought = []
+    real = classify._short_generators
+
+    def spy(m, order, gens):
+        sought.append(order)
+        return real(m, order, gens)
+
+    monkeypatch.setattr(classify, "_short_generators", spy)
+    copy = dataclasses.replace(rec)
+    assert not copy.certified
+    assert sweep_of(copy)[1].gens == rec.stab_gens
+    again = [c.to_line() for _i, _p, kids in descend_iter([copy], t) for c in kids]
+    assert sought == [] and again == certified
 
 
 def test_orbit_sweep_memory_under_estimate():

@@ -1325,3 +1325,20 @@ def test_scan_leaves_the_cyclic_collector_as_it_found_it(enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_scanned_records_sit_outside_the_collectors_generations():
+    # the records of a scan are frozen into the permanent generation, so no
+    # later collection walks them; a refused scan freezes nothing
+    text = "".join(rec.to_line() + "\n" for rec in classify_space(2, 4, 4))
+    gc.unfreeze()
+    try:
+        with pytest.raises(InvalidInputError):
+            cli._scan(b"# rmclass m=4 level=1\n1 zz 2 0\n")
+        assert gc.get_freeze_count() == 0
+        records = cli._scan(f"# rmclass m=4 level=1\n{text}".encode())[2]
+        assert gc.get_freeze_count() >= 3 * len(records)
+        scanned = {id(obj) for rec in records for obj in (rec, rec.rep, rec.stab_gens)}
+        assert not any(id(obj) in scanned for gen in range(3) for obj in gc.get_objects(gen))
+    finally:
+        gc.unfreeze()
