@@ -39,7 +39,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -563,10 +563,10 @@ def verify_level_mass(records: Sequence[ClassRecord], k: int) -> None:
 
 
 def descend_iter(
-    records: Sequence[ClassRecord],
-    k: int,
+    records: Sequence[ClassRecord], k: int, start: int = 0
 ) -> Iterator[Tuple[int, ClassRecord, List[ClassRecord]]]:
-    """Yield (parent index, parent record, children) for one descent step.
+    """Yield (parent index, parent record, children) for one descent step,
+    from the parent at index start on.
 
     The records are the level-r orbits of B(r+1,k,m): a representative
     with a monomial outside degrees r+1..k is refused.
@@ -593,7 +593,7 @@ def descend_iter(
         raise InvalidInputError("already at level -1; nothing to descend")
     space = degree_mask(records[0].m, r + 1, k)
     columns: Dict[bytes, List[int]] = {}  # one step's boundary columns, by generator
-    for idx, rec in enumerate(records):
+    for idx, rec in enumerate(records[start:], start):
         if rec.level != r:
             raise InvalidInputError("records from mixed levels")
         trusted = rec.certified
@@ -696,11 +696,19 @@ def _check_inherited_fix(ctx: BoundaryAction, u: int) -> None:
             )
 
 
-def descend(records: Sequence[ClassRecord], k: int) -> List[ClassRecord]:
-    """One full descent step with the mass check replayed on the output."""
-    out: List[ClassRecord] = []
-    for _idx, _parent, children in descend_iter(records, k):
+def descend(
+    records: Sequence[ClassRecord], k: int, blocks: Sequence[List[ClassRecord]] = (),
+    on_block: Optional[Callable[[int, List[ClassRecord]], None]] = None,
+) -> List[ClassRecord]:
+    """One full descent step, the one loop over a level's parents: every
+    parent's children, in parent order, with the mass check replayed on the
+    level.  blocks are the children of the first parents, already known;
+    on_block(index, children) gets each other parent's as it finishes."""
+    out = [rec for children in blocks for rec in children]
+    for idx, _parent, children in descend_iter(records, k, len(blocks)):
         out.extend(children)
+        if on_block is not None:
+            on_block(idx, children)
     verify_level_mass(out, k)
     return out
 

@@ -9,10 +9,10 @@ line per record and a `# complete N` trailer.  _Checkpoint writes it, as
 the checkpoint flushed after every parent, and _scan reads both.  --resume
 reads each level by one rule, from its level file or else from the
 checkpoint: _parent_blocks keeps its leading complete blocks, one per
-parent, and the parents after them are descended.  A level is kept once
-it passes _certify_level; one that fails exits 5 if this run computed it
-all, and is redone, with --resume off from it down, if any of its blocks
-was loaded.  A complete run removes a checkpoint that is left.
+parent, and classify.descend descends the rest.  A level is kept once
+descend and _certify_level pass it; one that fails exits 5 if this run
+computed it all, and is redone, with --resume off from it down, if any
+of its blocks was loaded.  A complete run removes a checkpoint left over.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from .classify import (
     check_memory,
     classify_levels,
     classify_space,
-    descend_iter,
+    descend,
     level_cell,
     stab_histogram,
-    top_record,
 )
 from .covrad import MAX_ITER_DEFAULT, check_level, covering_radius_bound
 from .errors import (
@@ -246,9 +245,7 @@ def read_level_file(path, m: Optional[int] = None) -> List[ClassRecord]:
 
 def cmd_classify(args) -> int:
     m, s, t = args.m, args.s, args.t
-    check_cell(s, t, m)
-    target = s - 1
-    check_memory(m, t, target, args.mem_limit << 20)
+    _top, parents = next(classify_levels(s, t, m, args.mem_limit << 20))
     out = Path(args.out or "rmclass-runs")
     manifest_path = out / "manifest.txt"
     ckpt = _Checkpoint(out / "checkpoint.txt")
@@ -259,7 +256,7 @@ def cmd_classify(args) -> int:
         "m": m, "s": s, "t": t,
         "mem_limit_mib": args.mem_limit,
     }
-    records, level, resume = [top_record(m, t)], t, args.resume
+    level, resume = t, args.resume
     try:
         out.mkdir(parents=True, exist_ok=True)
         if resume and manifest_path.exists():
@@ -272,8 +269,7 @@ def cmd_classify(args) -> int:
         manifest["started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
         manifest["status"] = "running"
         _write_manifest(manifest_path, manifest)
-        while level > target:
-            parents = records
+        while level >= s:
             level_file = out / f"level_{level - 1}.txt"
             source = level_file if level_file.exists() else ckpt.path
             blocks = (ckpt.load(parents, source) if resume else None) or []
@@ -283,30 +279,28 @@ def cmd_classify(args) -> int:
                 _log(args, f"level {level - 1}: every parent's block loaded from {source}")
             else:
                 _log(args, f"checkpoint: level {level - 1} resumes at parent {len(blocks)}")
-            out_records = [rec for children in blocks for rec in children]
             t0 = shown = time.monotonic()
-            todo = parents[len(blocks):]  # empty once every parent's block is loaded
-            for idx, _, children in descend_iter(todo, t) if todo else ():
-                real_idx = len(blocks) + idx
-                out_records.extend(children)
-                ckpt.parent_done(real_idx, children)
-                if not args.verbose:
-                    continue
+            made = sum(map(len, blocks))
+
+            def on_block(idx: int, children: List[ClassRecord]) -> None:
+                nonlocal made, shown
+                ckpt.parent_done(idx, children)
+                made += len(children)
                 now = time.monotonic()
-                if now - shown >= 1 or idx + 1 == len(todo):
-                    shown, rate = now, (idx + 1) / max(now - t0, 1e-9)
-                    _log(args, f"level {level - 1}: parent {real_idx + 1}/{len(parents)}, "
-                         f"{len(out_records)} records, {now - t0:.1f}s, {rate:.1f} parents/s, "
-                         f"ETA {(len(todo) - idx - 1) / rate:.1f}s")
+                if args.verbose and (now - shown >= 1 or idx + 1 == len(parents)):
+                    shown, rate = now, (idx + 1 - len(blocks)) / max(now - t0, 1e-9)
+                    _log(args, f"level {level - 1}: parent {idx + 1}/{len(parents)}, "
+                         f"{made} records, {now - t0:.1f}s, {rate:.1f} parents/s, "
+                         f"ETA {(len(parents) - idx - 1) / rate:.1f}s")
             try:
-                manifest.update(_certify_level(parents, out_records, t))
+                records = descend(parents, t, blocks, on_block)
+                manifest.update(_certify_level(parents, records, t))
             except InternalConsistencyError:
                 if not blocks:
                     raise  # computed in this run: a bug, and the level stays in the checkpoint
-                resume = False  # loaded: redone from scratch, and every level below it
+                resume = False  # blocks loaded: redone from scratch, and every level below it
                 continue
-            records = out_records
-            level -= 1
+            parents, level = records, level - 1
             # the manifest first, so that every level file in place has its keys
             _write_manifest(manifest_path, manifest)
             ckpt.finish(len(records), level_file)
@@ -318,8 +312,8 @@ def cmd_classify(args) -> int:
         raise InvalidInputError(f"{err.filename or out}: {err.strerror}") from None
     finally:
         ckpt.close()  # an unfinished level keeps its file for --resume
-    print(f"classified B({s},{t},{m}) down to level {target}")
-    for r in range(t - 1, target - 1, -1):
+    print(f"classified B({s},{t},{m}) down to level {s - 1}")
+    for r in range(t - 1, s - 2, -1):
         print(f"  level {r}: {manifest[f'level_{r}_count']} classes")
     print(f"records in {out}")
     return 0
@@ -327,17 +321,15 @@ def cmd_classify(args) -> int:
 
 def _certify_level(parents: Sequence[ClassRecord], records: Sequence[ClassRecord], t: int) -> dict:
     """The manifest keys of the level L below parents, once its records,
-    computed or loaded, pass the one certificate classify keeps a level by:
-    level_cell finds them a whole level of B(L+1,t,m), their number is the
-    Burnside count of that space, an independent count, and _parent_blocks
-    finds one complete block of children per parent, in parent order.  A
-    failure raises InternalConsistencyError naming L.  The keys are the
-    counts, the children whose stabilizer is their parent's (orbits of size
-    1) and the stabilizer histogram."""
+    computed or loaded, pass the one certificate classify keeps a level by.
+    descend has found them a whole level of B(L+1,t,m) by level_cell; here
+    their number must be the Burnside count of that space, an independent
+    count, and _parent_blocks must find one complete block of children per
+    parent, in parent order.  A failure raises InternalConsistencyError
+    naming L.  The keys are the counts, the children whose stabilizer is
+    their parent's (orbits of size 1) and the stabilizer histogram."""
     m, level = parents[0].m, parents[0].level - 1
     try:
-        if level_cell(records) != (m, level, t):
-            raise InternalConsistencyError(f"no classification of B({level + 1},{t},{m})")
         expected = burnside_count(level + 1, t, m)
         if len(records) != expected:
             raise InternalConsistencyError(f"{len(records)} classes, but the Burnside "

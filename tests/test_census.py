@@ -67,6 +67,18 @@ def test_burnside_known_values():
     assert burnside_count(0, 1, 2) == 3
 
 
+def test_burnside_matches_the_literature_at_m8():
+    # Both values are quoted from their sources, not re-derived here, and
+    # are the only class numbers checked against a source outside the paper
+    # and this library.
+    # X.-D. Hou, the orbits of AGL(m,2) on R(r,m)/R(s,m): 32 classes of
+    # cubic forms in 8 variables, B(3,3,8).
+    assert burnside_count(3, 3, 8) == 32
+    # P. Langevin and G. Leander, the classification of the Boolean quartic
+    # forms in eight variables: 999 classes, B(4,4,8).
+    assert burnside_count(4, 4, 8) == 999
+
+
 def test_burnside_refuses_large_m():
     assert burnside_count(2, 5, 5) == 48
     for s, t, m in [(0, 0, 9), (0, 0, 0), (3, 2, 4)]:

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import rmclass.classify as classify
 import rmclass.cli as cli
+from rmclass.bfcore import BooleanFunction
 from rmclass.bits import degree_mask
 from rmclass.classify import (
     BoundaryAction, ClassRecord, classify_space, descend_iter, stab_histogram, top_record
@@ -50,6 +52,31 @@ def test_classify_writes_levels_and_manifest(tmp_path, capsys):
         assert int(keys[f"level_{level}_inherited"]) == fixed
         parents = read_level_file(out / f"level_{level}.txt")
     assert [keys[f"level_{r}_inherited"] for r in (3, 2, 1)] == ["2", "1", "2"]
+
+
+@pytest.mark.parametrize("argv, levels", [
+    (["classify", "--m", 4, "--s", 2, "--t", 4], [4, 3, 2]),
+    (["count", "--m", 4, "--s", 2, "--t", 4], [4, 3, 2]),
+    (["dual-check", "--m", 4, "--cells", "1,3;2,2"], [3, 2, 1]),  # one descent for both t
+    (["nearbent", "--m", 5], [3]),
+    (["distance", "--m", 4, "--r", 1, "--s", 2, "--t", 3, "--threshold", 16, "--seed", 1],
+     [3, 2]),
+    (["stab-hist", "--m", 4, "--s", 2, "--t", 4], [4, 3, 2]),
+], ids=lambda v: v[0] if isinstance(v[0], str) else None)
+def test_every_command_descends_through_classify_descend(tmp_path, monkeypatch, argv, levels):
+    # one per-parent loop: each command that classifies calls descend once
+    # per level it descends, with parents at these levels, and no other loop
+    calls = []
+    real = classify.descend
+
+    def counted(records, k, *args, **kwargs):
+        calls.append(records[0].level)
+        return real(records, k, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "descend", counted)  # as classify_levels calls it
+    monkeypatch.setattr(cli, "descend", counted)  # as cmd_classify calls it
+    assert run(*argv, "--out", tmp_path) == 0
+    assert calls == levels
 
 
 def test_classify_result_files_are_deterministic(tmp_path):
@@ -823,6 +850,27 @@ def test_resume_redoes_a_level_file_of_another_m(tmp_path):
     # is the mass the check against this run's t=4 alone looks for
     _resume_redoes_level_2_of_b244(
         tmp_path, lambda path: write_level_file(path, classify_space(3, 4, 5)))
+
+
+def test_resume_redoes_a_level_file_with_a_representative_outside_the_cell(tmp_path):
+    # a level-2 representative that gains x1x2 keeps its part above degree
+    # 3 and its order, so every block stays complete and the level loads
+    # whole; the cell check descend runs on every level then redoes it
+    _resume_redoes_level_2_of_b244(tmp_path, _add_x1x2_to_a_representative)
+
+
+def _add_x1x2_to_a_representative(path: Path) -> None:
+    records = read_level_file(path)
+    rec = records[1]
+    records[1] = ClassRecord(rec.level, BooleanFunction(4, anf=rec.rep.anf ^ 1 << 0b0011),
+                             rec.stab_order, rec.stab_gens)
+    write_level_file(path, records)
+    parents = read_level_file(path.with_name("level_3.txt"))
+    blocks = cli._parent_blocks(parents, records)
+    assert len(blocks) == len(parents)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^a level-2 representative lies outside B\(3,4,4\)$"):
+        classify.descend(parents, 4, blocks)
 
 
 def _corrupt_first_anf(path: Path) -> None:

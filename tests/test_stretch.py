@@ -56,7 +56,7 @@ def test_covering_radius_rm37():
     records = _records("b447_level3.txt", lambda: classify_space(4, 4, 7, BIG))
     assert len(records) == 12
     reports = covering_radius_bound(records, 3, 20, max_iter=2048, seed=1)
-    assert all(tr.hit for tr in reports)  # covering radius of RM(3,7) <= 20
+    assert all(tr.hit for tr in reports)  # covering radius of RM(3,7) within RM(4,7) <= 20
     # published trial statistics (mean 538.6, stddev 806.17) are order-of-
     # magnitude targets: unspecified RNG details make them irreproducible
     assert sum(tr.trials for tr in reports) / len(reports) < 5386
